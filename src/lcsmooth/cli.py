@@ -360,27 +360,22 @@ def cmd_smooth(args):
         posterior, report = solver.solve(graph, scfg)
     except solver.SolverFailureError as exc:
         failure = str(exc)
-        posterior, report = graph, None
+        posterior, report = exc.graph, exc.report
     out_traj = Trajectory(times=posterior.times, poses=posterior.poses)
     dataio.write_trajectory(dataset / "posterior.csv", out_traj)
     report_doc = {
         "loop_closures": len(measurements),
         "robust": bool(scfg.robust_cost),
         "failed": failure is not None,
+        "iterations": report.iterations,
+        "converged": report.converged,
+        "objective": report.objective,
+        "objective_trace": report.objective_trace,
+        "loop_weights": list(map(float, report.loop_weights)),
+        "message": report.message,
     }
     if failure is not None:
         report_doc["failure"] = failure
-    if report is not None:
-        report_doc.update(
-            {
-                "iterations": report.iterations,
-                "converged": report.converged,
-                "objective": report.objective,
-                "objective_trace": report.objective_trace,
-                "loop_weights": list(map(float, report.loop_weights)),
-                "message": report.message,
-            }
-        )
     dataio.write_manifest(dataset / "smooth_report.json", report_doc)
     if failure is not None:
         print(f"solver failure: {failure}", file=sys.stderr)

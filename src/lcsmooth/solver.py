@@ -5,11 +5,14 @@ process factor, a relative-pose factor captured from the initializing
 trajectory, and a roll/pitch/depth factor, plus one prior factor on node 0
 and one factor per loop-closure measurement.  Linearization is vectorized
 across the chain.  The normal equations exploit the structure in node
-order: the chain part is block-tridiagonal and factorizes with a banded
-Cholesky, and each loop closure contributes a PSD rank-6 term applied
-through a Woodbury update.  Levenberg-Marquardt damping wraps the
-Gauss-Newton step so the objective is non-increasing across accepted
-iterations.
+order: the chain part is block-tridiagonal, and each loop closure adds a
+PSD rank-6 term on its two nodes.  The step eliminates every node that no
+closure touches with banded Cholesky solves, leaving a block-tridiagonal
+Schur complement over the m <= 2L closure nodes, to which the closure terms
+are added through a Woodbury update.  That costs O(n) banded work plus work
+in m and L only, and stores nothing of size n x L.  Levenberg-Marquardt
+damping wraps the Gauss-Newton step so the objective is non-increasing
+across accepted iterations.
 """
 
 from __future__ import annotations
@@ -26,7 +29,17 @@ from .wnoa import NavState, WnoaPsd, process_weight
 
 
 class SolverFailureError(RuntimeError):
-    """Normal equations remained indefinite/singular after damping escalation."""
+    """Normal equations remained indefinite/singular after damping escalation.
+
+    ``graph`` is the best iterate reached before the failure and ``report``
+    its :class:`SolveReport` (``converged`` false, ``message`` the reason);
+    both are None when the failure has no iterate to offer.
+    """
+
+    def __init__(self, message, graph=None, report=None):
+        super().__init__(message)
+        self.graph = graph
+        self.report = report
 
 
 @dataclass
@@ -503,9 +516,11 @@ def _normal_equations(blocks, n, robust_weights):
     The chain factors (prior, WNOA, relative pose, observable) produce a
     block-tridiagonal matrix, returned as stacked diagonal blocks ``Hdiag``
     (n, 12, 12) and upper off-diagonal blocks ``Hoff`` (n-1, 12, 12).  Each
-    loop closure contributes a PSD rank-6 term U_l U_l^T; the stacked square
-    roots are returned as the dense skinny matrix ``U`` (12n, 6L).  The
-    right-hand side ``g = Gamma^T W e`` covers all factors.
+    loop closure l contributes a PSD rank-6 term u_l u_l^T, where u_l holds
+    ``V[l, 0]`` = H_l1^T L_w in the pose rows of node ``loop_idx[l, 0]`` and
+    ``V[l, 1]`` = H_l2^T L_w in those of node ``loop_idx[l, 1]`` (L_w L_w^T
+    is the robust-scaled loop weight).  ``V`` is (L, 2, 6, 6), so storage is
+    O(n + L).  The right-hand side ``g = Gamma^T W e`` covers all factors.
     """
     k = n - 1
     Hdiag = np.zeros((n, 12, 12))
@@ -534,39 +549,43 @@ def _normal_equations(blocks, n, robust_weights):
                 Hoff[:, :c, :c] += J1tW @ J2
                 g[:-1, :c] += (J1tW @ err[..., None])[..., 0]
 
-    nl = len(blocks.e_loop)
-    if nl:
-        Wl = blocks.W_loop * np.asarray(robust_weights)[:, None, None]
-        Lw = np.linalg.cholesky(Wl)
-        U = np.zeros((12 * n, 6 * nl))
-        for li in range(nl):
-            i1, i2 = blocks.loop_idx[li]
-            U[12 * i1 : 12 * i1 + 6, 6 * li : 6 * li + 6] = blocks.H_l1[li].T @ Lw[li]
-            U[12 * i2 : 12 * i2 + 6, 6 * li : 6 * li + 6] = blocks.H_l2[li].T @ Lw[li]
-        H1tW = np.swapaxes(blocks.H_l1, -1, -2) @ Wl
-        H2tW = np.swapaxes(blocks.H_l2, -1, -2) @ Wl
-        np.add.at(
-            g[:, :6], blocks.loop_idx[:, 0], (H1tW @ blocks.e_loop[..., None])[..., 0]
-        )
-        np.add.at(
-            g[:, :6], blocks.loop_idx[:, 1], (H2tW @ blocks.e_loop[..., None])[..., 0]
-        )
-    else:
-        U = None
+    Wl = blocks.W_loop * np.asarray(robust_weights)[:, None, None]
+    Ht = np.stack([blocks.H_l1, blocks.H_l2], axis=1).swapaxes(-1, -2)
+    V = Ht @ np.linalg.cholesky(Wl)[:, None]
+    HtWe = (Ht @ (Wl @ blocks.e_loop[..., None])[:, None])[..., 0]
+    np.add.at(g[:, :6], blocks.loop_idx, HtWe)
 
-    return Hdiag, Hoff, U, g.ravel()
+    return Hdiag, Hoff, blocks.loop_idx, V, g.ravel()
 
 
-def _to_lower_band(Hdiag, Hoff, lam):
-    """Lower-banded storage of the block-tridiagonal part plus lam on the diagonal."""
+def _to_lower_band(Hdiag, Hoff):
+    """Lower-banded storage of a block-tridiagonal matrix."""
     n = Hdiag.shape[0]
     band = np.zeros((24, 12 * n))
     for c in range(12):
         band[: 12 - c, c::12] = Hdiag[:, c:, c].T
         if n > 1:
             band[12 - c : 24 - c, c : 12 * (n - 1) : 12] = Hoff[:, c, :].T
-    band[0] += lam
     return band
+
+
+def _cholesky_banded(Hdiag, Hoff, what):
+    try:
+        return scipy.linalg.cholesky_banded(
+            _to_lower_band(Hdiag, Hoff), lower=True, check_finite=False
+        )
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"{what} not positive definite: {exc}") from exc
+    except ValueError as exc:
+        raise RuntimeError(f"banded factorization of {what} failed: {exc}") from exc
+
+
+def _cho_solve(cb, rhs):
+    """Solve with a banded factor; ``rhs`` is (nodes, 12, ...) in node blocks."""
+    x = scipy.linalg.cho_solve_banded(
+        (cb, True), rhs.reshape(cb.shape[1], -1), check_finite=False
+    )
+    return x.reshape(rhs.shape)
 
 
 def update_states(graph: FactorGraph, delta_x) -> FactorGraph:
@@ -582,36 +601,90 @@ def update_states(graph: FactorGraph, delta_x) -> FactorGraph:
     return out
 
 
-def _solve_normal(Hdiag, Hoff, U, g, lam, fix_first_node):
-    """Solve (H + lam I) delta = -g via banded Cholesky plus a Woodbury update.
+def _solve_normal(Hdiag, Hoff, loop_idx, V, g, lam, fix_first_node):
+    """Solve (A + sum_l u_l u_l^T) delta = -g on a Schur complement over K.
 
-    The chain part factorizes in place with a banded Cholesky; the
-    loop-closure term U U^T enters through the Woodbury identity with a small
-    (6L x 6L) capacitance system.  Raises RuntimeError when the damped chain
-    matrix is not positive definite.
+    A is the damped block-tridiagonal chain matrix and K the sorted closure
+    nodes (m <= 2L of them).  Cutting the chain couplings at K leaves the
+    interior matrix A_II, whose segments between consecutive K nodes are
+    decoupled; one banded Cholesky factorizes it.  A single solve with 25
+    right-hand sides gives A_II^-1 r_I together with, for every segment at
+    once, the columns of A_II^-1 coupled to its left K node (12) and to its
+    right K node (12).  Their end rows give the block-tridiagonal Schur
+    complement S_K = A_KK - A_KI A_II^-1 A_IK, a second banded Cholesky over
+    m blocks.  The closure terms enter S_K through the Woodbury identity,
+    with the (6L x 6L) capacitance gathered from the closures' rows of
+    S_K^-1 U_K.  One more single-RHS solve back-substitutes the interior.
+    The cost is O(n) banded work plus work in m and L only; nothing of size
+    n x L is formed.  Raises RuntimeError when A_II or S_K is not positive
+    definite, which happens exactly when A is not.
     """
-    band = _to_lower_band(Hdiag, Hoff, lam)
-    if fix_first_node:
-        band = band[:, 12:]
-        g = g[12:]
-        U = U[12:] if U is not None else None
-    try:
-        cb = scipy.linalg.cholesky_banded(band, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"chain matrix not positive definite: {exc}") from exc
-    except ValueError as exc:
-        raise RuntimeError(f"banded factorization failed: {exc}") from exc
-    y = scipy.linalg.cho_solve_banded((cb, True), g, check_finite=False)
-    if U is not None and U.shape[1] > 0:
-        Z = scipy.linalg.cho_solve_banded((cb, True), U, check_finite=False)
-        S = np.eye(U.shape[1]) + U.T @ Z
-        delta = -(y - Z @ np.linalg.solve(S, U.T @ y))
+    first = 1 if fix_first_node else 0
+    Hd = Hdiag[first:] + lam * np.eye(12)
+    Ho = Hoff[first:]
+    r = -g.reshape(-1, 12)[first:]
+    N = len(Hd)
+    idx = loop_idx - first
+    # a closure side on the fixed first node drops out: zero block, other node
+    anchored = idx < 0
+    V = np.where(anchored[..., None, None], 0.0, V)
+    idx = np.where(anchored, idx[:, ::-1], idx)
+    K, pos = np.unique(idx, return_inverse=True)
+    pos = pos.reshape(idx.shape)
+    m, L = len(K), len(V)
+
+    # interior matrix A_II: identity on K, chain couplings at K cut
+    isK = np.ones(N + 2, dtype=bool)  # node k at k + 1; padded at both ends
+    isK[1:-1] = False
+    isK[K + 1] = True
+    Hd_I = Hd.copy()
+    Hd_I[K] = np.eye(12)
+    Ho_I = np.where((isK[1:-2] | isK[2:-1])[:, None, None], 0.0, Ho)
+    cb = _cholesky_banded(Hd_I, Ho_I, "interior chain matrix")
+    if not m:
+        delta = _cho_solve(cb, r)
     else:
-        delta = -y
+        # A[k-1, k] = Hp[k] and A[k, k+1] = Hp[k+1], zero past both ends
+        Hp = np.concatenate([np.zeros((1, 12, 12)), Ho, np.zeros((1, 12, 12))])
+        prev_c, next_c = Hp[K], Hp[K + 1]
+        prev_t, next_t = np.swapaxes(prev_c, -1, -2), np.swapaxes(next_c, -1, -2)
+        left = ~isK[K + 2]  # node k+1 is interior, the left end of a segment
+        right = ~isK[K]  # node k-1 is interior, the right end of a segment
+        r_I = np.where(isK[1:-1, None], 0.0, r)
+        rhs = np.zeros((N, 12, 25))
+        rhs[:, :, 0] = r_I
+        rhs[K[left] + 1, :, 1:13] = next_t[left]
+        rhs[K[right] - 1, :, 13:] = prev_c[right]
+        Y = _cho_solve(cb, rhs)
+
+        # Y vanishes on K rows, so couplings between K nodes drop out here
+        Yp = np.concatenate([np.zeros((1, 12, 25)), Y, np.zeros((1, 12, 25))])
+        Y_prev, Y_next = Yp[K], Yp[K + 2]
+        Sd = Hd[K] - prev_t @ Y_prev[:, :, 13:] - next_c @ Y_next[:, :, 1:13]
+        adjacent = (K[1:] == K[:-1] + 1)[:, None, None]
+        So = np.where(adjacent, next_c[:-1], 0.0) - next_c[:-1] @ Y_next[:-1, :, 13:]
+        r_K = r[K] - (prev_t @ Y_prev[:, :, :1] + next_c @ Y_next[:, :, :1])[..., 0]
+        cs = _cholesky_banded(Sd, So, "closure-node Schur complement")
+
+        # Woodbury over the closure terms; U_K holds V[l, s] in the pose rows
+        # of K node pos[l, s] and in columns 6l..6l+5
+        rhs = np.zeros((m, 12, 1 + 6 * L))
+        rhs[:, :, 0] = r_K
+        cols = 1 + np.arange(6 * L).reshape(L, 1, 1, 6)
+        np.add.at(rhs, (pos[..., None, None], np.arange(6)[:, None], cols), V)
+        Z = _cho_solve(cs, rhs)
+        UtZ = np.einsum("lsij,lsik->ljk", V, Z[pos, :6]).reshape(6 * L, -1)
+        cap = np.eye(6 * L) + UtZ[:, 1:]
+        d_K = Z[:, :, 0] - Z[:, :, 1:] @ np.linalg.solve(cap, UtZ[:, 0])
+
+        # interior back-substitution: A_II d_I = r_I - A_IK d_K
+        r_I[K[left] + 1] -= (next_t[left] @ d_K[left, :, None])[..., 0]
+        r_I[K[right] - 1] -= (prev_c[right] @ d_K[right, :, None])[..., 0]
+        delta = _cho_solve(cb, r_I)
+        delta[K] = d_K
+    delta = np.concatenate([np.zeros(12 * first), delta.ravel()])
     if not np.all(np.isfinite(delta)):
         raise RuntimeError("non-finite normal-equation solution")
-    if fix_first_node:
-        delta = np.concatenate([np.zeros(12), delta])
     return delta
 
 
@@ -619,9 +692,9 @@ def gauss_newton_step(graph: FactorGraph, config: SolverConfig):
     """One Gauss-Newton step at the given damping; (delta_x, predicted objective)."""
     blocks = _linearize(graph)
     w = _robust_weights_for(blocks, config)
-    Hdiag, Hoff, U, g = _normal_equations(blocks, graph.num_nodes, w)
+    normal = _normal_equations(blocks, graph.num_nodes, w)
     try:
-        delta = _solve_normal(Hdiag, Hoff, U, g, config.damping, config.fix_first_node)
+        delta = _solve_normal(*normal, config.damping, config.fix_first_node)
     except RuntimeError as exc:
         raise SolverFailureError(f"normal equations not solvable: {exc}") from exc
     e, gamma, weight = assemble(graph, robust_weights=w)
@@ -637,7 +710,9 @@ def solve(graph: FactorGraph, config: SolverConfig | None = None):
     point and held fixed while the step is evaluated.  A trial step is
     accepted only if the fixed-weight objective does not increase; otherwise
     the damping factor escalates by 10x up to the cap, after which the best
-    iterate so far is returned with ``converged=False``.
+    iterate so far is returned with ``converged=False``.  If the normal
+    equations stay unsolvable up to the cap, SolverFailureError is raised
+    carrying the best iterate and its report.
     """
     if config is None:
         config = SolverConfig()
@@ -647,6 +722,7 @@ def solve(graph: FactorGraph, config: SolverConfig | None = None):
     iterations = 0
     converged = False
     message = "max iterations reached"
+    failure = None
     trace = []
     step_objectives = []
     blocks = _linearize(cur)
@@ -658,19 +734,20 @@ def solve(graph: FactorGraph, config: SolverConfig | None = None):
         )
         j_base = _quadratic(errs, blocks, w_cur)
         trace.append(float(j_base))
-        Hdiag, Hoff, U, g = _normal_equations(blocks, cur.num_nodes, w_cur)
+        normal = _normal_equations(blocks, cur.num_nodes, w_cur)
         accepted = False
         while True:
             try:
-                delta = _solve_normal(Hdiag, Hoff, U, g, lam, config.fix_first_node)
+                delta = _solve_normal(*normal, lam, config.fix_first_node)
             except RuntimeError:
                 lam = lam * 10.0 if lam > 0 else 1e-6
                 if lam > config.max_damping:
-                    raise SolverFailureError(
+                    failure = (
                         "normal equations singular at maximum damping "
                         f"({cur.num_nodes} nodes, "
                         f"{len(cur.loop_closures)} loop closures)"
-                    ) from None
+                    )
+                    break
                 continue
             trial = update_states(cur, delta)
             j_trial = _quadratic(_errors(trial), blocks, w_cur)
@@ -681,7 +758,7 @@ def solve(graph: FactorGraph, config: SolverConfig | None = None):
             if lam > config.max_damping:
                 break
         if not accepted:
-            message = "damping limit reached without objective decrease"
+            message = failure or "damping limit reached without objective decrease"
             break
         step_objectives.append((float(j_base), float(j_trial)))
         cur = trial
@@ -711,4 +788,6 @@ def solve(graph: FactorGraph, config: SolverConfig | None = None):
         message=message,
         step_objectives=step_objectives,
     )
+    if failure:
+        raise SolverFailureError(failure, cur, report)
     return cur, report

@@ -195,27 +195,34 @@ class TestSmooth:
         assert len(posterior) == len(pruned) + 1
         assert np.any(np.isclose(posterior.times, t1))
 
-    def test_solver_failure_writes_best_iterate(self, dataset, tmp_path, capsys,
-                                                monkeypatch):
+    def test_solver_failure_writes_best_iterate(self, dataset, tmp_path):
         import shutil
 
-        from lcsmooth import solver
-
-        d, cfg = dataset
+        d, _ = dataset
         d2 = tmp_path / "d_fail"
         shutil.copytree(d, d2)
         (d2 / "posterior.csv").unlink(missing_ok=True)
-
-        def boom(graph, config=None):
-            raise solver.SolverFailureError("normal equations singular")
-
-        monkeypatch.setattr(solver, "solve", boom)
+        # a vanishing prior leaves the graph without an anchor, and relative-pose
+        # factors this stiff keep its normal equations numerically singular up
+        # to the damping cap
+        weak = {f"prior.sigma_{k}": "1e30" for k in ("phi", "rho", "omega", "nu")}
+        cfg = write_cfg(
+            tmp_path,
+            {**weak, "rel.sigma_phi": "1e-16", "rel.sigma_rho": "1e-14"},
+            name="stiff.cfg",
+        )
         code = cli.main(["smooth", "--dataset", str(d2), "--config", cfg])
         assert code == cli.EXIT_SOLVER
-        assert (d2 / "posterior.csv").exists()
         report = dataio.read_manifest(d2 / "smooth_report.json")
         assert report["failed"] is True
         assert "singular" in report["failure"]
+        assert report["converged"] is False
+        assert report["iterations"] == 0
+        # no step was accepted, so the best iterate is the initialization
+        posterior = dataio.read_trajectory(d2 / "posterior.csv")
+        prior = dataio.read_trajectory(d2 / "prior.csv")
+        assert np.array_equal(posterior.times, prior.times)
+        assert np.abs(posterior.poses - prior.poses).max() <= 1e-12
 
 
 class TestEvaluate:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from lcsmooth import factors, lie, solver
 from lcsmooth.wnoa import WnoaPsd
@@ -91,7 +93,9 @@ class TestAssemble:
         h_ref = (gamma.T @ w @ gamma).toarray()
         g_ref = gamma.T @ (w @ e)
         blocks = solver._linearize(g)
-        hdiag, hoff, u, grad = solver._normal_equations(blocks, g.num_nodes, w_rob)
+        hdiag, hoff, loop_idx, v, grad = solver._normal_equations(
+            blocks, g.num_nodes, w_rob
+        )
         n = g.num_nodes
         h = np.zeros((12 * n, 12 * n))
         for i in range(n):
@@ -99,7 +103,12 @@ class TestAssemble:
         for i in range(n - 1):
             h[12 * i : 12 * i + 12, 12 * i + 12 : 12 * i + 24] = hoff[i]
             h[12 * i + 12 : 12 * i + 24, 12 * i : 12 * i + 12] = hoff[i].T
-        h += u @ u.T
+        assert v.shape == (2, 2, 6, 6)
+        for (i1, i2), (v1, v2) in zip(loop_idx, v):
+            u = np.zeros((12 * n, 6))
+            u[12 * i1 : 12 * i1 + 6] = v1
+            u[12 * i2 : 12 * i2 + 6] = v2
+            h += u @ u.T
         scale = np.abs(h_ref).max()
         assert np.abs(h - h_ref).max() <= 1e-12 * scale
         assert np.abs(grad - g_ref).max() <= 1e-12 * max(np.abs(g_ref).max(), 1.0)
@@ -120,6 +129,98 @@ class TestAssemble:
         loop_rows = gamma[12 + 12 * k : 12 + 12 * k + 6, :].toarray()
         occupied = np.flatnonzero(np.abs(loop_rows).sum(axis=0))
         assert set(occupied) <= set(range(0, 6)) | set(range(24, 30))
+
+
+class TestSchurStep:
+    """The closure-node Schur step against a sparse direct solve of H + lam I."""
+
+    @staticmethod
+    def sparse_step(g, w, lam, fix_first_node):
+        e, gamma, weight = solver.assemble(g, robust_weights=w)
+        h = (gamma.T @ weight @ gamma + lam * sp.identity(gamma.shape[1])).tocsc()
+        rhs = -(gamma.T @ (weight @ e))
+        s = 12 if fix_first_node else 0
+        delta = np.zeros_like(rhs)
+        delta[s:] = spla.spsolve(h[s:, s:], rhs[s:])
+        return delta
+
+    @pytest.mark.parametrize(
+        "loops, lam, fix_first_node",
+        [
+            (((3, 4), (6, 7)), 0.0, False),  # adjacent closure nodes
+            (((0, 5), (6, 11)), 0.0, False),  # first and last node
+            (((2, 7), (2, 9), (2, 7)), 0.0, False),  # shared node, repeated pair
+            (((2, 4), (4, 6), (1, 9)), 0.0, False),  # one-node segments
+            ((), 0.0, False),  # no closures
+            (((1, 8), (3, 10)), 0.5, False),  # damped
+            (((0, 6), (0, 1), (3, 8)), 0.0, True),  # closures on the fixed node
+        ],
+    )
+    def test_matches_sparse_solve(self, rng, loops, lam, fix_first_node):
+        g = small_graph(rng, n=12, loops=loops, perturb=0.02)
+        if fix_first_node:
+            g.prior = None
+        w = rng.uniform(0.3, 1.0, size=len(loops))
+        blocks = solver._linearize(g)
+        normal = solver._normal_equations(blocks, g.num_nodes, w)
+        delta = solver._solve_normal(*normal, lam, fix_first_node)
+        ref = self.sparse_step(g, w, lam, fix_first_node)
+        assert np.linalg.norm(delta - ref) <= 1e-9 * np.linalg.norm(ref)
+        if fix_first_node:
+            assert np.array_equal(delta[:12], np.zeros(12))
+
+
+# relative-pose factors this stiff put the rounding error of the normal
+# equations far above the damping cap
+STIFF_R_REL = np.diag([1e-16**2] * 3 + [1e-14**2] * 3)
+
+
+def unanchored_graph(rng, loops):
+    """No prior, so yaw and planar position are free, and stiff relative poses."""
+    g = small_graph(rng, n=12, loops=loops, perturb=0.02)
+    g.prior = None
+    g.r_rel = STIFF_R_REL
+    return g
+
+
+class TestSolverFailure:
+    @pytest.mark.parametrize(
+        "loops, singular",
+        [((), "interior chain matrix"), (((2, 9), (4, 5)), "Schur complement")],
+    )
+    def test_singular_normal_equations_raise(self, rng, loops, singular):
+        # pinning the closure nodes anchors every interior segment, so with
+        # closures the gauge freedom surfaces in the Schur complement
+        g = unanchored_graph(rng, loops)
+        blocks = solver._linearize(g)
+        normal = solver._normal_equations(blocks, g.num_nodes, np.ones(len(loops)))
+        for lam in (0.0, solver.SolverConfig().max_damping):
+            with pytest.raises(RuntimeError, match=singular):
+                solver._solve_normal(*normal, lam, False)
+
+    def test_solve_escalates_damping_to_failure(self, rng):
+        g = unanchored_graph(rng, ((2, 9),))
+        cfg = solver.SolverConfig()
+        with pytest.raises(solver.SolverFailureError) as info:
+            solver.solve(g, cfg)
+        best, report = info.value.graph, info.value.report
+        assert report.iterations == 0 and not report.converged
+        assert report.damping_final > cfg.max_damping
+        assert report.message == str(info.value)
+        assert np.array_equal(best.poses, g.poses)
+
+    def test_failure_carries_best_iterate(self, rng):
+        # large initial damping takes small accepted steps until the damping
+        # has decayed below what the stiff system needs
+        g = unanchored_graph(rng, ((2, 9),))
+        cfg = solver.SolverConfig(damping=1e17)
+        with pytest.raises(solver.SolverFailureError) as info:
+            solver.solve(g, cfg)
+        best, report = info.value.graph, info.value.report
+        assert report.iterations >= 1 and not report.converged
+        assert report.objective < report.objective_trace[0]
+        assert report.objective == pytest.approx(solver.objective(best, cfg)[0], rel=1e-12)
+        assert np.abs(best.poses - g.poses).max() > 1e-6
 
 
 class TestRobustWeight:
