@@ -3,14 +3,13 @@
 from .factors import LoopClosureMeasurement, PriorBelief
 from .solver import FactorGraph, SolveReport, SolverConfig, build_graph, solve
 from .trajectory import Trajectory
-from .wnoa import NavState, WnoaPsd
+from .wnoa import WnoaPsd
 
 __version__ = "0.1.0"
 
 __all__ = [
     "FactorGraph",
     "LoopClosureMeasurement",
-    "NavState",
     "PriorBelief",
     "SolveReport",
     "SolverConfig",

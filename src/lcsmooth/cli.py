@@ -335,13 +335,8 @@ def cmd_smooth(args):
     lc_path = Path(args.loopclosures) if args.loopclosures else dataset / "loopclosures.csv"
     try:
         measurements = dataio.read_loop_closures(lc_path, prior.times)
-    except ValueError as exc:
-        if "half a sample period" not in str(exc):
-            raise
-        raw = np.loadtxt(lc_path, delimiter=",", skiprows=1, ndmin=2)
-        prior = insert_interpolated_nodes(
-            prior, np.concatenate([raw[:, 0], raw[:, 1]])
-        )
+    except dataio.UnresolvedClosureTimeError as exc:
+        prior = insert_interpolated_nodes(prior, exc.times)
         measurements = dataio.read_loop_closures(lc_path, prior.times)
     if args.loop_closures is not None:
         measurements = measurements[: args.loop_closures]

@@ -160,11 +160,23 @@ def write_loop_closures(path, measurements, times):
     np.savetxt(path, data, fmt=_FMT, delimiter=",", header=header, comments="")
 
 
+class UnresolvedClosureTimeError(ValueError):
+    """Loop-closure timestamps that land on no node; ``times`` holds them all."""
+
+    def __init__(self, path, times):
+        self.times = np.asarray(times, dtype=float)
+        super().__init__(
+            f"{path}: loop-closure times {self.times.tolist()} are not within half "
+            "a sample period of any node"
+        )
+
+
 def read_loop_closures(path, times):
     """Read loop closures, resolving timestamps to node indices.
 
-    A timestamp must land within half a sample period of a node; otherwise a
-    ValueError asks the caller to insert an interpolated node.
+    A timestamp must land within half a sample period of a node; otherwise
+    an UnresolvedClosureTimeError carries every such timestamp, so the
+    caller can insert interpolated nodes at them.
     """
     data = _load_csv(path, "loop-closure")
     if data.size == 0:
@@ -173,21 +185,18 @@ def read_loop_closures(path, times):
         raise ValueError(f"{path}: expected 20 columns, found {data.shape[1]}")
     times = np.asarray(times, dtype=float)
     half_period = 0.5 * np.median(np.diff(times)) if len(times) > 1 else 0.0
-    out = []
-    for row in data:
-        idx = []
-        for t in row[:2]:
-            i = int(np.argmin(np.abs(times - t)))
-            if abs(times[i] - t) > half_period + 1e-12:
-                raise ValueError(
-                    f"loop-closure time {t} is not within half a sample period "
-                    "of any node"
-                )
-            idx.append(i)
-        pose = lie.make_pose(row[2:11].reshape(3, 3), row[11:14])
-        cov = np.diag(row[14:20])
-        out.append(LoopClosureMeasurement(idx[0], idx[1], pose, cov))
-    return out
+    stamps = data[:, :2]
+    idx = np.array([[np.argmin(np.abs(times - t)) for t in pair] for pair in stamps])
+    unresolved = np.abs(times[idx] - stamps) > half_period + 1e-12
+    if np.any(unresolved):
+        raise UnresolvedClosureTimeError(path, stamps[unresolved])
+    return [
+        LoopClosureMeasurement(
+            int(i1), int(i2), lie.make_pose(row[2:11].reshape(3, 3), row[11:14]),
+            np.diag(row[14:20]),
+        )
+        for (i1, i2), row in zip(idx, data)
+    ]
 
 
 # ---------------------------------------------------------------------------

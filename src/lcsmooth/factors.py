@@ -1,25 +1,27 @@
 """Error terms of the trajectory-smoothing objective and their Jacobians.
 
-Each factor exposes an evaluate-and-linearize function returning a
-:class:`Linearization`: the stacked error vector, Jacobian blocks keyed by
-node index, and the factor's weight (information) matrix.  Pose errors are
-left-invariant, so Jacobians are taken with respect to the perturbation
-``T = T_bar @ exp(-delta_xi^)``, ``varpi = varpi_bar + delta_varpi``.
+One pure function per factor form, batched over a leading axis of stacked
+states: poses (m, 4, 4), generalized velocities (m, 6).  Each returns
+``(e, J_a, J_b)``: the errors (m, d) and the Jacobian blocks (m, d, c) with
+respect to the states of its first and second node (``J_b`` is None for a
+unary factor).  With ``jacobians=False`` only the errors are computed and
+both Jacobians are None.  Pose errors are left-invariant, so Jacobians are
+taken with respect to the perturbation ``T = T_bar @ exp(-delta_xi^)``,
+``varpi = varpi_bar + delta_varpi``.
 
 Pose/velocity factors (prior, constant-velocity process) carry 12-column
-blocks per node; pose-only factors (loop closure, relative pose, observable
-states) carry blocks acting on ``delta_xi`` alone, with the velocity block
-implicitly zero.
+blocks; pose-only factors (relative pose, observable states) carry blocks
+acting on ``delta_xi`` alone, with the velocity block implicitly zero.
+The weights are attached by the solver.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import lie
-from .wnoa import NavState, WnoaPsd, process_weight
 
 
 @dataclass(frozen=True)
@@ -58,13 +60,6 @@ class LoopClosureMeasurement:
         require_spd(self.cov, "loop closure covariance")
 
 
-@dataclass
-class Linearization:
-    error: np.ndarray
-    jacobians: dict[int, np.ndarray] = field(default_factory=dict)
-    weight: np.ndarray | None = None
-
-
 def require_spd(M, name):
     M = np.asarray(M, dtype=float)
     if not np.allclose(M, M.T, atol=1e-9):
@@ -76,107 +71,67 @@ def require_spd(M, name):
     return M
 
 
-def prior_error(state0: NavState, prior: PriorBelief) -> Linearization:
-    """Prior factor on node 0; error [log(T0^-1 Y0)^v; varpi0 - psi0]."""
-    e_xi = lie.se3_log(lie.se3_inv(state0.pose) @ prior.pose)
-    e = np.concatenate([e_xi, state0.varpi - prior.varpi])
-    F = np.zeros((12, 12))
-    F[:6, :6] = lie.left_jacobian_inv(e_xi)
-    F[6:, 6:] = np.eye(6)
-    # Prior-noise Jacobian folded into the weight: R0 = M0 S0 M0^T.
-    M = np.zeros((12, 12))
-    M[:6, :6] = -lie.right_jacobian_inv(e_xi)
-    M[6:, 6:] = -np.eye(6)
-    weight = np.linalg.inv(M @ prior.cov @ M.T)
-    return Linearization(error=e, jacobians={0: F}, weight=weight)
+def prior(pose, varpi, prior_pose, prior_varpi, jacobians=True):
+    """Prior factor; error [log(T^-1 Y)^v; varpi - psi]."""
+    e_xi = lie.se3_log(lie.se3_inv(pose) @ prior_pose)
+    e = np.concatenate([e_xi, varpi - prior_varpi], axis=-1)
+    if not jacobians:
+        return e, None, None
+    J = np.zeros(e.shape + (12,))
+    J[..., :6, :6] = lie.left_jacobian_inv(e_xi)
+    J[..., 6:, 6:] = np.eye(6)
+    return e, J, None
 
 
-def wnoa_error(
-    state_km1: NavState, state_k: NavState, dt: float, psd: WnoaPsd, k: int = 1
-) -> Linearization:
-    """Constant-velocity process factor between nodes k-1 and k."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    predicted = state_km1.pose @ lie.se3_exp(dt * state_km1.varpi)
-    e_xi = lie.se3_log(lie.se3_inv(state_k.pose) @ predicted)
-    e = np.concatenate([e_xi, state_k.varpi - state_km1.varpi])
+def wnoa(pose_a, varpi_a, pose_b, varpi_b, dt, jacobians=True):
+    """Constant-velocity process factor from node a to node b, dt seconds later."""
+    tv = np.asarray(dt)[..., None] * varpi_a
+    e_xi = lie.se3_log(lie.se3_inv(pose_b) @ (pose_a @ lie.se3_exp(tv)))
+    e = np.concatenate([e_xi, varpi_b - varpi_a], axis=-1)
+    if not jacobians:
+        return e, None, None
     Jr_inv = lie.right_jacobian_inv(e_xi)
-    F_km1 = np.zeros((12, 12))
-    F_km1[:6, :6] = -Jr_inv @ lie.adjoint(lie.se3_exp(-dt * state_km1.varpi))
-    F_km1[:6, 6:] = dt * Jr_inv @ lie.right_jacobian(dt * state_km1.varpi)
-    F_km1[6:, 6:] = -np.eye(6)
-    F_k = np.zeros((12, 12))
-    F_k[:6, :6] = lie.left_jacobian_inv(e_xi)
-    F_k[6:, 6:] = np.eye(6)
-    weight = process_weight(state_km1.varpi, psd, dt)
-    return Linearization(error=e, jacobians={k - 1: F_km1, k: F_k}, weight=weight)
+    J_a = np.zeros(e.shape + (12,))
+    J_a[..., :6, :6] = -Jr_inv @ lie.adjoint(lie.se3_exp(-tv))
+    J_a[..., :6, 6:] = np.asarray(dt)[..., None, None] * (Jr_inv @ lie.right_jacobian(tv))
+    J_a[..., 6:, 6:] = -np.eye(6)
+    J_b = np.zeros(e.shape + (12,))
+    J_b[..., :6, :6] = lie.left_jacobian_inv(e_xi)
+    J_b[..., 6:, 6:] = np.eye(6)
+    return e, J_a, J_b
 
 
-def _relative_pose_linearization(pose_l1, pose_l2, xi_meas):
-    e = lie.se3_log(lie.se3_inv(pose_l2) @ pose_l1 @ xi_meas)
-    Jr_inv = lie.right_jacobian_inv(e)
-    H_l1 = -Jr_inv @ lie.adjoint(lie.se3_inv(xi_meas))
-    H_l2 = lie.left_jacobian_inv(e)
-    M = -Jr_inv
-    return e, H_l1, H_l2, M
+def relative_pose(pose_a, pose_b, xi, jacobians=True):
+    """Relative-pose factor; error log(T_b^-1 T_a Xi)^v, 6x6 pose blocks.
 
-
-def loop_closure_error(
-    state_l1: NavState, state_l2: NavState, meas: LoopClosureMeasurement
-) -> Linearization:
-    """Loop-closure factor; error log(T_l2^-1 T_l1 Xi)^v, 6x6 pose blocks."""
-    e, H_l1, H_l2, M = _relative_pose_linearization(
-        state_l1.pose, state_l2.pose, meas.xi_meas
-    )
-    weight = np.linalg.inv(M @ meas.cov @ M.T)
-    return Linearization(
-        error=e, jacobians={meas.idx_l1: H_l1, meas.idx_l2: H_l2}, weight=weight
-    )
-
-
-def relative_pose_error(
-    state_km1: NavState, state_k: NavState, xi_rel, cov, k: int = 1
-) -> Linearization:
-    """Relative-pose factor between consecutive nodes.
-
-    Same functional form as the loop-closure factor; xi_rel is captured once
-    from the initializing trajectory and cov is a direct hyperparameter, so
-    no noise-Jacobian fold is applied to the weight.
+    Serves both the loop closures and the consecutive relative-pose factors
+    captured from the initializing trajectory.
     """
-    e, H_km1, H_k, _ = _relative_pose_linearization(
-        state_km1.pose, state_k.pose, np.asarray(xi_rel, dtype=float)
-    )
-    weight = np.linalg.inv(require_spd(cov, "relative pose covariance"))
-    return Linearization(error=e, jacobians={k - 1: H_km1, k: H_k}, weight=weight)
+    e = lie.se3_log(lie.se3_inv(pose_b) @ pose_a @ xi)
+    if not jacobians:
+        return e, None, None
+    J_a = -lie.right_jacobian_inv(e) @ lie.adjoint(lie.se3_inv(xi))
+    return e, J_a, lie.left_jacobian_inv(e)
 
 
-# Rows of the observable-state selector: roll and pitch of the attitude
-# error, and the third (down) component of the world-frame position error.
-_D = np.zeros((3, 6))
-_D[0, 0] = 1.0
-_D[1, 1] = 1.0
-_D[2, 5] = 1.0
+def observable(pose, prior_pose, jacobians=True):
+    """Roll/pitch/depth factor tying a node to its black-box prior pose.
 
-
-def observable_error(state_k: NavState, prior_pose_k, cov, k: int) -> Linearization:
-    """Roll/pitch/depth factor tying node k to the black-box prior pose.
-
-    The error is D E_k log(T_k^-1 Tcheck_k)^v with E_k mapping the body-frame
-    translation error into the world frame; the depth row reduces exactly to
-    the world-frame down-component of the position difference.  The Jacobian
-    uses that reduction, which makes it exact at the linearization point
-    (the e_rho -> 0 approximation would leave an O(|e|) residual in the depth
+    The error is D E log(T^-1 Tcheck)^v with E mapping the body-frame
+    translation error into the world frame and D selecting roll, pitch and
+    the down component; the depth row reduces exactly to the world-frame
+    down-component of the position difference.  The Jacobian uses that
+    reduction, which makes it exact at the linearization point (the
+    e_rho -> 0 approximation would leave an O(|e|) residual in the depth
     row's rotation columns).
     """
-    prior_pose_k = np.asarray(prior_pose_k, dtype=float)
-    e_xi = lie.se3_log(lie.se3_inv(state_k.pose) @ prior_pose_k)
-    C = state_k.pose[:3, :3]
-    E = np.zeros((6, 6))
-    E[:3, :3] = np.eye(3)
-    E[3:, 3:] = C @ lie.so3_left_jacobian(e_xi[:3])
-    e = _D @ E @ e_xi
-    H = np.zeros((3, 6))
-    H[:2, :3] = lie.so3_left_jacobian_inv(e_xi[:3])[:2, :]
-    H[2, 3:] = C[2, :]
-    weight = np.linalg.inv(require_spd(cov, "observable covariance"))
-    return Linearization(error=e, jacobians={k: H}, weight=weight)
+    e_xi = lie.se3_log(lie.se3_inv(pose) @ prior_pose)
+    Jphi = lie.so3_left_jacobian(e_xi[..., :3])
+    world_rho = (pose[..., :3, :3] @ Jphi @ e_xi[..., 3:, None])[..., 0]
+    e = np.stack([e_xi[..., 0], e_xi[..., 1], world_rho[..., 2]], axis=-1)
+    if not jacobians:
+        return e, None, None
+    J = np.zeros(e.shape + (6,))
+    J[..., :2, :3] = lie.so3_left_jacobian_inv(e_xi[..., :3])[..., :2, :]
+    J[..., 2, 3:] = pose[..., 2, :3]
+    return e, J, None

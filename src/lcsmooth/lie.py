@@ -260,18 +260,6 @@ def make_pose(C, r):
     return T
 
 
-def rotation_of(T):
-    return np.asarray(T, dtype=float)[..., :3, :3]
-
-
-def position_of(T):
-    return np.asarray(T, dtype=float)[..., :3, 3]
-
-
-def se3_identity():
-    return np.eye(4)
-
-
 def se3_inv(T):
     T = np.asarray(T, dtype=float)
     Ct = np.swapaxes(T[..., :3, :3], -1, -2)

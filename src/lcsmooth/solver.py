@@ -3,16 +3,22 @@
 The graph couples every consecutive node pair with a constant-velocity
 process factor, a relative-pose factor captured from the initializing
 trajectory, and a roll/pitch/depth factor, plus one prior factor on node 0
-and one factor per loop-closure measurement.  Linearization is vectorized
-across the chain.  The normal equations exploit the structure in node
-order: the chain part is block-tridiagonal, and each loop closure adds a
-PSD rank-6 term on its two nodes.  The step eliminates every node that no
-closure touches with banded Cholesky solves, leaving a block-tridiagonal
-Schur complement over the m <= 2L closure nodes, to which the closure terms
-are added through a Woodbury update.  That costs O(n) banded work plus work
-in m and L only, and stores nothing of size n x L.  Levenberg-Marquardt
-damping wraps the Gauss-Newton step so the objective is non-increasing
-across accepted iterations.
+and one factor per loop-closure measurement.  Each factor type is evaluated
+in one call to its batched function in :mod:`lcsmooth.factors`; the solver
+attaches the weights (process noise, measurement-noise folds, robust
+loop-closure weights) and keeps one uniform record per type, from which the
+objective, the normal equations and the sparse reference assembly are all
+built.  The trial objective of a step evaluates errors only.
+
+The normal equations exploit the structure in node order: the chain part is
+block-tridiagonal, and each loop closure adds a PSD rank-6 term on its two
+nodes.  The step eliminates every node that no closure touches with banded
+Cholesky solves, leaving a block-tridiagonal Schur complement over the
+m <= 2L closure nodes, to which the closure terms are added through a
+Woodbury update.  That costs O(n) banded work plus work in m and L only, and
+stores nothing of size n x L.  Levenberg-Marquardt damping wraps the
+Gauss-Newton step so the objective is non-increasing across accepted
+iterations.
 """
 
 from __future__ import annotations
@@ -23,9 +29,9 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from . import lie
+from . import factors, lie
 from .factors import LoopClosureMeasurement, PriorBelief, require_spd
-from .wnoa import NavState, WnoaPsd, process_weight
+from .wnoa import WnoaPsd, process_weight
 
 
 class SolverFailureError(RuntimeError):
@@ -104,10 +110,6 @@ class FactorGraph:
     @property
     def num_nodes(self):
         return len(self.times)
-
-    @property
-    def nodes(self):
-        return [NavState(self.poses[i], self.varpis[i]) for i in range(self.num_nodes)]
 
     def copy(self):
         return replace(self, poses=self.poses.copy(), varpis=self.varpis.copy())
@@ -203,140 +205,118 @@ def robust_weight(error, sigma_phi_out, sigma_rho_out):
 
 
 @dataclass
-class _Blocks:
-    """Per-factor errors, Jacobian blocks, and weights, stacked by type."""
+class _Factors:
+    """One factor type over the whole graph, stacked along the first axis.
 
-    e_prior: np.ndarray | None
-    F_prior: np.ndarray | None
-    W_prior: np.ndarray | None
-    e_wnoa: np.ndarray
-    F_km1: np.ndarray
-    F_k: np.ndarray
-    W_wnoa: np.ndarray
-    e_loop: np.ndarray
-    H_l1: np.ndarray
-    H_l2: np.ndarray
-    W_loop: np.ndarray
-    loop_idx: np.ndarray
-    e_rel: np.ndarray
-    Hr_km1: np.ndarray
-    Hr_k: np.ndarray
-    W_rel: np.ndarray
-    e_obs: np.ndarray
-    H_obs: np.ndarray
-    W_obs: np.ndarray
+    ``e`` holds the errors (m, d) and ``idx`` the nodes (m, s), one column
+    per node slot: one for unary factors, two for pairwise ones.  ``J_a``
+    and ``J_b`` are the (m, d, c) Jacobians of the slots, acting on the
+    first c columns of the node's 12-wide block, and ``W`` the (m, d, d)
+    weights; all three are None after an errors-only evaluation.
+    """
+
+    e: np.ndarray
+    J_a: np.ndarray | None
+    J_b: np.ndarray | None
+    idx: np.ndarray
+    W: np.ndarray | None = None
+
+    def slots(self):
+        """(Jacobian, nodes) per node slot."""
+        return zip((self.J_a, self.J_b), self.idx.T)
 
 
-def _loop_errors(graph):
-    if not graph.loop_closures:
-        return (
-            np.zeros((0, 6)),
-            np.zeros((0, 4, 4)),
-            np.zeros(0, dtype=int),
-            np.zeros(0, dtype=int),
-            np.zeros((0, 6, 6)),
+def _linearize(graph, jacobians=True) -> dict[str, _Factors]:
+    """Every factor of the graph, keyed by type in block-row order.
+
+    The types are prior (absent when the graph has none), wnoa, loop, rel
+    and obs.  With ``jacobians=False`` only the errors are evaluated.
+    """
+    P, V = graph.poses, graph.varpis
+    k = graph.num_nodes - 1
+    nodes = np.arange(k + 1)
+    chain = np.stack([nodes[:-1], nodes[1:]], axis=-1)
+    lc = graph.loop_closures
+    loop_idx = np.array([(m.idx_l1, m.idx_l2) for m in lc], dtype=int).reshape(-1, 2)
+    loop_xi = np.array([m.xi_meas for m in lc]).reshape(-1, 4, 4)
+    dts = np.diff(graph.times)
+
+    terms = {}
+    if graph.prior is not None:
+        p = graph.prior
+        terms["prior"] = _Factors(
+            *factors.prior(P[:1], V[:1], p.pose, p.varpi, jacobians), nodes[:1, None]
         )
-    i1 = np.array([m.idx_l1 for m in graph.loop_closures])
-    i2 = np.array([m.idx_l2 for m in graph.loop_closures])
-    xi = np.stack([m.xi_meas for m in graph.loop_closures])
-    cov = np.stack([m.cov for m in graph.loop_closures])
-    e = lie.se3_log(lie.se3_inv(graph.poses[i2]) @ graph.poses[i1] @ xi)
-    return e, xi, i1, i2, cov
-
-
-def _observable_errors(graph, inv_next):
-    # D E log(T^-1 Tcheck)^v: roll/pitch of the attitude error plus the
-    # world-frame down-component of the position difference.
-    e_xi = lie.se3_log(inv_next @ graph.prior_poses[1:])
-    C = graph.poses[1:, :3, :3]
-    Jphi = lie.so3_left_jacobian(e_xi[:, :3])
-    world_rho = (C @ Jphi @ e_xi[:, 3:, None])[..., 0]
-    return e_xi, np.stack([e_xi[:, 0], e_xi[:, 1], world_rho[:, 2]], axis=-1)
-
-
-def _linearize(graph) -> _Blocks:
-    n = graph.num_nodes
-    k = n - 1
+    terms["wnoa"] = _Factors(
+        *factors.wnoa(P[:-1], V[:-1], P[1:], V[1:], dts, jacobians), chain
+    )
+    terms["loop"] = _Factors(
+        *factors.relative_pose(P[loop_idx[:, 0]], P[loop_idx[:, 1]], loop_xi, jacobians),
+        loop_idx,
+    )
+    terms["rel"] = _Factors(
+        *factors.relative_pose(P[:-1], P[1:], graph.rel_xi, jacobians), chain
+    )
+    terms["obs"] = _Factors(
+        *factors.observable(P[1:], graph.prior_poses[1:], jacobians), nodes[1:, None]
+    )
+    if not jacobians:
+        return terms
 
     if graph.prior is not None:
-        e0_xi = lie.se3_log(lie.se3_inv(graph.poses[0]) @ graph.prior.pose)
-        e_prior = np.concatenate([e0_xi, graph.varpis[0] - graph.prior.varpi])
-        F_prior = np.zeros((12, 12))
-        F_prior[:6, :6] = lie.left_jacobian_inv(e0_xi)
-        F_prior[6:, 6:] = np.eye(6)
+        # Prior-noise Jacobian folded into the weight: R0 = M0 S0 M0^T.
         M0 = np.zeros((12, 12))
-        M0[:6, :6] = -lie.right_jacobian_inv(e0_xi)
+        M0[:6, :6] = -lie.right_jacobian_inv(terms["prior"].e[0, :6])
         M0[6:, 6:] = -np.eye(6)
-        W_prior = np.linalg.inv(M0 @ graph.prior.cov @ M0.T)
-    else:
-        e_prior = F_prior = W_prior = None
-
-    if k > 0:
-        dts = np.diff(graph.times)
-        inv_next = lie.se3_inv(graph.poses[1:])
-        tv = dts[:, None] * graph.varpis[:-1]
-        predicted = graph.poses[:-1] @ lie.se3_exp(tv)
-        e_xi = lie.se3_log(inv_next @ predicted)
-        e_wnoa = np.concatenate([e_xi, graph.varpis[1:] - graph.varpis[:-1]], axis=-1)
-        Jr_inv = lie.right_jacobian_inv(e_xi)
-        F_km1 = np.zeros((k, 12, 12))
-        F_km1[:, :6, :6] = -Jr_inv @ lie.adjoint(lie.se3_exp(-tv))
-        F_km1[:, :6, 6:] = dts[:, None, None] * (Jr_inv @ lie.right_jacobian(tv))
-        F_km1[:, 6:, 6:] = -np.eye(6)
-        F_k = np.zeros((k, 12, 12))
-        F_k[:, :6, :6] = lie.left_jacobian_inv(e_xi)
-        F_k[:, 6:, 6:] = np.eye(6)
-        W_wnoa = process_weight(graph.varpis[:-1], graph.psd, dts)
-
-        e_rel = lie.se3_log(inv_next @ graph.poses[:-1] @ graph.rel_xi)
-        Jr_inv_r = lie.right_jacobian_inv(e_rel)
-        Hr_km1 = -Jr_inv_r @ lie.adjoint(lie.se3_inv(graph.rel_xi))
-        Hr_k = lie.left_jacobian_inv(e_rel)
-        W_rel = np.broadcast_to(np.linalg.inv(graph.r_rel), (k, 6, 6))
-
-        e_obs_xi, e_obs = _observable_errors(graph, inv_next)
-        H_obs = np.zeros((k, 3, 6))
-        H_obs[:, :2, :3] = lie.so3_left_jacobian_inv(e_obs_xi[:, :3])[:, :2, :]
-        H_obs[:, 2, 3:] = graph.poses[1:, 2, :3]
-        W_obs = np.broadcast_to(np.linalg.inv(graph.r_obs), (k, 3, 3))
-    else:
-        e_wnoa = np.zeros((0, 12))
-        F_km1 = F_k = W_wnoa = np.zeros((0, 12, 12))
-        e_rel = np.zeros((0, 6))
-        Hr_km1 = Hr_k = W_rel = np.zeros((0, 6, 6))
-        e_obs = np.zeros((0, 3))
-        H_obs = np.zeros((0, 3, 6))
-        W_obs = np.zeros((0, 3, 3))
-
-    e_loop, xi_loop, i1, i2, cov_loop = _loop_errors(graph)
-    Jr_inv_l = lie.right_jacobian_inv(e_loop)
-    H_l1 = -Jr_inv_l @ lie.adjoint(lie.se3_inv(xi_loop))
-    H_l2 = lie.left_jacobian_inv(e_loop)
+        terms["prior"].W = np.linalg.inv(M0 @ graph.prior.cov @ M0.T)[None]
+    terms["wnoa"].W = process_weight(V[:-1], graph.psd, dts)
     # Measurement-noise Jacobian folded into the weight: R_l = M R_Xi M^T
     # with M = -Jr_inv, so the sign drops out of the product.
-    W_loop = np.linalg.inv(Jr_inv_l @ cov_loop @ np.swapaxes(Jr_inv_l, -1, -2))
+    Jr_inv = lie.right_jacobian_inv(terms["loop"].e)
+    cov = np.array([m.cov for m in lc]).reshape(-1, 6, 6)
+    terms["loop"].W = np.linalg.inv(Jr_inv @ cov @ np.swapaxes(Jr_inv, -1, -2))
+    terms["rel"].W = np.broadcast_to(np.linalg.inv(graph.r_rel), (k, 6, 6))
+    terms["obs"].W = np.broadcast_to(np.linalg.inv(graph.r_obs), (k, 3, 3))
+    return terms
 
-    return _Blocks(
-        e_prior=e_prior,
-        F_prior=F_prior,
-        W_prior=W_prior,
-        e_wnoa=e_wnoa,
-        F_km1=F_km1,
-        F_k=F_k,
-        W_wnoa=W_wnoa,
-        e_loop=e_loop,
-        H_l1=H_l1,
-        H_l2=H_l2,
-        W_loop=W_loop,
-        loop_idx=np.stack([i1, i2], axis=-1) if len(i1) else np.zeros((0, 2), int),
-        e_rel=e_rel,
-        Hr_km1=Hr_km1,
-        Hr_k=Hr_k,
-        W_rel=W_rel,
-        e_obs=e_obs,
-        H_obs=H_obs,
-        W_obs=W_obs,
+
+def _with_loop_weights(terms, robust_weights):
+    """The terms with each loop-closure weight scaled by its robust weight."""
+    loop = terms["loop"]
+    w = np.asarray(robust_weights, dtype=float)[:, None, None]
+    return {**terms, "loop": replace(loop, W=loop.W * w)}
+
+
+def _linearize_robust(graph, config):
+    """Linearized terms with robust loop weights applied, and those weights."""
+    terms = _linearize(graph)
+    e = terms["loop"].e
+    if config.robust_cost:
+        w = robust_weight(e, config.sigma_phi_out, config.sigma_rho_out)
+    else:
+        w = np.ones(len(e))
+    return _with_loop_weights(terms, w), w
+
+
+def _quadratic(terms, errors=None):
+    """0.5 * e^T W e, with the weights of ``terms`` and the errors of
+    ``errors`` (by default those of ``terms``)."""
+    errors = terms if errors is None else errors
+    return 0.5 * sum(
+        np.einsum("ki,kij,kj->", errors[name].e, f.W, errors[name].e)
+        for name, f in terms.items()
     )
+
+
+def objective(graph: FactorGraph, config: SolverConfig):
+    """Objective with weights evaluated at the graph's current states.
+
+    Process-noise and measurement-fold weights are those of the current
+    linearization point, and loop-closure factors carry their robust weight
+    when enabled.  Returns the objective value and the loop weights.
+    """
+    terms, w_loop = _linearize_robust(graph, config)
+    return _quadratic(terms), w_loop
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +335,11 @@ def _block_coo(data_blocks, row0, col0):
     return np.ascontiguousarray(data_blocks).ravel(), rows.ravel(), cols.ravel()
 
 
+def _coo_matrix(parts, shape):
+    data, rows, cols = (np.concatenate(p) for p in zip(*parts))
+    return sp.coo_matrix((data, (rows, cols)), shape=shape).tocsr()
+
+
 def assemble(graph: FactorGraph, robust_weights=None):
     """Stacked error vector, block-sparse Jacobian, and block-diagonal weight.
 
@@ -364,153 +349,24 @@ def assemble(graph: FactorGraph, robust_weights=None):
     loop-closure weight blocks when given.
     """
     graph.validate()
-    blocks = _linearize(graph)
-    n = graph.num_nodes
-    k = n - 1
-    nl = len(blocks.e_loop)
-
-    err_parts = []
-    gamma_parts = []
-    w_parts = []
+    terms = _linearize(graph)
+    if robust_weights is not None:
+        terms = _with_loop_weights(terms, robust_weights)
+    err_parts, gamma_parts, w_parts = [], [], []
     row = 0
-
-    if blocks.e_prior is not None:
-        err_parts.append(blocks.e_prior)
-        gamma_parts.append(
-            _block_coo(blocks.F_prior[None], np.array([row]), np.array([0]))
-        )
-        w_parts.append(
-            _block_coo(blocks.W_prior[None], np.array([row]), np.array([row]))
-        )
-        row += 12
-
-    if k > 0:
-        r0 = row + 12 * np.arange(k)
-        c_km1 = 12 * np.arange(k)
-        err_parts.append(blocks.e_wnoa.ravel())
-        gamma_parts.append(_block_coo(blocks.F_km1, r0, c_km1))
-        gamma_parts.append(_block_coo(blocks.F_k, r0, c_km1 + 12))
-        w_parts.append(_block_coo(blocks.W_wnoa, r0, r0))
-        row += 12 * k
-
-    if nl > 0:
-        r0 = row + 6 * np.arange(nl)
-        err_parts.append(blocks.e_loop.ravel())
-        gamma_parts.append(_block_coo(blocks.H_l1, r0, 12 * blocks.loop_idx[:, 0]))
-        gamma_parts.append(_block_coo(blocks.H_l2, r0, 12 * blocks.loop_idx[:, 1]))
-        w_loop = blocks.W_loop
-        if robust_weights is not None:
-            w_loop = w_loop * np.asarray(robust_weights)[:, None, None]
-        w_parts.append(_block_coo(w_loop, r0, r0))
-        row += 6 * nl
-
-    if k > 0:
-        c_km1 = 12 * np.arange(k)
-        r0 = row + 6 * np.arange(k)
-        err_parts.append(blocks.e_rel.ravel())
-        gamma_parts.append(_block_coo(blocks.Hr_km1, r0, c_km1))
-        gamma_parts.append(_block_coo(blocks.Hr_k, r0, c_km1 + 12))
-        w_parts.append(_block_coo(np.ascontiguousarray(blocks.W_rel), r0, r0))
-        row += 6 * k
-
-        r0 = row + 3 * np.arange(k)
-        err_parts.append(blocks.e_obs.ravel())
-        gamma_parts.append(_block_coo(blocks.H_obs, r0, c_km1 + 12))
-        w_parts.append(_block_coo(np.ascontiguousarray(blocks.W_obs), r0, r0))
-        row += 3 * k
-
-    e = np.concatenate(err_parts) if err_parts else np.zeros(0)
-    gamma = sp.coo_matrix(
-        (
-            np.concatenate([p[0] for p in gamma_parts]),
-            (
-                np.concatenate([p[1] for p in gamma_parts]),
-                np.concatenate([p[2] for p in gamma_parts]),
-            ),
-        ),
-        shape=(row, 12 * n),
-    ).tocsr()
-    weight = sp.coo_matrix(
-        (
-            np.concatenate([p[0] for p in w_parts]),
-            (
-                np.concatenate([p[1] for p in w_parts]),
-                np.concatenate([p[2] for p in w_parts]),
-            ),
-        ),
-        shape=(row, row),
-    ).tocsr()
-    return e, gamma, weight
+    for f in terms.values():
+        m, d = f.e.shape
+        r0 = row + d * np.arange(m)
+        err_parts.append(f.e.ravel())
+        for J, nodes in f.slots():
+            gamma_parts.append(_block_coo(J, r0, 12 * nodes))
+        w_parts.append(_block_coo(f.W, r0, r0))
+        row += d * m
+    gamma = _coo_matrix(gamma_parts, (row, 12 * graph.num_nodes))
+    return np.concatenate(err_parts), gamma, _coo_matrix(w_parts, (row, row))
 
 
-@dataclass
-class _Errors:
-    e_prior: np.ndarray | None
-    e_wnoa: np.ndarray
-    e_loop: np.ndarray
-    e_rel: np.ndarray
-    e_obs: np.ndarray
-
-
-def _errors(graph) -> _Errors:
-    """Factor errors at the current states, without Jacobians or weights."""
-    if graph.prior is not None:
-        e0_xi = lie.se3_log(lie.se3_inv(graph.poses[0]) @ graph.prior.pose)
-        e_prior = np.concatenate([e0_xi, graph.varpis[0] - graph.prior.varpi])
-    else:
-        e_prior = None
-    k = graph.num_nodes - 1
-    if k > 0:
-        dts = np.diff(graph.times)
-        inv_next = lie.se3_inv(graph.poses[1:])
-        predicted = graph.poses[:-1] @ lie.se3_exp(dts[:, None] * graph.varpis[:-1])
-        e_xi = lie.se3_log(inv_next @ predicted)
-        e_wnoa = np.concatenate([e_xi, graph.varpis[1:] - graph.varpis[:-1]], axis=-1)
-        e_rel = lie.se3_log(inv_next @ graph.poses[:-1] @ graph.rel_xi)
-        e_obs = _observable_errors(graph, inv_next)[1]
-    else:
-        e_wnoa = np.zeros((0, 12))
-        e_rel = np.zeros((0, 6))
-        e_obs = np.zeros((0, 3))
-    return _Errors(e_prior, e_wnoa, _loop_errors(graph)[0], e_rel, e_obs)
-
-
-def _quadratic(errs: _Errors, blocks: _Blocks, w_loop):
-    """0.5 * e^T W e with the weight blocks held fixed."""
-    total = 0.0
-    if errs.e_prior is not None:
-        total += errs.e_prior @ blocks.W_prior @ errs.e_prior
-    total += np.einsum("ki,kij,kj->", errs.e_wnoa, blocks.W_wnoa, errs.e_wnoa)
-    total += np.einsum("ki,kij,kj->", errs.e_rel, blocks.W_rel, errs.e_rel)
-    total += np.einsum("ki,kij,kj->", errs.e_obs, blocks.W_obs, errs.e_obs)
-    if len(errs.e_loop):
-        q = np.einsum("ki,kij,kj->k", errs.e_loop, blocks.W_loop, errs.e_loop)
-        total += np.sum(w_loop * q)
-    return 0.5 * total
-
-
-def _robust_weights_for(blocks, config):
-    if config.robust_cost and len(blocks.e_loop):
-        return robust_weight(blocks.e_loop, config.sigma_phi_out, config.sigma_rho_out)
-    return np.ones(len(blocks.e_loop))
-
-
-def objective(graph: FactorGraph, config: SolverConfig):
-    """Objective with weights evaluated at the graph's current states.
-
-    Process-noise and measurement-fold weights are those of the current
-    linearization point, and loop-closure factors carry their robust weight
-    when enabled.  Returns the objective value and the loop weights.
-    """
-    blocks = _linearize(graph)
-    w_loop = _robust_weights_for(blocks, config)
-    errs = _Errors(
-        blocks.e_prior, blocks.e_wnoa, blocks.e_loop, blocks.e_rel, blocks.e_obs
-    )
-    return _quadratic(errs, blocks, w_loop), w_loop
-
-
-def _normal_equations(blocks, n, robust_weights):
+def _normal_equations(terms, n):
     """Normal equations of the damped Gauss-Newton step, in structured form.
 
     The chain factors (prior, WNOA, relative pose, observable) produce a
@@ -519,43 +375,32 @@ def _normal_equations(blocks, n, robust_weights):
     loop closure l contributes a PSD rank-6 term u_l u_l^T, where u_l holds
     ``V[l, 0]`` = H_l1^T L_w in the pose rows of node ``loop_idx[l, 0]`` and
     ``V[l, 1]`` = H_l2^T L_w in those of node ``loop_idx[l, 1]`` (L_w L_w^T
-    is the robust-scaled loop weight).  ``V`` is (L, 2, 6, 6), so storage is
-    O(n + L).  The right-hand side ``g = Gamma^T W e`` covers all factors.
+    is the loop weight, robust weight included).  ``V`` is (L, 2, 6, 6), so
+    storage is O(n + L).  The right-hand side ``g = Gamma^T W e`` covers all
+    factors.
     """
-    k = n - 1
     Hdiag = np.zeros((n, 12, 12))
-    Hoff = np.zeros((max(k, 0), 12, 12))
+    Hoff = np.zeros((max(n - 1, 0), 12, 12))
     g = np.zeros((n, 12))
+    loop = terms["loop"]
+    for f in terms.values():
+        if f is loop:
+            continue
+        # chain factors: the nodes of a slot never repeat, and a pair
+        # factor's second node follows its first
+        c = f.J_a.shape[-1]
+        JtW = [np.swapaxes(J, -1, -2) @ f.W for J, _ in f.slots()]
+        for (J, nodes), JtW_s in zip(f.slots(), JtW):
+            Hdiag[nodes, :c, :c] += JtW_s @ J
+            g[nodes, :c] += (JtW_s @ f.e[..., None])[..., 0]
+        if f.J_b is not None:
+            Hoff[f.idx[:, 0], :c, :c] += JtW[0] @ f.J_b
 
-    if blocks.e_prior is not None:
-        FtW = blocks.F_prior.T @ blocks.W_prior
-        Hdiag[0] += FtW @ blocks.F_prior
-        g[0] += FtW @ blocks.e_prior
-
-    if k > 0:
-        chain = (
-            (blocks.e_wnoa, blocks.F_km1, blocks.F_k, blocks.W_wnoa),
-            (blocks.e_rel, blocks.Hr_km1, blocks.Hr_k, blocks.W_rel),
-            (blocks.e_obs, None, blocks.H_obs, blocks.W_obs),
-        )
-        for err, J1, J2, W in chain:
-            c = J2.shape[-1]
-            J2tW = np.swapaxes(J2, -1, -2) @ W
-            Hdiag[1:, :c, :c] += J2tW @ J2
-            g[1:, :c] += (J2tW @ err[..., None])[..., 0]
-            if J1 is not None:
-                J1tW = np.swapaxes(J1, -1, -2) @ W
-                Hdiag[:-1, :c, :c] += J1tW @ J1
-                Hoff[:, :c, :c] += J1tW @ J2
-                g[:-1, :c] += (J1tW @ err[..., None])[..., 0]
-
-    Wl = blocks.W_loop * np.asarray(robust_weights)[:, None, None]
-    Ht = np.stack([blocks.H_l1, blocks.H_l2], axis=1).swapaxes(-1, -2)
-    V = Ht @ np.linalg.cholesky(Wl)[:, None]
-    HtWe = (Ht @ (Wl @ blocks.e_loop[..., None])[:, None])[..., 0]
-    np.add.at(g[:, :6], blocks.loop_idx, HtWe)
-
-    return Hdiag, Hoff, blocks.loop_idx, V, g.ravel()
+    Ht = np.stack([loop.J_a, loop.J_b], axis=1).swapaxes(-1, -2)
+    V = Ht @ np.linalg.cholesky(loop.W)[:, None]
+    HtWe = (Ht @ (loop.W @ loop.e[..., None])[:, None])[..., 0]
+    np.add.at(g[:, :6], loop.idx, HtWe)
+    return Hdiag, Hoff, loop.idx, V, g.ravel()
 
 
 def _to_lower_band(Hdiag, Hoff):
@@ -688,20 +533,6 @@ def _solve_normal(Hdiag, Hoff, loop_idx, V, g, lam, fix_first_node):
     return delta
 
 
-def gauss_newton_step(graph: FactorGraph, config: SolverConfig):
-    """One Gauss-Newton step at the given damping; (delta_x, predicted objective)."""
-    blocks = _linearize(graph)
-    w = _robust_weights_for(blocks, config)
-    normal = _normal_equations(blocks, graph.num_nodes, w)
-    try:
-        delta = _solve_normal(*normal, config.damping, config.fix_first_node)
-    except RuntimeError as exc:
-        raise SolverFailureError(f"normal equations not solvable: {exc}") from exc
-    e, gamma, weight = assemble(graph, robust_weights=w)
-    r = e + gamma @ delta
-    return delta, 0.5 * r @ (weight @ r)
-
-
 def solve(graph: FactorGraph, config: SolverConfig | None = None):
     """Iterate linearize/step/update until the step norm falls below tolerance.
 
@@ -725,16 +556,12 @@ def solve(graph: FactorGraph, config: SolverConfig | None = None):
     failure = None
     trace = []
     step_objectives = []
-    blocks = _linearize(cur)
-    w_cur = _robust_weights_for(blocks, config)
+    terms, w_cur = _linearize_robust(cur, config)
 
     for _ in range(config.max_iterations):
-        errs = _Errors(
-            blocks.e_prior, blocks.e_wnoa, blocks.e_loop, blocks.e_rel, blocks.e_obs
-        )
-        j_base = _quadratic(errs, blocks, w_cur)
+        j_base = _quadratic(terms)
         trace.append(float(j_base))
-        normal = _normal_equations(blocks, cur.num_nodes, w_cur)
+        normal = _normal_equations(terms, cur.num_nodes)
         accepted = False
         while True:
             try:
@@ -750,7 +577,7 @@ def solve(graph: FactorGraph, config: SolverConfig | None = None):
                     break
                 continue
             trial = update_states(cur, delta)
-            j_trial = _quadratic(_errors(trial), blocks, w_cur)
+            j_trial = _quadratic(terms, _linearize(trial, jacobians=False))
             if j_trial <= j_base * (1.0 + 1e-12) + 1e-15:
                 accepted = True
                 break
@@ -766,17 +593,13 @@ def solve(graph: FactorGraph, config: SolverConfig | None = None):
         lam = lam / 10.0
         if lam < 1e-12:
             lam = 0.0
-        blocks = _linearize(cur)
-        w_cur = _robust_weights_for(blocks, config)
+        terms, w_cur = _linearize_robust(cur, config)
         if np.max(np.abs(delta)) < config.step_tolerance:
             converged = True
             message = "converged"
             break
 
-    errs = _Errors(
-        blocks.e_prior, blocks.e_wnoa, blocks.e_loop, blocks.e_rel, blocks.e_obs
-    )
-    j_final = _quadratic(errs, blocks, w_cur)
+    j_final = _quadratic(terms)
     trace.append(float(j_final))
     report = SolveReport(
         iterations=iterations,

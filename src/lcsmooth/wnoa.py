@@ -15,24 +15,6 @@ from . import lie
 
 
 @dataclass(frozen=True)
-class NavState:
-    """Augmented navigation state: pose (4x4) and generalized body velocity (6,)."""
-
-    pose: np.ndarray
-    varpi: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "pose", np.asarray(self.pose, dtype=float))
-        object.__setattr__(self, "varpi", np.asarray(self.varpi, dtype=float))
-        if self.pose.shape != (4, 4):
-            raise ValueError("pose must be 4x4")
-        if self.varpi.shape != (6,):
-            raise ValueError("varpi must be a 6-vector")
-        if not np.all(np.isfinite(self.varpi)):
-            raise ValueError("varpi must be finite")
-
-
-@dataclass(frozen=True)
 class WnoaPsd:
     """Power spectral densities on body angular/linear acceleration.
 

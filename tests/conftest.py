@@ -36,3 +36,38 @@ def series_left_jacobian(xi, terms=30):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+FD_STEP = 1e-6
+
+
+def moderate_state(rng, base=None):
+    """A (pose, varpi) sample; near ``base`` when given."""
+    pose = random_pose(rng) if base is None else base @ lie.se3_exp(
+        rng.normal(size=6) * 0.2
+    )
+    return pose, rng.normal(size=6) * 0.5
+
+
+def stack_samples(samples):
+    """Stack per-sample tuples of arrays into one tuple of batched arrays."""
+    return tuple(np.stack(column) for column in zip(*samples))
+
+
+def perturb(pose, varpi, dx):
+    """The left-invariant perturbation scheme of all factors, on stacked states."""
+    return pose @ lie.se3_exp(-dx[..., :6]), varpi + dx[..., 6:]
+
+
+def fd_jacobian(err_fn, m, dim=12, step=FD_STEP):
+    """Central-difference Jacobians (m, d, dim) of a batched error function.
+
+    ``err_fn`` maps stacked perturbations (m, dim) to stacked errors (m, d);
+    each perturbation column costs two calls, each covering all m samples.
+    """
+    columns = []
+    for i in range(dim):
+        d = np.zeros((m, dim))
+        d[:, i] = step
+        columns.append((err_fn(d) - err_fn(-d)) / (2.0 * step))
+    return np.stack(columns, axis=-1)

@@ -17,7 +17,14 @@ from scipy.optimize import least_squares
 from lcsmooth import factors, frontend, lie, metrics, sim, solver, wnoa
 from lcsmooth.trajectory import Trajectory
 
-from conftest import random_pose, random_twist
+from conftest import (
+    fd_jacobian,
+    moderate_state,
+    perturb,
+    random_pose,
+    random_twist,
+    stack_samples,
+)
 
 PSD = wnoa.WnoaPsd(1e-2, 1e-4)
 R_REL = np.diag([1e-5**2] * 3 + [1e-3**2] * 3)
@@ -108,71 +115,49 @@ def test_criterion_01_lie_group_suite(rng):
 
 
 def test_criterion_02_jacobian_suite(rng):
-    from test_factors import fd_jacobian, moderate_state, perturb
-
     t0 = time.time()
-    worst = {k: 0.0 for k in ("prior", "wnoa", "loop", "rel", "obs")}
-    for _ in range(100):
+
+    def draw():
         prior_pose = random_pose(rng)
         s0 = moderate_state(rng, base=prior_pose)
-        s1 = moderate_state(rng, base=s0.pose)
+        s1 = moderate_state(rng, base=s0[0])
         dt = rng.uniform(0.05, 0.5)
-
-        belief = factors.PriorBelief(prior_pose, rng.normal(size=6), np.eye(12) * 0.1)
-        lin = factors.prior_error(s0, belief)
-        J = fd_jacobian(lambda d: factors.prior_error(perturb(s0, d), belief).error)
-        worst["prior"] = max(worst["prior"], np.abs(lin.jacobians[0] - J).max())
-
-        lin = factors.wnoa_error(s0, s1, dt, PSD)
-        J0 = fd_jacobian(lambda d: factors.wnoa_error(perturb(s0, d), s1, dt, PSD).error)
-        J1 = fd_jacobian(lambda d: factors.wnoa_error(s0, perturb(s1, d), dt, PSD).error)
-        worst["wnoa"] = max(
-            worst["wnoa"],
-            np.abs(lin.jacobians[0] - J0).max(),
-            np.abs(lin.jacobians[1] - J1).max(),
-        )
-
-        meas = factors.LoopClosureMeasurement(
-            0, 1,
-            lie.se3_inv(s0.pose) @ s1.pose @ lie.se3_exp(rng.normal(size=6) * 0.1),
-            LC_COV,
-        )
-        lin = factors.loop_closure_error(s0, s1, meas)
-        J0 = fd_jacobian(
-            lambda d: factors.loop_closure_error(perturb(s0, d), s1, meas).error
-        )[:, :6]
-        J1 = fd_jacobian(
-            lambda d: factors.loop_closure_error(s0, perturb(s1, d), meas).error
-        )[:, :6]
-        worst["loop"] = max(
-            worst["loop"],
-            np.abs(lin.jacobians[0] - J0).max(),
-            np.abs(lin.jacobians[1] - J1).max(),
-        )
-
-        xi_rel = lie.se3_inv(s0.pose) @ s1.pose @ lie.se3_exp(rng.normal(size=6) * 0.05)
-        lin = factors.relative_pose_error(s0, s1, xi_rel, R_REL)
-        J0 = fd_jacobian(
-            lambda d: factors.relative_pose_error(perturb(s0, d), s1, xi_rel, R_REL).error
-        )[:, :6]
-        J1 = fd_jacobian(
-            lambda d: factors.relative_pose_error(s0, perturb(s1, d), xi_rel, R_REL).error
-        )[:, :6]
-        worst["rel"] = max(
-            worst["rel"],
-            np.abs(lin.jacobians[0] - J0).max(),
-            np.abs(lin.jacobians[1] - J1).max(),
-        )
-
+        prior_varpi = rng.normal(size=6)
+        xi_loop = lie.se3_inv(s0[0]) @ s1[0] @ lie.se3_exp(rng.normal(size=6) * 0.1)
+        xi_rel = lie.se3_inv(s0[0]) @ s1[0] @ lie.se3_exp(rng.normal(size=6) * 0.05)
         base = random_pose(rng)
         d_small = rng.normal(size=6)
         d_small *= rng.uniform(0, 1e-3) / np.linalg.norm(d_small)
-        sk = wnoa.NavState(base @ lie.se3_exp(-d_small), rng.normal(size=6))
-        lin = factors.observable_error(sk, base, R_OBS, k=1)
-        J = fd_jacobian(
-            lambda d: factors.observable_error(perturb(sk, d), base, R_OBS, 1).error
-        )[:, :6]
-        worst["obs"] = max(worst["obs"], np.abs(lin.jacobians[1] - J).max())
+        sk = (base @ lie.se3_exp(-d_small), rng.normal(size=6))
+        return (prior_pose, prior_varpi, *s0, *s1, dt, xi_loop, xi_rel, base, *sk)
+
+    m = 100
+    (prior_pose, prior_varpi, p0, v0, p1, v1, dt, xi_loop, xi_rel, base, pk, vk) = (
+        stack_samples(draw() for _ in range(m))
+    )
+
+    def fd_pair(fn, pose_only):
+        """Worst Jacobian error of a pairwise factor fn((p0, v0), (p1, v1))."""
+        _, J_a, J_b = fn((p0, v0), (p1, v1))
+        c = 6 if pose_only else 12
+        J0 = fd_jacobian(lambda d: fn(perturb(p0, v0, d), (p1, v1))[0], m)[..., :c]
+        J1 = fd_jacobian(lambda d: fn((p0, v0), perturb(p1, v1, d))[0], m)[..., :c]
+        return max(np.abs(J_a - J0).max(), np.abs(J_b - J1).max())
+
+    worst = {}
+    _, J, _ = factors.prior(p0, v0, prior_pose, prior_varpi)
+    J_fd = fd_jacobian(
+        lambda d: factors.prior(*perturb(p0, v0, d), prior_pose, prior_varpi)[0], m
+    )
+    worst["prior"] = np.abs(J - J_fd).max()
+    worst["wnoa"] = fd_pair(lambda a, b: factors.wnoa(*a, *b, dt), False)
+    worst["loop"] = fd_pair(lambda a, b: factors.relative_pose(a[0], b[0], xi_loop), True)
+    worst["rel"] = fd_pair(lambda a, b: factors.relative_pose(a[0], b[0], xi_rel), True)
+    _, J, _ = factors.observable(pk, base)
+    J_fd = fd_jacobian(
+        lambda d: factors.observable(perturb(pk, vk, d)[0], base)[0], m
+    )[..., :6]
+    worst["obs"] = np.abs(J - J_fd).max()
 
     elapsed = time.time() - t0
     for name in ("prior", "wnoa", "loop", "rel"):

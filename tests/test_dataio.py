@@ -89,11 +89,23 @@ class TestLoopClosureCsv:
 
     def test_unresolvable_time_raises(self, rng, tmp_path):
         times = np.arange(10) * 1.0
-        meas = [LoopClosureMeasurement(0, 5, random_pose(rng), np.eye(6) * 1e-4)]
+        meas = [
+            LoopClosureMeasurement(0, 5, random_pose(rng), np.eye(6) * 1e-4),
+            LoopClosureMeasurement(2, 7, random_pose(rng), np.eye(6) * 1e-4),
+        ]
         path = tmp_path / "lc.csv"
         dataio.write_loop_closures(path, meas, times)
-        with pytest.raises(ValueError, match="half a sample period"):
+        with pytest.raises(dataio.UnresolvedClosureTimeError) as info:
             dataio.read_loop_closures(path, times + 0.7)
+        assert isinstance(info.value, ValueError)
+        assert "half a sample period" in str(info.value)
+        assert np.array_equal(info.value.times, [0.0])
+        # every unresolved time is carried, not only the first one met
+        moved = times.copy()
+        moved[[5, 7]] += 0.7
+        with pytest.raises(dataio.UnresolvedClosureTimeError) as info:
+            dataio.read_loop_closures(path, moved)
+        assert np.array_equal(info.value.times, [5.0, 7.0])
 
 
 class TestPly:

@@ -1,34 +1,12 @@
 import numpy as np
 import pytest
 
-from lcsmooth import factors, lie
-from lcsmooth.wnoa import NavState, WnoaPsd
+from lcsmooth import factors, lie, solver
+from lcsmooth.wnoa import WnoaPsd
 
-from conftest import random_pose
+from conftest import fd_jacobian, moderate_state, perturb, random_pose, stack_samples
 
-FD_STEP = 1e-6
-
-
-def perturb(state, dx):
-    """Apply the left-invariant perturbation scheme used by all factors."""
-    return NavState(state.pose @ lie.se3_exp(-dx[:6]), state.varpi + dx[6:])
-
-
-def fd_jacobian(err_fn, dim=12, step=FD_STEP):
-    e0 = err_fn(np.zeros(dim))
-    J = np.zeros((e0.size, dim))
-    for i in range(dim):
-        d = np.zeros(dim)
-        d[i] = step
-        J[:, i] = (err_fn(d) - err_fn(-d)) / (2.0 * step)
-    return J
-
-
-def moderate_state(rng, base=None):
-    pose = random_pose(rng) if base is None else base @ lie.se3_exp(
-        rng.normal(size=6) * 0.2
-    )
-    return NavState(pose, rng.normal(size=6) * 0.5)
+N_FD = 100
 
 
 @pytest.fixture
@@ -41,39 +19,53 @@ OBS_COV = np.diag([np.deg2rad(5.0) ** 2] * 2 + [0.25**2])
 REL_COV = np.diag([1e-5**2] * 3 + [1e-3**2] * 3)
 
 
+def one(*arrays):
+    """Stack single samples into batches of one."""
+    return [np.asarray(a)[None] for a in arrays]
+
+
+def graph_of(states, psd, loops=(), prior_cov=None, dt=0.1):
+    """A graph at the given (pose, varpi) states, its prior on node 0 at them."""
+    poses, varpis = stack_samples(states)
+    return solver.build_graph(
+        np.arange(len(poses)) * dt, poses, list(loops), psd, REL_COV, OBS_COV,
+        prior_cov=prior_cov, varpis=varpis,
+    )
+
+
 class TestPriorFactor:
     def test_zero_at_prior(self, rng):
-        s = moderate_state(rng)
-        prior = factors.PriorBelief(s.pose, s.varpi, np.eye(12) * 0.1)
-        lin = factors.prior_error(s, prior)
-        assert np.array_equal(lin.error, np.zeros(12))
-        assert np.array_equal(lin.jacobians[0], np.eye(12))
+        pose, varpi = moderate_state(rng)
+        e, J, J_b = factors.prior(*one(pose, varpi, pose, varpi))
+        assert np.array_equal(e, np.zeros((1, 12)))
+        assert np.array_equal(J[0], np.eye(12))
+        assert J_b is None
 
     def test_velocity_offset(self, rng):
-        s = moderate_state(rng)
+        pose, varpi = moderate_state(rng)
         offset = np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0])
-        prior = factors.PriorBelief(s.pose, s.varpi - offset, np.eye(12))
-        lin = factors.prior_error(s, prior)
-        assert np.array_equal(lin.error[6:], offset)
+        e, _, _ = factors.prior(*one(pose, varpi, pose, varpi - offset))
+        assert np.array_equal(e[0, 6:], offset)
 
     def test_jacobian_vs_finite_differences(self, rng):
-        worst = 0.0
-        for _ in range(100):
+        def draw():
             prior_pose = random_pose(rng)
-            s = moderate_state(rng, base=prior_pose)
-            prior = factors.PriorBelief(prior_pose, rng.normal(size=6), np.eye(12) * 0.1)
-            lin = factors.prior_error(s, prior)
-            J = fd_jacobian(lambda d: factors.prior_error(perturb(s, d), prior).error)
-            worst = max(worst, np.abs(lin.jacobians[0] - J).max())
-        assert worst <= 1e-6
+            return (*moderate_state(rng, base=prior_pose), prior_pose, rng.normal(size=6))
 
-    def test_weight_is_folded_prior_information(self, rng):
-        s = moderate_state(rng)
+        pose, varpi, prior_pose, prior_varpi = stack_samples(draw() for _ in range(N_FD))
+        _, J, _ = factors.prior(pose, varpi, prior_pose, prior_varpi)
+        J_fd = fd_jacobian(
+            lambda d: factors.prior(*perturb(pose, varpi, d), prior_pose, prior_varpi)[0],
+            N_FD,
+        )
+        assert np.abs(J - J_fd).max() <= 1e-6
+
+    def test_weight_is_folded_prior_information(self, psd, rng):
+        state = moderate_state(rng)
         cov = np.diag(rng.uniform(0.01, 0.1, 12))
-        prior = factors.PriorBelief(s.pose, s.varpi, cov)
-        lin = factors.prior_error(s, prior)
+        W = solver._linearize(graph_of([state], psd, prior_cov=cov))["prior"].W
         # at zero error the fold matrices are identities up to sign
-        assert np.abs(lin.weight - np.linalg.inv(cov)).max() < 1e-9
+        assert np.abs(W[0] - np.linalg.inv(cov)).max() < 1e-9
 
     def test_rejects_non_spd_cov(self, rng):
         with pytest.raises(ValueError, match="positive definite"):
@@ -81,112 +73,89 @@ class TestPriorFactor:
 
 
 class TestWnoaFactor:
-    def test_zero_on_constant_velocity(self, psd, rng):
+    def test_zero_on_constant_velocity(self, rng):
         varpi = rng.normal(size=6) * 0.5
         dt = 0.1
         p0 = random_pose(rng)
-        s0 = NavState(p0, varpi)
-        s1 = NavState(p0 @ lie.se3_exp(dt * varpi), varpi)
-        lin = factors.wnoa_error(s0, s1, dt, psd)
-        assert np.abs(lin.error).max() < 1e-12
+        p1 = p0 @ lie.se3_exp(dt * varpi)
+        e, _, _ = factors.wnoa(*one(p0, varpi, p1, varpi, dt))
+        assert np.abs(e).max() < 1e-12
 
-    def test_jacobian_at_zero_error_is_negative_transition(self, psd, rng):
+    def test_jacobian_at_zero_error_is_negative_transition(self, rng):
         from lcsmooth.wnoa import transition_matrix
 
         varpi = rng.normal(size=6) * 0.5
         dt = 0.1
         p0 = random_pose(rng)
-        s0 = NavState(p0, varpi)
-        s1 = NavState(p0 @ lie.se3_exp(dt * varpi), varpi)
-        lin = factors.wnoa_error(s0, s1, dt, psd)
-        assert np.abs(
-            lin.jacobians[0] + transition_matrix(varpi, dt)
-        ).max() < 1e-12
+        p1 = p0 @ lie.se3_exp(dt * varpi)
+        _, J_a, _ = factors.wnoa(*one(p0, varpi, p1, varpi, dt))
+        assert np.abs(J_a[0] + transition_matrix(varpi, dt)).max() < 1e-12
 
-    def test_zero_velocity_identical_poses(self, psd, rng):
+    def test_zero_velocity_identical_poses(self, rng):
         p = random_pose(rng)
-        s = NavState(p, np.zeros(6))
-        lin = factors.wnoa_error(s, s, 0.5, psd)
-        assert np.abs(lin.error).max() == 0.0
-        assert np.allclose(lin.jacobians[0][:6, 6:], 0.5 * np.eye(6))
+        e, J_a, _ = factors.wnoa(*one(p, np.zeros(6), p, np.zeros(6), 0.5))
+        assert np.abs(e).max() == 0.0
+        assert np.allclose(J_a[0, :6, 6:], 0.5 * np.eye(6))
 
-    def test_jacobians_vs_finite_differences(self, psd, rng):
-        worst = 0.0
-        for _ in range(100):
+    def test_jacobians_vs_finite_differences(self, rng):
+        def draw():
             s0 = moderate_state(rng)
-            s1 = moderate_state(rng, base=s0.pose)
-            dt = rng.uniform(0.05, 0.5)
-            lin = factors.wnoa_error(s0, s1, dt, psd)
-            J0 = fd_jacobian(
-                lambda d: factors.wnoa_error(perturb(s0, d), s1, dt, psd).error
-            )
-            J1 = fd_jacobian(
-                lambda d: factors.wnoa_error(s0, perturb(s1, d), dt, psd).error
-            )
-            worst = max(
-                worst,
-                np.abs(lin.jacobians[0] - J0).max(),
-                np.abs(lin.jacobians[1] - J1).max(),
-            )
-        assert worst <= 1e-6
+            return (*s0, *moderate_state(rng, base=s0[0]), rng.uniform(0.05, 0.5))
+
+        p0, v0, p1, v1, dt = stack_samples(draw() for _ in range(N_FD))
+        _, J_a, J_b = factors.wnoa(p0, v0, p1, v1, dt)
+        J0 = fd_jacobian(lambda d: factors.wnoa(*perturb(p0, v0, d), p1, v1, dt)[0], N_FD)
+        J1 = fd_jacobian(lambda d: factors.wnoa(p0, v0, *perturb(p1, v1, d), dt)[0], N_FD)
+        assert max(np.abs(J_a - J0).max(), np.abs(J_b - J1).max()) <= 1e-6
+
+
+def relative_pose_fd_error(rng, noise):
+    """Worst Jacobian error over N_FD samples of a noisy relative pose."""
+
+    def draw():
+        s0 = moderate_state(rng)
+        s1 = moderate_state(rng, base=s0[0])
+        xi = lie.se3_inv(s0[0]) @ s1[0] @ lie.se3_exp(rng.normal(size=6) * noise)
+        return (*s0, *s1, xi)
+
+    p0, v0, p1, v1, xi = stack_samples(draw() for _ in range(N_FD))
+    _, J_a, J_b = factors.relative_pose(p0, p1, xi)
+    J0 = fd_jacobian(
+        lambda d: factors.relative_pose(perturb(p0, v0, d)[0], p1, xi)[0], N_FD
+    )[..., :6]
+    J1 = fd_jacobian(
+        lambda d: factors.relative_pose(p0, perturb(p1, v1, d)[0], xi)[0], N_FD
+    )[..., :6]
+    return max(np.abs(J_a - J0).max(), np.abs(J_b - J1).max())
 
 
 class TestLoopClosureFactor:
     def test_zero_on_consistent_measurement(self, rng):
-        s1 = moderate_state(rng)
-        s2 = moderate_state(rng)
-        meas = factors.LoopClosureMeasurement(
-            0, 5, lie.se3_inv(s1.pose) @ s2.pose, LC_COV
-        )
-        lin = factors.loop_closure_error(s1, s2, meas)
-        assert np.abs(lin.error).max() < 1e-12
-        assert np.abs(lin.jacobians[5] - np.eye(6)).max() < 1e-9
+        p1, _ = moderate_state(rng)
+        p2, _ = moderate_state(rng)
+        e, _, J_b = factors.relative_pose(*one(p1, p2, lie.se3_inv(p1) @ p2))
+        assert np.abs(e).max() < 1e-12
+        assert np.abs(J_b[0] - np.eye(6)).max() < 1e-9
 
     def test_identity_states_measure_is_error(self, rng):
         xi = rng.normal(size=6) * 0.3
-        meas = factors.LoopClosureMeasurement(0, 1, lie.se3_exp(xi), LC_COV)
-        s = NavState(np.eye(4), np.zeros(6))
-        lin = factors.loop_closure_error(s, s, meas)
-        assert np.abs(lin.error - xi).max() < 1e-12
+        e, _, _ = factors.relative_pose(*one(np.eye(4), np.eye(4), lie.se3_exp(xi)))
+        assert np.abs(e[0] - xi).max() < 1e-12
 
     def test_jacobians_vs_finite_differences(self, rng):
-        worst = 0.0
-        for _ in range(100):
-            s1 = moderate_state(rng)
-            s2 = moderate_state(rng, base=s1.pose)
-            meas = factors.LoopClosureMeasurement(
-                2,
-                7,
-                lie.se3_inv(s1.pose) @ s2.pose @ lie.se3_exp(rng.normal(size=6) * 0.1),
-                LC_COV,
-            )
-            lin = factors.loop_closure_error(s1, s2, meas)
-            J1 = fd_jacobian(
-                lambda d: factors.loop_closure_error(perturb(s1, d), s2, meas).error
-            )[:, :6]
-            J2 = fd_jacobian(
-                lambda d: factors.loop_closure_error(s1, perturb(s2, d), meas).error
-            )[:, :6]
-            worst = max(
-                worst,
-                np.abs(lin.jacobians[2] - J1).max(),
-                np.abs(lin.jacobians[7] - J2).max(),
-            )
-        assert worst <= 1e-6
+        assert relative_pose_fd_error(rng, 0.1) <= 1e-6
 
-    def test_weight_folds_measurement_noise(self, rng):
+    def test_weight_folds_measurement_noise(self, psd, rng):
         # R_l = M R M^T with M = -Jr_inv at the current error
         s1 = moderate_state(rng)
-        s2 = moderate_state(rng, base=s1.pose)
+        s2 = moderate_state(rng, base=s1[0])
         meas = factors.LoopClosureMeasurement(
-            0, 1, lie.se3_inv(s1.pose) @ s2.pose @ lie.se3_exp(rng.normal(size=6) * 0.1),
+            0, 1, lie.se3_inv(s1[0]) @ s2[0] @ lie.se3_exp(rng.normal(size=6) * 0.1),
             LC_COV,
         )
-        lin = factors.loop_closure_error(s1, s2, meas)
-        M = -lie.right_jacobian_inv(lin.error)
-        assert np.abs(
-            np.linalg.inv(lin.weight) - M @ LC_COV @ M.T
-        ).max() < 1e-12
+        loop = solver._linearize(graph_of([s1, s2], psd, [meas]))["loop"]
+        M = -lie.right_jacobian_inv(loop.e[0])
+        assert np.abs(np.linalg.inv(loop.W[0]) - M @ LC_COV @ M.T).max() < 1e-12
 
     def test_requires_ordered_indices(self):
         with pytest.raises(ValueError, match="idx_l1 < idx_l2"):
@@ -195,113 +164,87 @@ class TestLoopClosureFactor:
 
 class TestRelativePoseFactor:
     def test_zero_on_prior_trajectory(self, rng):
-        s0 = moderate_state(rng)
-        s1 = moderate_state(rng, base=s0.pose)
-        xi_rel = lie.se3_inv(s0.pose) @ s1.pose
-        lin = factors.relative_pose_error(s0, s1, xi_rel, REL_COV)
-        assert np.abs(lin.error).max() < 1e-12
+        p0, _ = moderate_state(rng)
+        p1, _ = moderate_state(rng, base=p0)
+        e, _, _ = factors.relative_pose(*one(p0, p1, lie.se3_inv(p0) @ p1))
+        assert np.abs(e).max() < 1e-12
 
     def test_identity_everything(self):
-        s = NavState(np.eye(4), np.zeros(6))
-        lin = factors.relative_pose_error(s, s, np.eye(4), REL_COV)
-        assert np.array_equal(lin.error, np.zeros(6))
+        e, _, _ = factors.relative_pose(*one(np.eye(4), np.eye(4), np.eye(4)))
+        assert np.array_equal(e, np.zeros((1, 6)))
 
     def test_jacobians_vs_finite_differences(self, rng):
-        worst = 0.0
-        for _ in range(100):
-            s0 = moderate_state(rng)
-            s1 = moderate_state(rng, base=s0.pose)
-            xi_rel = (
-                lie.se3_inv(s0.pose) @ s1.pose @ lie.se3_exp(rng.normal(size=6) * 0.05)
-            )
-            lin = factors.relative_pose_error(s0, s1, xi_rel, REL_COV, k=4)
-            J0 = fd_jacobian(
-                lambda d: factors.relative_pose_error(
-                    perturb(s0, d), s1, xi_rel, REL_COV
-                ).error
-            )[:, :6]
-            J1 = fd_jacobian(
-                lambda d: factors.relative_pose_error(
-                    s0, perturb(s1, d), xi_rel, REL_COV
-                ).error
-            )[:, :6]
-            worst = max(
-                worst,
-                np.abs(lin.jacobians[3] - J0).max(),
-                np.abs(lin.jacobians[4] - J1).max(),
-            )
-        assert worst <= 1e-6
-
-    def test_same_form_as_loop_closure(self, rng):
-        s0 = moderate_state(rng)
-        s1 = moderate_state(rng, base=s0.pose)
-        xi = lie.se3_inv(s0.pose) @ s1.pose @ lie.se3_exp(rng.normal(size=6) * 0.05)
-        rel = factors.relative_pose_error(s0, s1, xi, LC_COV, k=1)
-        lc = factors.loop_closure_error(
-            s0, s1, factors.LoopClosureMeasurement(0, 1, xi, LC_COV)
-        )
-        assert np.array_equal(rel.error, lc.error)
-        assert np.array_equal(rel.jacobians[0], lc.jacobians[0])
-        assert np.array_equal(rel.jacobians[1], lc.jacobians[1])
+        assert relative_pose_fd_error(rng, 0.05) <= 1e-6
 
 
 class TestObservableFactor:
     def test_zero_at_prior_pose(self, rng):
         pose = random_pose(rng)
-        s = NavState(pose, rng.normal(size=6))
-        lin = factors.observable_error(s, pose, OBS_COV, k=3)
-        assert np.abs(lin.error).max() == 0.0
+        e, _, _ = factors.observable(*one(pose, pose))
+        assert np.abs(e).max() == 0.0
 
     def test_pure_yaw_offset_gives_zero(self, rng):
         base = random_pose(rng)
         yaw = lie.se3_exp(np.array([0.0, 0.0, 0.4, 0.0, 0.0, 0.0]))
-        s = NavState(base @ yaw, np.zeros(6))
-        lin = factors.observable_error(s, base, OBS_COV, k=1)
-        assert np.abs(lin.error).max() < 1e-15
+        e, _, _ = factors.observable(*one(base @ yaw, base))
+        assert np.abs(e).max() < 1e-15
 
     def test_depth_row_measures_world_down_offset(self, rng):
         base = random_pose(rng)
         prior_pose = base.copy()
         prior_pose[2, 3] += 0.7
-        s = NavState(base, np.zeros(6))
-        lin = factors.observable_error(s, prior_pose, OBS_COV, k=1)
-        assert abs(lin.error[2] - 0.7) < 1e-12
-        assert np.abs(lin.error[:2]).max() < 1e-15
+        e, _, _ = factors.observable(*one(base, prior_pose))
+        assert abs(e[0, 2] - 0.7) < 1e-12
+        assert np.abs(e[0, :2]).max() < 1e-15
 
     def test_jacobian_vs_finite_differences_small_offsets(self, rng):
-        worst = 0.0
-        for _ in range(100):
+        def draw():
             base = random_pose(rng)
             d = rng.normal(size=6)
             d *= rng.uniform(0.0, 1e-3) / np.linalg.norm(d)
-            s = NavState(base @ lie.se3_exp(-d), rng.normal(size=6))
-            lin = factors.observable_error(s, base, OBS_COV, k=1)
-            J = fd_jacobian(
-                lambda dd: factors.observable_error(perturb(s, dd), base, OBS_COV, 1).error
-            )[:, :6]
-            worst = max(worst, np.abs(lin.jacobians[1] - J).max())
-        assert worst <= 1e-4
+            return base @ lie.se3_exp(-d), rng.normal(size=6), base
+
+        pose, varpi, base = stack_samples(draw() for _ in range(N_FD))
+        _, J, _ = factors.observable(pose, base)
+        J_fd = fd_jacobian(
+            lambda d: factors.observable(perturb(pose, varpi, d)[0], base)[0], N_FD
+        )[..., :6]
+        assert np.abs(J - J_fd).max() <= 1e-4
+
+
+class TestErrorsOnly:
+    def test_same_errors_without_jacobians(self, rng):
+        s0 = moderate_state(rng)
+        s1 = moderate_state(rng, base=s0[0])
+        xi = lie.se3_inv(s0[0]) @ s1[0] @ lie.se3_exp(rng.normal(size=6) * 0.1)
+        calls = [
+            (factors.prior, one(*s0, *s1)),
+            (factors.wnoa, one(*s0, *s1, 0.2)),
+            (factors.relative_pose, one(s0[0], s1[0], xi)),
+            (factors.observable, one(s0[0], s1[0])),
+        ]
+        for fn, args in calls:
+            full = fn(*args)
+            e, J_a, J_b = fn(*args, jacobians=False)
+            assert np.array_equal(e, full[0])
+            assert J_a is None and J_b is None
 
 
 class TestWeightProperties:
     def test_weights_spd(self, psd, rng):
         for _ in range(20):
             s0 = moderate_state(rng)
-            s1 = moderate_state(rng, base=s0.pose)
-            lins = [
-                factors.prior_error(
-                    s0, factors.PriorBelief(random_pose(rng), rng.normal(size=6),
-                                            np.eye(12) * 0.1)
-                ),
-                factors.wnoa_error(s0, s1, 0.1, psd),
-                factors.loop_closure_error(
-                    s0, s1,
-                    factors.LoopClosureMeasurement(
-                        0, 1, lie.se3_inv(s0.pose) @ s1.pose, LC_COV
-                    ),
-                ),
-            ]
-            for lin in lins:
-                w = np.linalg.eigvalsh(lin.weight)
+            s1 = moderate_state(rng, base=s0[0])
+            meas = factors.LoopClosureMeasurement(
+                0, 1, lie.se3_inv(s0[0]) @ s1[0], LC_COV
+            )
+            g = graph_of([s0, s1], psd, [meas])
+            g.prior = factors.PriorBelief(
+                random_pose(rng), rng.normal(size=6), np.eye(12) * 0.1
+            )
+            terms = solver._linearize(g)
+            for name in ("prior", "wnoa", "loop"):
+                W = terms[name].W[0]
+                w = np.linalg.eigvalsh(W)
                 assert w.min() > 0
-                assert np.abs(lin.weight - lin.weight.T).max() < 1e-6 * w.max()
+                assert np.abs(W - W.T).max() < 1e-6 * w.max()

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lcsmooth import factors, lie, solver
+from lcsmooth import factors, lie, solver, wnoa
 from lcsmooth.wnoa import WnoaPsd
 
 from conftest import random_pose
@@ -37,6 +39,11 @@ def small_graph(rng, n=4, loops=((0, 3),), perturb=0.0):
     return g
 
 
+def robust_terms(g, w):
+    """The graph's linearized terms with loop-closure weights scaled by w."""
+    return solver._with_loop_weights(solver._linearize(g), w)
+
+
 class TestAssemble:
     def test_two_node_shape(self, rng):
         g = small_graph(rng, n=2, loops=())
@@ -59,29 +66,45 @@ class TestAssemble:
         h_ref = (gamma.T @ w @ gamma).toarray()
 
         n = g.num_nodes
-        states = g.nodes
+        P, V = g.poses, g.varpis
         h_dense = np.zeros((12 * n, 12 * n))
 
-        def add(lin):
-            J = np.zeros((lin.error.size, 12 * n))
-            for k, block in lin.jacobians.items():
-                J[:, 12 * k : 12 * k + block.shape[1]] = block
+        def add(result, nodes, weight):
+            # one factor at a time: its blocks scattered at its node columns
+            e, J_a, J_b = result
+            J = np.zeros((e.shape[-1], 12 * n))
+            for k, block in zip(nodes, (J_a, J_b)):
+                J[:, 12 * k : 12 * k + block.shape[-1]] = block[0]
             nonlocal h_dense
-            h_dense = h_dense + J.T @ lin.weight @ J
+            h_dense = h_dense + J.T @ weight @ J
 
-        add(factors.prior_error(states[0], g.prior))
+        result = factors.prior(P[:1], V[:1], g.prior.pose, g.prior.varpi)
+        M0 = -np.eye(12)
+        M0[:6, :6] = -lie.right_jacobian_inv(result[0][0, :6])
+        add(result, [0], np.linalg.inv(M0 @ g.prior.cov @ M0.T))
         for k in range(1, n):
             dt = g.times[k] - g.times[k - 1]
-            add(factors.wnoa_error(states[k - 1], states[k], dt, PSD, k=k))
+            add(
+                factors.wnoa(P[k - 1 : k], V[k - 1 : k], P[k : k + 1], V[k : k + 1], dt),
+                [k - 1, k],
+                wnoa.process_weight(V[k - 1], PSD, dt),
+            )
         for m in g.loop_closures:
-            add(factors.loop_closure_error(states[m.idx_l1], states[m.idx_l2], m))
+            i, j = m.idx_l1, m.idx_l2
+            result = factors.relative_pose(P[i : i + 1], P[j : j + 1], m.xi_meas[None])
+            M = -lie.right_jacobian_inv(result[0][0])
+            add(result, [i, j], np.linalg.inv(M @ m.cov @ M.T))
         for k in range(1, n):
             add(
-                factors.relative_pose_error(
-                    states[k - 1], states[k], g.rel_xi[k - 1], g.r_rel, k=k
-                )
+                factors.relative_pose(P[k - 1 : k], P[k : k + 1], g.rel_xi[k - 1 : k]),
+                [k - 1, k],
+                np.linalg.inv(g.r_rel),
             )
-            add(factors.observable_error(states[k], g.prior_poses[k], g.r_obs, k=k))
+            add(
+                factors.observable(P[k : k + 1], g.prior_poses[k : k + 1]),
+                [k],
+                np.linalg.inv(g.r_obs),
+            )
 
         scale = np.abs(h_ref).max()
         assert np.abs(h_dense - h_ref).max() <= 1e-12 * scale
@@ -92,9 +115,8 @@ class TestAssemble:
         e, gamma, w = solver.assemble(g, robust_weights=w_rob)
         h_ref = (gamma.T @ w @ gamma).toarray()
         g_ref = gamma.T @ (w @ e)
-        blocks = solver._linearize(g)
         hdiag, hoff, loop_idx, v, grad = solver._normal_equations(
-            blocks, g.num_nodes, w_rob
+            robust_terms(g, w_rob), g.num_nodes
         )
         n = g.num_nodes
         h = np.zeros((12 * n, 12 * n))
@@ -161,8 +183,7 @@ class TestSchurStep:
         if fix_first_node:
             g.prior = None
         w = rng.uniform(0.3, 1.0, size=len(loops))
-        blocks = solver._linearize(g)
-        normal = solver._normal_equations(blocks, g.num_nodes, w)
+        normal = solver._normal_equations(robust_terms(g, w), g.num_nodes)
         delta = solver._solve_normal(*normal, lam, fix_first_node)
         ref = self.sparse_step(g, w, lam, fix_first_node)
         assert np.linalg.norm(delta - ref) <= 1e-9 * np.linalg.norm(ref)
@@ -192,8 +213,7 @@ class TestSolverFailure:
         # pinning the closure nodes anchors every interior segment, so with
         # closures the gauge freedom surfaces in the Schur complement
         g = unanchored_graph(rng, loops)
-        blocks = solver._linearize(g)
-        normal = solver._normal_equations(blocks, g.num_nodes, np.ones(len(loops)))
+        normal = solver._normal_equations(robust_terms(g, np.ones(len(loops))), g.num_nodes)
         for lam in (0.0, solver.SolverConfig().max_damping):
             with pytest.raises(RuntimeError, match=singular):
                 solver._solve_normal(*normal, lam, False)
@@ -271,7 +291,12 @@ class TestStepAndUpdate:
 
     def test_zero_errors_give_zero_step(self, rng):
         g = small_graph(rng, n=4, loops=((0, 3),))
-        delta, predicted = solver.gauss_newton_step(g, solver.SolverConfig())
+        w = np.ones(1)
+        normal = solver._normal_equations(robust_terms(g, w), g.num_nodes)
+        delta = solver._solve_normal(*normal, 0.0, False)
+        e, gamma, weight = solver.assemble(g, robust_weights=w)
+        r = e + gamma @ delta
+        predicted = 0.5 * r @ (weight @ r)
         assert np.abs(delta).max() < 1e-8
         assert predicted < 1e-12
 
@@ -347,6 +372,22 @@ class TestSolve:
         G = random_pose(rng)
         shifted = solve_shifted(G)
         assert np.abs(shifted - G @ base).max() <= 1e-8
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), order=st.permutations(range(5)))
+    def test_posterior_independent_of_closure_order(self, seed, order):
+        rng = np.random.default_rng(seed)
+        loops = ((0, 11), (2, 9), (2, 7), (4, 5), (1, 10))
+        g = small_graph(rng, n=12, loops=loops, perturb=0.02)
+        # one outlier, so that the robust weights differ between closures
+        bad = lie.se3_exp(np.array([0.5, 0.2, -0.3, 3.0, 1.0, 2.0]))
+        g.loop_closures[4] = factors.LoopClosureMeasurement(1, 10, bad, LC_COV.copy())
+        permuted = g.copy()
+        permuted.loop_closures = [g.loop_closures[i] for i in order]
+        post, report = solver.solve(g, solver.SolverConfig())
+        post_p, report_p = solver.solve(permuted, solver.SolverConfig())
+        assert np.abs(post_p.poses - post.poses).max() <= 1e-9
+        assert np.abs(report_p.loop_weights - report.loop_weights[list(order)]).max() <= 1e-9
 
     def test_validation_rejects_bad_timestamps(self, rng):
         g = small_graph(rng)

@@ -31,12 +31,6 @@ class TestTypes:
         with pytest.raises(ValueError):
             wnoa.WnoaPsd(1.0, -1e-9)
 
-    def test_navstate_validation(self):
-        with pytest.raises(ValueError):
-            wnoa.NavState(np.eye(4), np.array([np.inf, 0, 0, 0, 0, 0]))
-        with pytest.raises(ValueError):
-            wnoa.NavState(np.eye(3), np.zeros(6))
-
 
 class TestErrorKinematics:
     def test_zero_velocity(self):
