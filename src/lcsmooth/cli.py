@@ -10,12 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from . import dataio, frontend, lie, metrics, sim, solver
+from . import dataio, frontend, metrics, sim, solver
 from .trajectory import Trajectory
 from .wnoa import WnoaPsd
 

@@ -116,11 +116,13 @@ def write_profiles(path, profiles):
 
 def _load_csv(path, what):
     with open(path) as f:
-        lines = f.read().splitlines()
-    if len(lines) <= 1:
+        f.readline()  # header
+        header_only = not f.read(1)
+    # np.loadtxt warns on a file with no rows
+    if header_only:
         return np.zeros((0, 0))
     try:
-        return np.loadtxt(lines[1:], delimiter=",", ndmin=2)
+        return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as exc:
         raise ValueError(f"{path}: malformed {what} CSV: {exc}") from exc
 

@@ -271,13 +271,26 @@ def degrade(truth: Trajectory, cfg: SimConfig, seed=None) -> Trajectory:
 # Synthetic laser scans
 
 
+# Profiles ray-cast together.  Temporaries scale with it; 64-256 ran fastest
+# on the standard survey, 1,024 and more ran slower.
+_CHUNK_PROFILES = 256
+
+
 def synth_scan(truth: Trajectory, terrain: TerrainSpec, scanner: ScannerSpec, seed=0):
     """Line-scanner profiles along the trajectory by ray/terrain intersection.
 
     Rays fan across-track in the sensor frame; each is intersected with the
     analytic terrain (Newton refinement from the flat-seabed solution) and
     reported in the sensor frame with isotropic noise.  Rays that miss or
-    graze the terrain are dropped.
+    graze the terrain are dropped, and so are profiles left with no ray.
+
+    Newton runs on chunks of ``_CHUNK_PROFILES`` profiles at once, one
+    ``TerrainSpec.depth`` and ``depth_grad`` call per chunk iteration.  Each
+    profile keeps its own stopping rule: it stops after the iteration in
+    which its own max |step| < 1e-12, or after 25 iterations, and only the
+    rays of profiles still iterating are updated.  The arithmetic per ray and
+    the noise drawn per profile, in profile order, are those of casting each
+    profile alone, so the output does not depend on the chunk size.
     """
     rng = np.random.default_rng(seed)
     dt = 1.0 / scanner.rate
@@ -289,39 +302,47 @@ def synth_scan(truth: Trajectory, terrain: TerrainSpec, scanner: ScannerSpec, se
     dirs = np.stack([np.zeros_like(angles), np.sin(angles), np.cos(angles)], axis=1)
 
     profiles = []
-    for t, pose in zip(stamps, sensor_poses):
-        o = pose[:3, 3]
-        d = dirs @ pose[:3, :3].T
-        dz = d[:, 2]
-        ok = dz > 0.05
-        if not np.any(ok):
-            continue
-        d_ok = d[ok]
-        dz_ok = dz[ok]
-        s = (terrain.base_depth - o[2]) / dz_ok
+    for start in range(0, len(stamps), _CHUNK_PROFILES):
+        chunk = slice(start, start + _CHUNK_PROFILES)
+        poses = sensor_poses[chunk]
+        d = dirs @ poses[:, :3, :3].transpose(0, 2, 1)
+        # rays that point down enough, in profile order; ``pid`` is sorted
+        pid, beam = np.nonzero(d[:, :, 2] > 0.05)
+        o = poses[pid, :3, 3]
+        d = d[pid, beam]
+        s = (terrain.base_depth - o[:, 2]) / d[:, 2]
+        active = np.arange(len(pid))
         for _ in range(25):
-            x = o[0] + s * d_ok[:, 0]
-            y = o[1] + s * d_ok[:, 1]
-            f = o[2] + s * dz_ok - terrain.depth(x, y)
+            if active.size == 0:
+                break
+            oa, da, sa = o[active], d[active], s[active]
+            x = oa[:, 0] + sa * da[:, 0]
+            y = oa[:, 1] + sa * da[:, 1]
+            f = oa[:, 2] + sa * da[:, 2] - terrain.depth(x, y)
             gx, gy = terrain.depth_grad(x, y)
-            fp = dz_ok - gx * d_ok[:, 0] - gy * d_ok[:, 1]
+            fp = da[:, 2] - gx * da[:, 0] - gy * da[:, 1]
             fp = np.where(np.abs(fp) < 1e-6, 1e-6, fp)
             step = f / fp
-            s = s - step
-            if np.max(np.abs(step)) < 1e-12:
-                break
-        x = o[0] + s * d_ok[:, 0]
-        y = o[1] + s * d_ok[:, 1]
-        residual = np.abs(o[2] + s * dz_ok - terrain.depth(x, y))
+            s[active] = sa - step
+            # a profile iterates on while any of its steps is >= 1e-12 (or NaN)
+            iterating = np.zeros(len(poses), dtype=bool)
+            iterating[pid[active[~(np.abs(step) < 1e-12)]]] = True
+            active = active[iterating[pid[active]]]
+        x = o[:, 0] + s * d[:, 0]
+        y = o[:, 1] + s * d[:, 1]
+        residual = np.abs(o[:, 2] + s * d[:, 2] - terrain.depth(x, y))
         hit = (s > 0.1) & (residual < 1e-8)
-        if not np.any(hit):
-            continue
-        pts_sensor = s[hit, None] * dirs[ok][hit]
+        pts_sensor = s[hit, None] * dirs[beam[hit]]
         if scanner.noise_sigma > 0:
             pts_sensor = pts_sensor + rng.standard_normal(pts_sensor.shape) * (
                 scanner.noise_sigma
             )
-        profiles.append(LaserProfile(float(t), pts_sensor))
+        counts = np.bincount(pid[hit], minlength=len(poses))
+        for t, n, pts in zip(
+            stamps[chunk], counts, np.split(pts_sensor, np.cumsum(counts)[:-1])
+        ):
+            if n:
+                profiles.append(LaserProfile(float(t), pts))
     return profiles
 
 

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -64,7 +67,17 @@ class TestProfilesCsv:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "profiles.csv"
         dataio.write_profiles(path, [])
-        assert dataio.read_profiles(path) == []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dataio.read_profiles(path) == []
+
+    def test_malformed_rejected(self, tmp_path):
+        path = tmp_path / "profiles.csv"
+        for body in ("0.0,1.0,nope,3.0\n", "0.0,1.0,2.0,3.0\n0.0,1.0,2.0\n"):
+            path.write_text("t,x,y,z\n" + body)
+            expect = f"{re.escape(str(path))}: malformed profile CSV"
+            with pytest.raises(ValueError, match=expect):
+                dataio.read_profiles(path)
 
 
 class TestLoopClosureCsv:
@@ -86,6 +99,18 @@ class TestLoopClosureCsv:
             assert (a.idx_l1, a.idx_l2) == (b.idx_l1, b.idx_l2)
             assert np.abs(a.xi_meas - b.xi_meas).max() == 0.0
             assert np.array_equal(np.diag(a.cov), np.diag(b.cov))
+
+    def test_empty_and_malformed(self, tmp_path):
+        times = np.arange(10) * 1.0
+        path = tmp_path / "lc.csv"
+        dataio.write_loop_closures(path, [], times)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dataio.read_loop_closures(path, times) == []
+        path.write_text(path.read_text() + "0.0,5.0,nope\n")
+        expect = f"{re.escape(str(path))}: malformed loop-closure CSV"
+        with pytest.raises(ValueError, match=expect):
+            dataio.read_loop_closures(path, times)
 
     def test_unresolvable_time_raises(self, rng, tmp_path):
         times = np.arange(10) * 1.0

@@ -2,6 +2,56 @@ import numpy as np
 import pytest
 
 from lcsmooth import frontend, lie, sim
+from lcsmooth.frontend import LaserProfile
+from lcsmooth.trajectory import Trajectory
+
+
+def synth_scan_per_profile(truth, terrain, scanner, seed=0):
+    """Reference ray caster: Newton on one profile at a time."""
+    rng = np.random.default_rng(seed)
+    dt = 1.0 / scanner.rate
+    stamps = np.arange(truth.times[0], truth.times[-1] + 1e-9, dt)
+    stamps = stamps[(stamps >= truth.times[0]) & (stamps <= truth.times[-1])]
+    sensor_poses = truth.pose_at(stamps) @ scanner.extrinsics
+    half = np.deg2rad(scanner.fov_deg) / 2.0
+    angles = np.linspace(-half, half, scanner.beams)
+    dirs = np.stack([np.zeros_like(angles), np.sin(angles), np.cos(angles)], axis=1)
+
+    profiles = []
+    for t, pose in zip(stamps, sensor_poses):
+        o = pose[:3, 3]
+        d = dirs @ pose[:3, :3].T
+        dz = d[:, 2]
+        ok = dz > 0.05
+        if not np.any(ok):
+            continue
+        d_ok = d[ok]
+        dz_ok = dz[ok]
+        s = (terrain.base_depth - o[2]) / dz_ok
+        for _ in range(25):
+            x = o[0] + s * d_ok[:, 0]
+            y = o[1] + s * d_ok[:, 1]
+            f = o[2] + s * dz_ok - terrain.depth(x, y)
+            gx, gy = terrain.depth_grad(x, y)
+            fp = dz_ok - gx * d_ok[:, 0] - gy * d_ok[:, 1]
+            fp = np.where(np.abs(fp) < 1e-6, 1e-6, fp)
+            step = f / fp
+            s = s - step
+            if np.max(np.abs(step)) < 1e-12:
+                break
+        x = o[0] + s * d_ok[:, 0]
+        y = o[1] + s * d_ok[:, 1]
+        residual = np.abs(o[2] + s * dz_ok - terrain.depth(x, y))
+        hit = (s > 0.1) & (residual < 1e-8)
+        if not np.any(hit):
+            continue
+        pts_sensor = s[hit, None] * dirs[ok][hit]
+        if scanner.noise_sigma > 0:
+            pts_sensor = pts_sensor + rng.standard_normal(pts_sensor.shape) * (
+                scanner.noise_sigma
+            )
+        profiles.append(LaserProfile(float(t), pts_sensor))
+    return profiles
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +186,36 @@ class TestSynthScan:
         p1 = sim.synth_scan(truth, cfg.terrain, scanner, seed=3)
         p2 = sim.synth_scan(truth, cfg.terrain, scanner, seed=3)
         assert all(np.array_equal(a.points, b.points) for a, b in zip(p1, p2))
+
+    def test_matches_per_profile_reference_bit_for_bit(self):
+        cfg = sim.default_config(seed=4)
+        cfg.passes, cfg.pass_length, cfg.tie_margin = 2, 14.0, 8.0
+        full = sim.generate_truth(cfg)
+        n = 300  # 30 s up the bumpy tie line: 599 profiles at 20 Hz
+        poses = full.poses[:n].copy()
+        # below the seabed every ray misses, so these profiles are dropped
+        poses[100:110, 2, 3] = 12.0
+        # rolled further over, no beam points down enough to cast
+        poses[150:160, :3, :3] = poses[150:160, :3, :3] @ lie.so3_exp(
+            np.array([np.deg2rad(100.0), 0.0, 0.0])
+        )
+        truth = Trajectory(times=full.times[:n], poses=poses)
+        # a 70 degree roll sends the outer beams above the dz > 0.05 cutoff
+        roll = lie.make_pose(
+            lie.so3_exp(np.array([np.deg2rad(70.0), 0.0, 0.0])), np.zeros(3)
+        )
+        scanner = sim.ScannerSpec(beams=24, noise_sigma=0.01, extrinsics=roll)
+        stamps = len(np.arange(truth.times[0], truth.times[-1] + 1e-9, 0.05))
+        assert stamps > 2 * sim._CHUNK_PROFILES and stamps % sim._CHUNK_PROFILES
+
+        got = sim.synth_scan(truth, cfg.terrain, scanner, seed=2)
+        ref = synth_scan_per_profile(truth, cfg.terrain, scanner, seed=2)
+        kept = np.array([p.timestamp for p in ref])
+        for t0, t1 in ((10.0, 10.9), (15.0, 15.9)):  # nodes 100-109, 150-159
+            assert not np.any((kept >= t0) & (kept <= t1))
+        assert max(len(p.points) for p in ref) < scanner.beams
+        assert [p.timestamp for p in got] == [p.timestamp for p in ref]
+        assert all(np.array_equal(a.points, b.points) for a, b in zip(got, ref))
 
 
 class TestTruthSelfConsistency:
