@@ -1,8 +1,10 @@
 """File formats: trajectory/profile/loop-closure CSV, PLY clouds, flat config.
 
-Rotations are stored as unit quaternions (Hamilton convention, scalar first)
-only at this boundary; everything in memory is matrices.  Floats are written
-with 17 significant digits so write-then-read round-trips are exact.
+Rotations are stored as unit quaternions (Hamilton convention, scalar first;
+``lie`` converts them) only at this boundary; everything in memory is
+matrices.  Floats are written with 17 significant digits so write-then-read
+round-trips of the stored numbers are exact; a rotation matrix comes back
+through its quaternion to rounding (about 1e-16).
 """
 
 from __future__ import annotations
@@ -21,65 +23,12 @@ from .trajectory import Trajectory
 _FMT = "%.17g"
 
 
-def quat_from_rotation(C):
-    """Unit quaternion (w, x, y, z) from a rotation matrix (Shepperd's method)."""
-    C = np.asarray(C, dtype=float)
-    single = C.ndim == 2
-    C = np.atleast_3d(C.reshape(-1, 3, 3))
-    q = np.empty((len(C), 4))
-    tr = np.trace(C, axis1=-2, axis2=-1)
-    choice = np.argmax(
-        np.stack([tr, C[:, 0, 0], C[:, 1, 1], C[:, 2, 2]], axis=1), axis=1
-    )
-    for i, (M, c) in enumerate(zip(C, choice)):
-        if c == 0:
-            s = np.sqrt(1.0 + tr[i]) * 2.0
-            q[i] = [0.25 * s, (M[2, 1] - M[1, 2]) / s, (M[0, 2] - M[2, 0]) / s,
-                    (M[1, 0] - M[0, 1]) / s]
-        elif c == 1:
-            s = np.sqrt(1.0 + M[0, 0] - M[1, 1] - M[2, 2]) * 2.0
-            q[i] = [(M[2, 1] - M[1, 2]) / s, 0.25 * s,
-                    (M[0, 1] + M[1, 0]) / s, (M[0, 2] + M[2, 0]) / s]
-        elif c == 2:
-            s = np.sqrt(1.0 - M[0, 0] + M[1, 1] - M[2, 2]) * 2.0
-            q[i] = [(M[0, 2] - M[2, 0]) / s, (M[0, 1] + M[1, 0]) / s,
-                    0.25 * s, (M[1, 2] + M[2, 1]) / s]
-        else:
-            s = np.sqrt(1.0 - M[0, 0] - M[1, 1] + M[2, 2]) * 2.0
-            q[i] = [(M[1, 0] - M[0, 1]) / s, (M[0, 2] + M[2, 0]) / s,
-                    (M[1, 2] + M[2, 1]) / s, 0.25 * s]
-    q /= np.linalg.norm(q, axis=1, keepdims=True)
-    # canonical sign: non-negative scalar part
-    q[q[:, 0] < 0] *= -1.0
-    return q[0] if single else q
-
-
-def rotation_from_quat(q):
-    """Rotation matrix from a (w, x, y, z) quaternion; normalizes first."""
-    q = np.asarray(q, dtype=float)
-    single = q.ndim == 1
-    q = np.atleast_2d(q)
-    q = q / np.linalg.norm(q, axis=1, keepdims=True)
-    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    C = np.empty((len(q), 3, 3))
-    C[:, 0, 0] = 1 - 2 * (y * y + z * z)
-    C[:, 0, 1] = 2 * (x * y - z * w)
-    C[:, 0, 2] = 2 * (x * z + y * w)
-    C[:, 1, 0] = 2 * (x * y + z * w)
-    C[:, 1, 1] = 1 - 2 * (x * x + z * z)
-    C[:, 1, 2] = 2 * (y * z - x * w)
-    C[:, 2, 0] = 2 * (x * z - y * w)
-    C[:, 2, 1] = 2 * (y * z + x * w)
-    C[:, 2, 2] = 1 - 2 * (x * x + y * y)
-    return C[0] if single else C
-
-
 # ---------------------------------------------------------------------------
 # Trajectory CSV: t, rx, ry, rz, qw, qx, qy, qz
 
 
 def write_trajectory(path, trajectory: Trajectory):
-    q = quat_from_rotation(trajectory.poses[:, :3, :3])
+    q = lie.quat_from_rotation(trajectory.poses[:, :3, :3])
     data = np.hstack(
         [trajectory.times[:, None], trajectory.positions, q]
     )
@@ -94,7 +43,7 @@ def read_trajectory(path) -> Trajectory:
         raise ValueError(f"{path}: malformed trajectory CSV: {exc}") from exc
     if data.shape[1] != 8:
         raise ValueError(f"{path}: expected 8 columns, found {data.shape[1]}")
-    C = rotation_from_quat(data[:, 4:8])
+    C = lie.rotation_from_quat(data[:, 4:8])
     poses = lie.make_pose(C, data[:, 1:4])
     return Trajectory(times=data[:, 0], poses=poses)
 

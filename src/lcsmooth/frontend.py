@@ -94,7 +94,6 @@ class IcpParams:
     frmsd_lambda: float = 0.95
     min_inlier_fraction: float = 0.2
     frmsd_step: float = 0.05
-    min_points: int = 100
     divergence_limit: int = 3
     sigma_point: float | None = None  # default: voxel_cell / 2
 

@@ -10,8 +10,11 @@ Conventions used throughout the package:
 - All functions broadcast over leading batch dimensions, e.g. ``se3_exp``
   accepts ``(..., 6)`` and returns ``(..., 4, 4)``.
 
-Rotations are represented as matrices internally; quaternions appear only
-at the file-format boundary (see ``dataio``).
+Rotations are matrices in memory.  Unit quaternions (Hamilton convention,
+scalar first, ``w >= 0``) are the form the file formats store (see
+``dataio``); :func:`quat_from_rotation` and :func:`rotation_from_quat` are
+the package's only conversions, and :func:`so3_log` takes its axis and angle
+from the quaternion.
 """
 
 from __future__ import annotations
@@ -25,13 +28,6 @@ import numpy as np
 # 0.3 rad), so each coefficient switches at its own threshold chosen to keep
 # the relative error near 1e-12 on both sides.
 SMALL_ANGLE = 1e-6
-
-_NEAR_PI_ERROR = 1e-9
-_NEAR_PI_STABLE = 1e-6
-
-
-class BranchAmbiguityError(ValueError):
-    """Rotation angle at (or numerically indistinguishable from) pi."""
 
 
 class JacobianSingularityError(ValueError):
@@ -169,56 +165,81 @@ def so3_exp(phi):
     )
 
 
-def _so3_log_near_pi(C):
-    # Axis from the dominant diagonal of the symmetric part; the sign is
-    # recovered from the (small but nonzero) antisymmetric part.
-    t = np.arccos(np.clip((np.trace(C) - 1.0) / 2.0, -1.0, 1.0))
-    B = 0.5 * (C + C.T) - np.cos(t) * np.eye(3)
-    one_m_cos = 1.0 - np.cos(t)
-    i = int(np.argmax(np.diag(B)))
-    n = np.empty(3)
-    n[i] = np.sqrt(max(B[i, i] / one_m_cos, 0.0))
-    for j in range(3):
-        if j != i:
-            n[j] = B[i, j] / (one_m_cos * n[i])
-    n /= np.linalg.norm(n)
-    w = unskew(C)
-    if np.dot(n, w) < 0.0:
-        n = -n
-    return t * n
+# Column of quat_from_rotation's pair array that holds 4 q_c q_k, by (c, k);
+# the diagonal points at a zero column and is overwritten
+_PAIR_COLUMN = np.array([[0, 1, 2, 3], [1, 0, 4, 5], [2, 4, 0, 6], [3, 5, 6, 0]])
+
+
+def quat_from_rotation(C):
+    """Unit quaternions (w, x, y, z) from (...,3,3) rotation matrices.
+
+    Shepperd's method: each matrix is converted through the largest of
+    ``trace``, ``C00``, ``C11`` and ``C22``, so the square root never takes a
+    small argument, whatever the angle.  The scalar part comes out
+    non-negative; at an angle of exactly pi either sign of the vector part is
+    a valid result and the one the branch produces is kept.
+    """
+    C = np.asarray(C, dtype=float)
+    batch = C.shape[:-2]
+    C = C.reshape(-1, 3, 3)
+    tr = np.trace(C, axis1=-2, axis2=-1)
+    d = np.diagonal(C, axis1=-2, axis2=-1)
+    choice = np.argmax(np.concatenate([tr[:, None], d], axis=1), axis=1)
+    # 4 q_c^2 = 1 + trace (c = 0) or 1 + C_cc - (the other two diagonal
+    # entries), evaluated left to right as written; it is at least 1
+    sign = np.where(choice[:, None] == np.arange(1, 4), 1.0, -1.0)
+    diag_sum = 1.0 + sign[:, 0] * d[:, 0] + sign[:, 1] * d[:, 1] + sign[:, 2] * d[:, 2]
+    s = np.sqrt(np.where(choice == 0, 1.0 + tr, diag_sum)) * 2.0
+    # P[:, _PAIR_COLUMN[c, k]] = 4 q_c q_k for c != k
+    P = np.zeros((len(C), 7))
+    P[:, 1] = C[:, 2, 1] - C[:, 1, 2]
+    P[:, 2] = C[:, 0, 2] - C[:, 2, 0]
+    P[:, 3] = C[:, 1, 0] - C[:, 0, 1]
+    P[:, 4] = C[:, 0, 1] + C[:, 1, 0]
+    P[:, 5] = C[:, 0, 2] + C[:, 2, 0]
+    P[:, 6] = C[:, 1, 2] + C[:, 2, 1]
+    q = np.take_along_axis(P, _PAIR_COLUMN[choice], axis=1) / s[:, None]
+    q[np.arange(len(C)), choice] = 0.25 * s
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    q[q[:, 0] < 0] *= -1.0
+    return q.reshape(batch + (4,))
+
+
+def rotation_from_quat(q):
+    """Rotation matrices from (...,4) quaternions (w, x, y, z); normalizes first."""
+    q = np.asarray(q, dtype=float)
+    q = q / np.linalg.norm(q, axis=-1, keepdims=True)
+    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    C = np.empty(q.shape[:-1] + (3, 3))
+    C[..., 0, 0] = 1 - 2 * (y * y + z * z)
+    C[..., 0, 1] = 2 * (x * y - z * w)
+    C[..., 0, 2] = 2 * (x * z + y * w)
+    C[..., 1, 0] = 2 * (x * y + z * w)
+    C[..., 1, 1] = 1 - 2 * (x * x + z * z)
+    C[..., 1, 2] = 2 * (y * z - x * w)
+    C[..., 2, 0] = 2 * (x * z - y * w)
+    C[..., 2, 1] = 2 * (y * z + x * w)
+    C[..., 2, 2] = 1 - 2 * (x * x + y * y)
+    return C
 
 
 def so3_log(C):
-    """Principal-branch rotation vector of C in SO(3).
+    """Principal-branch rotation vector of C in SO(3), angle in [0, pi].
 
-    Raises :class:`BranchAmbiguityError` when the rotation angle is
-    numerically indistinguishable from pi.
+    Read from the unit quaternion (w, v) as ``2 atan2(|v|, w) v / |v|``,
+    which stays accurate at every angle, also for matrices a little off
+    SO(3).  At an angle of exactly pi, ``phi`` and ``-phi`` are both
+    principal logs; one of them is returned.
     """
-    C = np.asarray(C, dtype=float)
-    tr = np.trace(C, axis1=-2, axis2=-1)
-    t = np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0))
-    if np.any(t >= np.pi - _NEAR_PI_ERROR):
-        raise BranchAmbiguityError("rotation angle indistinguishable from pi")
-    t2 = t * t
-    small = t < SMALL_ANGLE
-    ts = np.where(small, 1.0, t)
-    coef = np.where(small, 0.5 + t2 / 12.0, ts / (2.0 * np.sin(ts)))
-    phi = coef[..., None] * np.stack(
-        [
-            C[..., 2, 1] - C[..., 1, 2],
-            C[..., 0, 2] - C[..., 2, 0],
-            C[..., 1, 0] - C[..., 0, 1],
-        ],
-        axis=-1,
-    )
-    near_pi = t > np.pi - _NEAR_PI_STABLE
-    if np.any(near_pi):
-        flat_phi = phi.reshape(-1, 3)
-        flat_C = C.reshape(-1, 3, 3)
-        for k in np.flatnonzero(near_pi.reshape(-1)):
-            flat_phi[k] = _so3_log_near_pi(flat_C[k])
-        phi = flat_phi.reshape(phi.shape)
-    return phi
+    q = quat_from_rotation(C)
+    w = q[..., 0]
+    v = q[..., 1:]
+    n = np.linalg.norm(v, axis=-1)
+    # atan2(n, w) / n has no cancellation at any n > 0, so no series is
+    # needed; n = 0 (the identity, or |v|^2 underflowing below angles of
+    # about 1e-153) gives phi = 0
+    coef = 2.0 * np.arctan2(n, w) / np.where(n > 0.0, n, 1.0)
+    return coef[..., None] * v
 
 
 def so3_left_jacobian(phi):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from lcsmooth import lie
+from lcsmooth import lie, sim
+from lcsmooth.factors import LoopClosureMeasurement
 
 
 def random_twist(rng, max_angle=np.pi - 0.1, trans_scale=1.0):
@@ -31,6 +32,35 @@ def series_left_jacobian(xi, terms=30):
         term = term @ A / (k + 1)
         out = out + term
     return out
+
+
+# 180 degrees in yaw
+YAW_PI = np.diag([-1.0, -1.0, 1.0, 1.0])
+
+
+def flipped_closure_line(orthonormal):
+    """A 50-node line (1 m/s, 10 Hz) and two loop closures on its poses.
+
+    Closure 0 (nodes 5 and 45) agrees with the poses.  Closure 1 (nodes 10
+    and 40) is their relative pose turned 180 degrees in yaw: a flipped
+    registration that the robust weight must reject.  Unless ``orthonormal``,
+    every pose is composed with the last pose of a degraded two-pass survey,
+    which the products in ``sim.degrade`` leave off SO(3) by about 2e-11, so
+    the flipped closure's error rotation is off SO(3) by as much.
+    """
+    times = np.arange(50) * 0.1
+    poses = lie.make_pose(np.eye(3), np.outer(times, [1.0, 0.0, 0.0]))
+    if not orthonormal:
+        cfg = sim.default_config(seed=4)
+        cfg.passes = 2
+        cfg.pass_length = 20.0
+        poses = sim.degrade(sim.generate_truth(cfg), cfg).poses[-1] @ poses
+    cov = np.diag([np.deg2rad(0.2) ** 2] * 3 + [0.02**2] * 3)
+    closures = [
+        LoopClosureMeasurement(5, 45, lie.se3_inv(poses[5]) @ poses[45], cov),
+        LoopClosureMeasurement(10, 40, lie.se3_inv(poses[10]) @ poses[40] @ YAW_PI, cov),
+    ]
+    return times, poses, closures
 
 
 @pytest.fixture

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from lcsmooth import cli, dataio
+from lcsmooth.trajectory import Trajectory
+
+from conftest import flipped_closure_line
 
 
 SMALL_SIM = {
@@ -92,7 +95,6 @@ class TestCloseloops:
 
     def test_straight_line_gives_empty(self, tmp_path, capsys):
         import lcsmooth.sim as sim
-        from lcsmooth.trajectory import Trajectory
 
         d = tmp_path / "line"
         d.mkdir()
@@ -177,8 +179,6 @@ class TestSmooth:
         # triggers when the trajectory has a dropout around the closure time
         import shutil
 
-        from lcsmooth.trajectory import Trajectory
-
         d, cfg = dataset
         d2 = tmp_path / "d_interp"
         shutil.copytree(d, d2)
@@ -192,6 +192,17 @@ class TestSmooth:
         posterior = dataio.read_trajectory(d2 / "posterior.csv")
         assert len(posterior) == len(pruned) + 1
         assert np.any(np.isclose(posterior.times, t1))
+
+    @pytest.mark.parametrize("orthonormal", [True, False], ids=["exact", "off_so3"])
+    def test_flipped_closure_rejected(self, tmp_path, orthonormal):
+        times, poses, closures = flipped_closure_line(orthonormal)
+        dataio.write_trajectory(tmp_path / "prior.csv", Trajectory(times, poses))
+        dataio.write_loop_closures(tmp_path / "loopclosures.csv", closures, times)
+        assert cli.main(["smooth", "--dataset", str(tmp_path)]) == cli.EXIT_OK
+        report = dataio.read_manifest(tmp_path / "smooth_report.json")
+        assert report["converged"]
+        assert report["loop_weights"][1] < 0.01
+        assert report["loop_weights"][0] > 0.5
 
     def test_solver_failure_writes_best_iterate(self, dataset, tmp_path):
         import shutil

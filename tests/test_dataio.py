@@ -11,23 +11,63 @@ from lcsmooth.trajectory import Trajectory
 from conftest import random_pose
 
 
+def quat_from_rotation_per_row(C):
+    """Shepperd's method one matrix at a time: the reference for the batched form."""
+    q = np.empty((len(C), 4))
+    tr = np.trace(C, axis1=-2, axis2=-1)
+    choice = np.argmax(np.stack([tr, C[:, 0, 0], C[:, 1, 1], C[:, 2, 2]], axis=1), axis=1)
+    for i, (M, c) in enumerate(zip(C, choice)):
+        if c == 0:
+            s = np.sqrt(1.0 + tr[i]) * 2.0
+            q[i] = [0.25 * s, (M[2, 1] - M[1, 2]) / s, (M[0, 2] - M[2, 0]) / s,
+                    (M[1, 0] - M[0, 1]) / s]
+        elif c == 1:
+            s = np.sqrt(1.0 + M[0, 0] - M[1, 1] - M[2, 2]) * 2.0
+            q[i] = [(M[2, 1] - M[1, 2]) / s, 0.25 * s,
+                    (M[0, 1] + M[1, 0]) / s, (M[0, 2] + M[2, 0]) / s]
+        elif c == 2:
+            s = np.sqrt(1.0 - M[0, 0] + M[1, 1] - M[2, 2]) * 2.0
+            q[i] = [(M[0, 2] - M[2, 0]) / s, (M[0, 1] + M[1, 0]) / s,
+                    0.25 * s, (M[1, 2] + M[2, 1]) / s]
+        else:
+            s = np.sqrt(1.0 - M[0, 0] - M[1, 1] + M[2, 2]) * 2.0
+            q[i] = [(M[1, 0] - M[0, 1]) / s, (M[0, 2] + M[2, 0]) / s,
+                    (M[1, 2] + M[2, 1]) / s, 0.25 * s]
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    q[q[:, 0] < 0] *= -1.0
+    return q
+
+
 class TestQuaternions:
+    def test_matches_per_row_reference_bit_for_bit(self, rng):
+        # the trajectory files must not change by a bit: random rotations,
+        # rotations near and at pi, and all of them off SO(3) by ~1e-11
+        axes = rng.normal(size=(3000, 3))
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        angles = np.concatenate([rng.uniform(0.0, np.pi, 2000), np.pi - 10.0 ** -rng.uniform(1, 12, 900)])
+        Cs = np.concatenate([
+            lie.so3_exp(angles[:, None] * axes[:2900]),
+            2.0 * axes[2900:, :, None] * axes[2900:, None, :] - np.eye(3),
+        ])
+        Cs = np.concatenate([Cs, Cs + rng.normal(size=Cs.shape) * 1e-11])
+        assert np.array_equal(lie.quat_from_rotation(Cs), quat_from_rotation_per_row(Cs))
+
     def test_roundtrip_random(self, rng):
         for _ in range(200):
             C = random_pose(rng)[:3, :3]
-            q = dataio.quat_from_rotation(C)
+            q = lie.quat_from_rotation(C)
             assert abs(np.linalg.norm(q) - 1.0) < 1e-12
-            assert np.abs(dataio.rotation_from_quat(q) - C).max() < 1e-12
+            assert np.abs(lie.rotation_from_quat(q) - C).max() < 1e-12
 
     def test_near_pi_rotations(self, rng):
         for axis in (np.eye(3)):
             C = lie.so3_exp((np.pi - 1e-5) * axis)
-            q = dataio.quat_from_rotation(C)
-            assert np.abs(dataio.rotation_from_quat(q) - C).max() < 1e-12
+            q = lie.quat_from_rotation(C)
+            assert np.abs(lie.rotation_from_quat(q) - C).max() < 1e-12
 
     def test_scalar_first_hamilton(self):
         # 90 degrees about z
-        q = dataio.quat_from_rotation(lie.so3_exp(np.array([0, 0, np.pi / 2])))
+        q = lie.quat_from_rotation(lie.so3_exp(np.array([0, 0, np.pi / 2])))
         assert np.allclose(q, [np.cos(np.pi / 4), 0, 0, np.sin(np.pi / 4)])
 
 

@@ -1,4 +1,4 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package and of its tests uses each name it imports."""
 
 import ast
 from pathlib import Path
@@ -10,6 +10,7 @@ import lcsmooth
 PACKAGE = Path(lcsmooth.__file__).parent
 # __init__.py imports names only to re-export them
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source):
@@ -33,6 +34,6 @@ def test_guard_finds_an_unused_import():
     assert unused_imports(source) == [(1, "field"), (2, "json")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []

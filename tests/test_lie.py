@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcsmooth import lie
 
@@ -45,10 +49,27 @@ class TestLog:
         back = lie.se3_log(lie.se3_exp(xis))
         assert np.abs(back - xis).max() <= 1e-9
 
-    def test_branch_error_at_pi(self):
-        C = lie.so3_exp(np.array([np.pi, 0.0, 0.0]))
-        with pytest.raises(lie.BranchAmbiguityError):
-            lie.so3_log(C)
+    def test_roundtrip_at_pi(self, rng):
+        # at exactly pi either sign of the axis is a principal log
+        axes = np.vstack([np.eye(3), [[1.0, 1.0, 0.0], [1.0, 2.0, 3.0]], rng.normal(size=(5, 3))])
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        for a in axes:
+            C = 2.0 * np.outer(a, a) - np.eye(3)
+            # off SO(3) by about 1e-11, as products of degraded poses are
+            E = rng.normal(size=(3, 3))
+            perturbed = C + E * (1e-11 / np.abs(E).max())
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                phi = lie.so3_log(C)
+                phi_perturbed = lie.so3_log(perturbed)
+            assert np.abs(lie.so3_exp(phi) - C).max() <= 1e-12
+            assert abs(np.linalg.norm(phi) - np.pi) <= 1e-12
+            # exp returns a rotation, which cannot reproduce a matrix off
+            # SO(3): allow twice the perturbation
+            R = lie.so3_exp(phi_perturbed)
+            assert np.abs(R - perturbed).max() <= 2e-11
+            assert np.abs(R - C).max() <= 2e-11
+            assert abs(np.linalg.norm(phi_perturbed) - np.pi) <= 1e-10
 
     def test_near_pi_still_accurate(self, rng):
         axis = rng.normal(size=3)
@@ -196,3 +217,54 @@ class TestBatching:
     def test_rotation_validity(self, rng):
         Ts = lie.se3_exp(np.stack([random_twist(rng) for _ in range(100)]))
         assert lie.is_rotation(Ts[:, :3, :3], tol=1e-9)
+
+
+def unit(v):
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
+
+
+AXES = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 0.1)
+ANGLE_BANDS = {
+    "near_zero": (1e-9, 1e-3),
+    "middle": (1e-3, np.pi - 1e-3),
+    "near_pi": (np.pi - 1e-3, np.pi),
+}
+
+
+class TestProperties:
+    @pytest.mark.parametrize("band", ANGLE_BANDS, ids=list(ANGLE_BANDS))
+    @settings(deadline=None, database=None)
+    @given(data=st.data(), axis=AXES)
+    def test_so3_roundtrip(self, band, data, axis):
+        angle = data.draw(st.floats(*ANGLE_BANDS[band]))
+        phi = angle * unit(axis)
+        C = lie.so3_exp(phi)
+        back = lie.so3_log(C)
+        assert np.abs(lie.so3_exp(back) - C).max() <= 1e-12
+        assert abs(np.linalg.norm(back) - angle) <= 1e-12 * angle
+        if angle < np.pi - 1e-9:  # short of pi the principal log is unique
+            assert np.abs(back - phi).max() <= 1e-12 * angle
+
+    @settings(deadline=None, database=None)
+    @given(axis=AXES, angle=st.floats(0.0, np.pi))
+    def test_quaternion_roundtrip(self, axis, angle):
+        C = lie.so3_exp(angle * unit(axis))
+        q = lie.quat_from_rotation(C)
+        assert abs(np.linalg.norm(q) - 1.0) <= 1e-12
+        assert q[0] >= 0.0
+        assert np.abs(lie.rotation_from_quat(q) - C).max() <= 1e-12
+
+    @settings(deadline=None, database=None)
+    @given(st.lists(st.tuples(AXES, st.floats(0.0, np.pi)), min_size=1, max_size=12))
+    def test_batched_equals_per_matrix(self, rotations):
+        a = unit(rotations[0][0])
+        at_pi = 2.0 * np.outer(a, a) - np.eye(3)
+        Cs = np.stack([lie.so3_exp(angle * unit(axis)) for axis, angle in rotations] + [at_pi])
+        qs = lie.quat_from_rotation(Cs[:, None])[:, 0]  # two batch dimensions
+        phis = lie.so3_log(Cs)
+        Rs = lie.rotation_from_quat(qs)
+        for C, q, phi, R in zip(Cs, qs, phis, Rs):
+            assert np.array_equal(lie.quat_from_rotation(C), q)
+            assert np.array_equal(lie.so3_log(C), phi)
+            assert np.array_equal(lie.rotation_from_quat(q), R)

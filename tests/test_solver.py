@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from lcsmooth import factors, lie, solver, wnoa
 from lcsmooth.wnoa import WnoaPsd
 
-from conftest import random_pose
+from conftest import flipped_closure_line, random_pose
 
 PSD = WnoaPsd(1e-2, 1e-4)
 R_REL = np.diag([1e-5**2] * 3 + [1e-3**2] * 3)
@@ -337,6 +337,15 @@ class TestSolve:
         post, report = solver.solve(g, solver.SolverConfig())
         assert report.loop_weights[1] < 1e-4
         assert report.loop_weights[0] > 0.9
+
+    @pytest.mark.parametrize("orthonormal", [True, False], ids=["exact", "off_so3"])
+    def test_flipped_closure_rejected(self, orthonormal):
+        times, poses, closures = flipped_closure_line(orthonormal)
+        g = solver.build_graph(times, poses, closures, PSD, R_REL, R_OBS)
+        _, report = solver.solve(g, solver.SolverConfig())
+        assert report.converged
+        assert report.loop_weights[1] < 0.01
+        assert report.loop_weights[0] > 0.5
 
     def test_determinism(self, rng):
         g1 = small_graph(rng, n=6, loops=((0, 5),), perturb=0.02)
