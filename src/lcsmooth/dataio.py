@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import lie
-from .factors import LoopClosureMeasurement
+from .factors import LoopClosureMeasurement, NonFiniteInputError
 from .frontend import LaserProfile
 from .trajectory import Trajectory
 
@@ -37,10 +37,7 @@ def write_trajectory(path, trajectory: Trajectory):
 
 
 def read_trajectory(path) -> Trajectory:
-    try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except ValueError as exc:
-        raise ValueError(f"{path}: malformed trajectory CSV: {exc}") from exc
+    data = _load_csv(path, "trajectory")
     if data.shape[1] != 8:
         raise ValueError(f"{path}: expected 8 columns, found {data.shape[1]}")
     C = lie.rotation_from_quat(data[:, 4:8])
@@ -64,6 +61,12 @@ def write_profiles(path, profiles):
 
 
 def _load_csv(path, what):
+    """The data rows below the header line, as floats.
+
+    Raises ValueError on a malformed file and NonFiniteInputError, naming
+    the file and the first data row (counted from 1 below the header), on a
+    NaN or infinite value.
+    """
     with open(path) as f:
         f.readline()  # header
         header_only = not f.read(1)
@@ -71,9 +74,14 @@ def _load_csv(path, what):
     if header_only:
         return np.zeros((0, 0))
     try:
-        return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as exc:
         raise ValueError(f"{path}: malformed {what} CSV: {exc}") from exc
+    bad = ~np.all(np.isfinite(data), axis=1)
+    if np.any(bad):
+        row = int(np.argmax(bad)) + 1
+        raise NonFiniteInputError(f"{path}: data row {row} holds a non-finite value", row)
+    return data
 
 
 def read_profiles(path):

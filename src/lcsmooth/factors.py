@@ -60,6 +60,15 @@ class LoopClosureMeasurement:
         require_spd(self.cov, "loop closure covariance")
 
 
+class NonFiniteInputError(ValueError):
+    """Input holding NaN or infinity; ``index`` is the first offending data
+    row, node or loop closure, as the message names it."""
+
+    def __init__(self, message, index):
+        super().__init__(message)
+        self.index = index
+
+
 def require_spd(M, name):
     M = np.asarray(M, dtype=float)
     if not np.allclose(M, M.T, atol=1e-9):

@@ -30,7 +30,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from . import factors, lie
-from .factors import LoopClosureMeasurement, PriorBelief, require_spd
+from .factors import LoopClosureMeasurement, NonFiniteInputError, PriorBelief, require_spd
 from .wnoa import WnoaPsd, process_weight
 
 
@@ -115,17 +115,29 @@ class FactorGraph:
         return replace(self, poses=self.poses.copy(), varpis=self.varpis.copy())
 
     def validate(self):
+        """Raise ValueError on an inconsistent graph; NonFiniteInputError,
+        naming the node or loop closure, on a NaN or infinite input."""
         if self.num_nodes < 1:
             raise ValueError("graph needs at least one node")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("timestamps must be strictly increasing")
         if self.poses.shape != (self.num_nodes, 4, 4):
             raise ValueError("poses shape mismatch")
         if self.varpis.shape != (self.num_nodes, 6):
             raise ValueError("varpis shape mismatch")
+        for what, values in (("time", self.times), ("pose", self.poses),
+                             ("velocity", self.varpis)):
+            bad = ~np.all(np.isfinite(values.reshape(self.num_nodes, -1)), axis=1)
+            if np.any(bad):
+                k = int(np.argmax(bad))
+                raise NonFiniteInputError(f"node {k}: non-finite {what}", k)
+        if np.any(np.diff(self.times) <= 0):
+            raise ValueError("timestamps must be strictly increasing")
         require_spd(self.r_rel, "relative-pose covariance")
         require_spd(self.r_obs, "observable covariance")
         for i, m in enumerate(self.loop_closures):
+            if not (np.all(np.isfinite(m.xi_meas)) and np.all(np.isfinite(m.cov))):
+                raise NonFiniteInputError(
+                    f"loop closure {i}: non-finite relative pose or covariance", i
+                )
             if not (0 <= m.idx_l1 < m.idx_l2 < self.num_nodes):
                 raise ValueError(f"loop closure {i} references invalid nodes")
             require_spd(m.cov, f"loop closure {i} covariance")

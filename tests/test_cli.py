@@ -1,7 +1,13 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lcsmooth import cli, dataio
+from lcsmooth import cli, dataio, lie
+from lcsmooth.factors import LoopClosureMeasurement
 from lcsmooth.trajectory import Trajectory
 
 from conftest import flipped_closure_line
@@ -35,6 +41,32 @@ def dataset(tmp_path_factory):
     assert cli.main(["simulate", "--out", str(root / "d"), "--config", cfg]) == 0
     assert cli.main(["closeloops", "--dataset", str(root / "d"), "--config", cfg]) == 0
     return root / "d", cfg
+
+
+def smooth_flipped_line(directory, offset=0.0):
+    """`lcsmooth smooth` on ``flipped_closure_line`` with every node and
+    closure time shifted by ``offset`` seconds: (posterior poses, loop
+    weights, iterations).
+
+    The consistent closure is perturbed by about one standard deviation, so
+    that the posterior moves away from the prior.
+    """
+    times, poses, closures = flipped_closure_line(orthonormal=True)
+    good = closures[0]
+    nudge = lie.se3_exp(np.array([0.002, -0.001, 0.003, 0.02, -0.01, 0.015]))
+    closures[0] = LoopClosureMeasurement(good.idx_l1, good.idx_l2, good.xi_meas @ nudge, good.cov)
+    times = times + offset
+    dataio.write_trajectory(directory / "prior.csv", Trajectory(times, poses))
+    dataio.write_loop_closures(directory / "loopclosures.csv", closures, times)
+    assert cli.main(["smooth", "--dataset", str(directory)]) == cli.EXIT_OK
+    report = dataio.read_manifest(directory / "smooth_report.json")
+    posterior = dataio.read_trajectory(directory / "posterior.csv")
+    return posterior.poses, np.array(report["loop_weights"]), report["iterations"]
+
+
+@pytest.fixture(scope="module")
+def flipped_line_posterior(tmp_path_factory):
+    return smooth_flipped_line(tmp_path_factory.mktemp("flipped"))
 
 
 class TestSimulate:
@@ -203,6 +235,32 @@ class TestSmooth:
         assert report["converged"]
         assert report["loop_weights"][1] < 0.01
         assert report["loop_weights"][0] > 0.5
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(offset=st.floats(-1e4, 1e4))
+    def test_posterior_invariant_to_time_offset(self, flipped_line_posterior, offset):
+        # the motion prior sees only the time differences
+        with tempfile.TemporaryDirectory() as d:
+            poses, weights, iterations = smooth_flipped_line(Path(d), offset)
+        base_poses, base_weights, base_iterations = flipped_line_posterior
+        assert iterations == base_iterations
+        assert np.abs(poses - base_poses).max() <= 1e-9
+        assert np.abs(weights - base_weights).max() <= 1e-9
+
+    def test_non_finite_prior_rejected(self, tmp_path, capsys):
+        times, poses, closures = flipped_closure_line(orthonormal=True)
+        dataio.write_trajectory(tmp_path / "prior.csv", Trajectory(times, poses))
+        dataio.write_loop_closures(tmp_path / "loopclosures.csv", closures, times)
+        lines = (tmp_path / "prior.csv").read_text().splitlines()
+        fields = lines[7].split(",")
+        fields[1] = "nan"
+        lines[7] = ",".join(fields)
+        (tmp_path / "prior.csv").write_text("\n".join(lines) + "\n")
+        assert cli.main(["smooth", "--dataset", str(tmp_path)]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'prior.csv'}: data row 7" in err
+        assert not (tmp_path / "posterior.csv").exists()
+        assert not (tmp_path / "smooth_report.json").exists()
 
     def test_solver_failure_writes_best_iterate(self, dataset, tmp_path):
         import shutil

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lcsmooth import dataio, frontend, lie
-from lcsmooth.factors import LoopClosureMeasurement
+from lcsmooth.factors import LoopClosureMeasurement, NonFiniteInputError
 from lcsmooth.trajectory import Trajectory
 
 from conftest import random_pose
@@ -89,6 +89,20 @@ class TestTrajectoryCsv:
         with pytest.raises(ValueError, match="malformed|columns"):
             dataio.read_trajectory(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_rejected(self, rng, tmp_path, value):
+        path = tmp_path / "traj.csv"
+        poses = np.stack([random_pose(rng) for _ in range(6)])
+        dataio.write_trajectory(path, Trajectory(np.arange(6) * 0.1, poses))
+        lines = path.read_text().splitlines()
+        fields = lines[4].split(",")
+        fields[2] = value
+        lines[4] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(NonFiniteInputError, match=f"{re.escape(str(path))}: data row 4") as info:
+            dataio.read_trajectory(path)
+        assert info.value.index == 4
+
 
 class TestProfilesCsv:
     def test_roundtrip(self, rng, tmp_path):
@@ -150,6 +164,20 @@ class TestLoopClosureCsv:
         path.write_text(path.read_text() + "0.0,5.0,nope\n")
         expect = f"{re.escape(str(path))}: malformed loop-closure CSV"
         with pytest.raises(ValueError, match=expect):
+            dataio.read_loop_closures(path, times)
+
+    def test_non_finite_rejected(self, rng, tmp_path):
+        times = np.arange(10) * 1.0
+        meas = [
+            LoopClosureMeasurement(0, 5, random_pose(rng), np.eye(6) * 1e-4),
+            LoopClosureMeasurement(2, 7, random_pose(rng), np.eye(6) * 1e-4),
+        ]
+        path = tmp_path / "lc.csv"
+        dataio.write_loop_closures(path, meas, times)
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] + ",nan"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(NonFiniteInputError, match=f"{re.escape(str(path))}: data row 2"):
             dataio.read_loop_closures(path, times)
 
     def test_unresolvable_time_raises(self, rng, tmp_path):

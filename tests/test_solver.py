@@ -405,6 +405,25 @@ class TestSolve:
         with pytest.raises(ValueError, match="strictly increasing"):
             g.validate()
 
+    @pytest.mark.parametrize("field", ["times", "poses", "varpis"])
+    def test_validation_rejects_non_finite_node(self, rng, field):
+        g = small_graph(rng, n=6)
+        values = getattr(g, field).copy()
+        values.reshape(len(values), -1)[3, -1] = np.nan
+        setattr(g, field, values)
+        with pytest.raises(factors.NonFiniteInputError, match="node 3") as info:
+            g.validate()
+        assert info.value.index == 3
+
+    @pytest.mark.parametrize("field", ["xi_meas", "cov"])
+    def test_validation_rejects_non_finite_closure(self, rng, field):
+        g = small_graph(rng, n=6, loops=((0, 5), (1, 4)))
+        # the measurement's own constructor rejects a non-finite covariance,
+        # so the value is written into the array after construction
+        getattr(g.loop_closures[1], field)[0, 0] = np.inf
+        with pytest.raises(factors.NonFiniteInputError, match="loop closure 1"):
+            g.validate()
+
     def test_validation_rejects_bad_loop_index(self, rng):
         g = small_graph(rng)
         g.loop_closures.append(

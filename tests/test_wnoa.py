@@ -158,6 +158,36 @@ class TestProcessWeight:
         Q = wnoa.discretize_q(v, psd, 0.1)
         assert np.abs(W @ Q - np.eye(12)).max() < 1e-6
 
+    @pytest.mark.parametrize("dt", [0.05, 0.1, 1.0])
+    def test_closed_form_at_zero_velocity(self, psd, dt):
+        # the series is exact at varpi = 0, where Q^-1 has the closed form
+        # [[12/dt^3, 6/dt^2], [6/dt^2, 4/dt]] (x) Q_c^-1
+        W = wnoa.process_weight(np.zeros(6), psd, dt)
+        expected = np.kron(
+            [[12.0 / dt**3, 6.0 / dt**2], [6.0 / dt**2, 4.0 / dt]],
+            np.linalg.inv(psd.matrix()),
+        )
+        assert np.all(np.abs(W - expected) <= 1e-14 * np.abs(expected))
+
+    def test_inverts_q_expansion(self, psd, rng):
+        for _ in range(50):
+            v = rng.normal(size=6) * 0.5
+            dt = rng.uniform(0.01, 0.2)
+            W = wnoa.process_weight(v, psd, dt)
+            assert np.abs(W @ wnoa.q_expansion(v, psd, dt) - np.eye(12)).max() <= 1e-12
+
+    def test_batched_matches_per_edge(self, psd, rng):
+        vs = rng.normal(size=(20, 6)) * 0.5
+        dts = rng.uniform(0.05, 0.2, size=20)
+        # one edge outside the regime takes the spectrum floor; the others
+        # must keep their Cholesky weights
+        vs[7], dts[7] = [0, 0, 3.0, 5.0, 0, 0], 1.0
+        Ws = wnoa.process_weight(vs, psd, dts)
+        for i in range(20):
+            assert np.array_equal(Ws[i], wnoa.process_weight(vs[i], psd, dts[i]))
+
     def test_finite_outside_regime(self, psd):
         W = wnoa.process_weight(np.array([0, 0, 3.0, 5.0, 0, 0]), psd, 1.0)
         assert np.all(np.isfinite(W))
+        assert np.abs(W - W.T).max() <= 1e-14 * np.abs(W).max()
+        assert np.linalg.eigvalsh(W).min() > 0.0
