@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -23,6 +24,25 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 EXIT_IO = 4
+
+_BOOLEANS = {"true": True, "1": True, "yes": True, "on": True,
+             "false": False, "0": False, "no": False, "off": False}
+
+
+def _parse_value(key, raw, default):
+    """``raw`` read as the type of ``default``; a ValueError names ``key``."""
+    try:
+        if isinstance(default, bool):
+            return _BOOLEANS[raw.lower()]
+        if isinstance(default, int):
+            return int(raw)
+        value = float(raw)
+    except (KeyError, ValueError):
+        kind = type(default).__name__
+        raise ValueError(f"configuration key '{key}': '{raw}' is not a valid {kind}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"configuration key '{key}' must be finite, got '{raw}'")
+    return value
 
 
 @dataclass
@@ -115,13 +135,7 @@ class PipelineConfig:
             f = known.get(key)
             if f is None:
                 raise ValueError(f"unknown configuration key '{key}'")
-            if f.type == "bool" or isinstance(getattr(cfg, f.name), bool):
-                val = raw.lower() in ("1", "true", "yes", "on")
-            elif isinstance(getattr(cfg, f.name), int):
-                val = int(raw)
-            else:
-                val = float(raw)
-            setattr(cfg, f.name, val)
+            setattr(cfg, f.name, _parse_value(key, raw, getattr(cfg, f.name)))
         cfg.validate()
         return cfg
 

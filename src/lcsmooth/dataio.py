@@ -1,4 +1,4 @@
-"""File formats: trajectory/profile/loop-closure CSV, PLY clouds, flat config.
+"""File formats: trajectory/profile/loop-closure CSV, flat config, manifest.
 
 Rotations are stored as unit quaternions (Hamilton convention, scalar first;
 ``lie`` converts them) only at this boundary; everything in memory is
@@ -159,51 +159,6 @@ def read_loop_closures(path, times):
 
 
 # ---------------------------------------------------------------------------
-# ASCII PLY point clouds: x y z [nx ny nz]
-
-
-def write_ply(path, points, normals=None):
-    points = np.asarray(points, dtype=float).reshape(-1, 3)
-    with open(path, "w") as f:
-        f.write("ply\nformat ascii 1.0\n")
-        f.write(f"element vertex {len(points)}\n")
-        f.write("property double x\nproperty double y\nproperty double z\n")
-        if normals is not None:
-            f.write(
-                "property double nx\nproperty double ny\nproperty double nz\n"
-            )
-        f.write("end_header\n")
-        data = points if normals is None else np.hstack([points, normals])
-        np.savetxt(f, data, fmt=_FMT)
-
-
-def read_ply(path):
-    """Read an ASCII PLY; returns (points, normals or None)."""
-    with open(path) as f:
-        if f.readline().strip() != "ply":
-            raise ValueError(f"{path}: not a PLY file")
-        n_vertex = None
-        props = []
-        for line in f:
-            tok = line.split()
-            if tok[0] == "element" and tok[1] == "vertex":
-                n_vertex = int(tok[2])
-            elif tok[0] == "property":
-                props.append(tok[2])
-            elif tok[0] == "format" and tok[1] != "ascii":
-                raise ValueError(f"{path}: only ASCII PLY is supported")
-            elif tok[0] == "end_header":
-                break
-        if n_vertex is None:
-            raise ValueError(f"{path}: missing vertex element")
-        data = np.loadtxt(f, max_rows=n_vertex, ndmin=2) if n_vertex else np.zeros((0, len(props)))
-    has_normals = props[:6] == ["x", "y", "z", "nx", "ny", "nz"]
-    points = data[:, :3]
-    normals = data[:, 3:6] if has_normals else None
-    return points, normals
-
-
-# ---------------------------------------------------------------------------
 # Flat key-value configuration and the dataset manifest
 
 
@@ -238,6 +193,3 @@ def config_hash(values):
 def write_manifest(path, manifest):
     Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
-
-def read_manifest(path):
-    return json.loads(Path(path).read_text())

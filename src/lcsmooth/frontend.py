@@ -17,6 +17,9 @@ from . import lie
 from .factors import LoopClosureMeasurement
 from .trajectory import Trajectory
 
+FRMSD_STEP = 0.05  # step of the FRMSD inlier-fraction grid
+DIVERGENCE_LIMIT = 3  # ICP fails after this many worsening iterations in a row
+
 
 class InsufficientOverlapError(RuntimeError):
     """Too few points in the requested submap region."""
@@ -45,7 +48,6 @@ class LaserProfile:
 class PointCloud:
     points: np.ndarray
     times: np.ndarray | None = None
-    frame: str = "world"
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
@@ -66,9 +68,6 @@ class Submap:
     normals: np.ndarray | None = None
     variation: np.ndarray | None = None
     normal_valid: np.ndarray | None = None
-    frame: str = "body"
-    anchor_index: int = -1
-    anchor_time: float = np.nan
 
     def __len__(self):
         return len(self.points)
@@ -93,13 +92,6 @@ class IcpParams:
     trans_tol: float = 1e-3
     frmsd_lambda: float = 0.95
     min_inlier_fraction: float = 0.2
-    frmsd_step: float = 0.05
-    divergence_limit: int = 3
-    sigma_point: float | None = None  # default: voxel_cell / 2
-
-    @property
-    def point_sigma(self):
-        return self.sigma_point if self.sigma_point is not None else self.voxel_cell / 2.0
 
 
 @dataclass
@@ -193,25 +185,14 @@ def extract_submap(
     pass rather than a mixture.
     """
     anchor_pose = np.asarray(anchor_pose, dtype=float)
-    d_xy = np.linalg.norm(cloud.points[:, :2] - anchor_pose[:2, 3], axis=1)
-    mask = d_xy <= delta_r_star
-    if anchor_time is not None and time_window is not None:
-        if cloud.times is None:
-            raise ValueError("cloud has no per-point times for time gating")
-        mask &= np.abs(cloud.times - anchor_time) <= time_window
-    if int(mask.sum()) < min_points:
+    crop = crop_world(cloud, anchor_pose[:2, 3], delta_r_star, anchor_time, time_window)
+    if len(crop) < min_points:
         raise InsufficientOverlapError(
-            f"submap at anchor {anchor_index} has {int(mask.sum())} points "
+            f"submap at anchor {anchor_index} has {len(crop)} points "
             f"(minimum {min_points})"
         )
-    pts = cloud.points[mask]
     inv = lie.se3_inv(anchor_pose)
-    body = pts @ inv[:3, :3].T + inv[:3, 3]
-    return Submap(
-        points=body,
-        anchor_index=anchor_index,
-        anchor_time=np.nan if anchor_time is None else float(anchor_time),
-    )
+    return Submap(points=crop.points @ inv[:3, :3].T + inv[:3, 3])
 
 
 def voxel_downsample(points, cell):
@@ -269,7 +250,7 @@ def _frmsd_select(distances, params):
     order = np.argsort(distances, kind="stable")
     d_sorted = distances[order]
     cum = np.cumsum(d_sorted**2)
-    fractions = np.arange(params.min_inlier_fraction, 1.0 + 1e-9, params.frmsd_step)
+    fractions = np.arange(params.min_inlier_fraction, 1.0 + 1e-9, FRMSD_STEP)
     best = None
     for f in fractions:
         m = max(1, int(np.floor(f * n)))
@@ -328,7 +309,7 @@ def icp_align(source: Submap, target: Submap, init=None, params: IcpParams | Non
     then one safeguarded Gauss-Newton update of the pose.  Terminates when
     the pose differential drops below (rot_tol, trans_tol) or at the
     iteration cap.  Raises AlignmentFailureError when the robust alignment
-    error grows for ``divergence_limit`` consecutive iterations or the
+    error grows for ``DIVERGENCE_LIMIT`` consecutive iterations or the
     inlier set collapses.
     """
     if params is None:
@@ -339,7 +320,7 @@ def icp_align(source: Submap, target: Submap, init=None, params: IcpParams | Non
         raise AlignmentFailureError("too few points to align")
     T = np.eye(4) if init is None else np.asarray(init, dtype=float).copy()
     tree = cKDTree(target.points)
-    sigma = params.point_sigma
+    sigma = params.voxel_cell / 2.0  # point position sigma: half a voxel
     report = IcpReport(0, False, 0.0, np.inf, np.inf, 0)
     prev_score = np.inf
     diverging = 0
@@ -354,7 +335,7 @@ def icp_align(source: Submap, target: Submap, init=None, params: IcpParams | Non
             )
         if score >= prev_score:
             diverging += 1
-            if diverging >= params.divergence_limit:
+            if diverging >= DIVERGENCE_LIMIT:
                 raise AlignmentFailureError(
                     f"alignment error increased {diverging} iterations in a row"
                 )
@@ -455,5 +436,4 @@ def crop_world(cloud: PointCloud, center_xy, radius, t_center=None, window=None)
     return PointCloud(
         cloud.points[mask],
         None if cloud.times is None else cloud.times[mask],
-        cloud.frame,
     )

@@ -53,33 +53,6 @@ def skew(v):
     return S
 
 
-def unskew(S):
-    """Inverse of :func:`skew`; uses the antisymmetric part of the input."""
-    S = np.asarray(S, dtype=float)
-    return 0.5 * np.stack(
-        [
-            S[..., 2, 1] - S[..., 1, 2],
-            S[..., 0, 2] - S[..., 2, 0],
-            S[..., 1, 0] - S[..., 0, 1],
-        ],
-        axis=-1,
-    )
-
-
-def se3_wedge(xi):
-    """Map (...,6) twists (phi, rho) to (...,4,4) Lie algebra matrices."""
-    xi = np.asarray(xi, dtype=float)
-    X = np.zeros(xi.shape[:-1] + (4, 4))
-    X[..., :3, :3] = skew(xi[..., :3])
-    X[..., :3, 3] = xi[..., 3:]
-    return X
-
-
-def se3_vee(X):
-    X = np.asarray(X, dtype=float)
-    return np.concatenate([unskew(X[..., :3, :3]), X[..., :3, 3]], axis=-1)
-
-
 def _angle(phi):
     return np.linalg.norm(phi, axis=-1)
 
@@ -394,8 +367,3 @@ def interpolate(Ti, Tk, alpha):
     xi = se3_log(se3_inv(Ti) @ Tk)
     return Ti @ se3_exp(alpha[..., None] * xi)
 
-
-def is_rotation(C, tol=1e-9):
-    C = np.asarray(C, dtype=float)
-    ortho = np.abs(C @ np.swapaxes(C, -1, -2) - np.eye(3)).max() <= tol
-    return bool(ortho and np.abs(np.linalg.det(C) - 1.0).max() <= tol)

@@ -7,8 +7,8 @@ and one factor per loop-closure measurement.  Each factor type is evaluated
 in one call to its batched function in :mod:`lcsmooth.factors`; the solver
 attaches the weights (process noise, measurement-noise folds, robust
 loop-closure weights) and keeps one uniform record per type, from which the
-objective, the normal equations and the sparse reference assembly are all
-built.  The trial objective of a step evaluates errors only.
+objective and the normal equations are built.  The trial objective of a step
+evaluates errors only.
 
 The normal equations exploit the structure in node order: the chain part is
 block-tridiagonal, and each loop closure adds a PSD rank-6 term on its two
@@ -27,11 +27,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
 from . import factors, lie
 from .factors import LoopClosureMeasurement, NonFiniteInputError, PriorBelief, require_spd
 from .wnoa import WnoaPsd, process_weight
+
+# Levenberg-Marquardt damping above which the solver gives up
+MAX_DAMPING = 1e8
 
 
 class SolverFailureError(RuntimeError):
@@ -56,8 +58,6 @@ class SolverConfig:
     sigma_phi_out: float = np.deg2rad(1.0)
     sigma_rho_out: float = 1.0
     damping: float = 0.0  # initial LM lambda; 0 = pure Gauss-Newton
-    max_damping: float = 1e8
-    fix_first_node: bool = False
 
     def __post_init__(self):
         if self.step_tolerance <= 0 or self.max_iterations < 1:
@@ -73,7 +73,8 @@ class SolveReport:
     ``objective_trace`` holds the objective at each iterate with that
     iterate's refreshed weights; ``step_objectives`` holds, per accepted
     step, the (before, after) values under the weights the step was
-    computed with, which the solver guarantees to be non-increasing.
+    computed with, which the solver guarantees to be non-increasing, up to
+    rounding on a final undamped step below the step tolerance.
     """
 
     iterations: int
@@ -320,64 +321,6 @@ def _quadratic(terms, errors=None):
     )
 
 
-def objective(graph: FactorGraph, config: SolverConfig):
-    """Objective with weights evaluated at the graph's current states.
-
-    Process-noise and measurement-fold weights are those of the current
-    linearization point, and loop-closure factors carry their robust weight
-    when enabled.  Returns the objective value and the loop weights.
-    """
-    terms, w_loop = _linearize_robust(graph, config)
-    return _quadratic(terms), w_loop
-
-
-# ---------------------------------------------------------------------------
-# Sparse assembly
-
-
-def _block_coo(data_blocks, row0, col0):
-    """COO triplets for stacked (M, a, b) blocks at given row/col offsets."""
-    m, a, b = data_blocks.shape
-    rows = np.broadcast_to(
-        (row0[:, None, None] + np.arange(a)[None, :, None]), (m, a, b)
-    )
-    cols = np.broadcast_to(
-        (col0[:, None, None] + np.arange(b)[None, None, :]), (m, a, b)
-    )
-    return np.ascontiguousarray(data_blocks).ravel(), rows.ravel(), cols.ravel()
-
-
-def _coo_matrix(parts, shape):
-    data, rows, cols = (np.concatenate(p) for p in zip(*parts))
-    return sp.coo_matrix((data, (rows, cols)), shape=shape).tocsr()
-
-
-def assemble(graph: FactorGraph, robust_weights=None):
-    """Stacked error vector, block-sparse Jacobian, and block-diagonal weight.
-
-    Block-row ordering: prior, WNOA (k = 1..K), loop closures, relative pose,
-    observable states.  Pose-only factor blocks occupy the first six columns
-    of their node's 12-wide block.  ``robust_weights`` scales the
-    loop-closure weight blocks when given.
-    """
-    graph.validate()
-    terms = _linearize(graph)
-    if robust_weights is not None:
-        terms = _with_loop_weights(terms, robust_weights)
-    err_parts, gamma_parts, w_parts = [], [], []
-    row = 0
-    for f in terms.values():
-        m, d = f.e.shape
-        r0 = row + d * np.arange(m)
-        err_parts.append(f.e.ravel())
-        for J, nodes in f.slots():
-            gamma_parts.append(_block_coo(J, r0, 12 * nodes))
-        w_parts.append(_block_coo(f.W, r0, r0))
-        row += d * m
-    gamma = _coo_matrix(gamma_parts, (row, 12 * graph.num_nodes))
-    return np.concatenate(err_parts), gamma, _coo_matrix(w_parts, (row, row))
-
-
 def _normal_equations(terms, n):
     """Normal equations of the damped Gauss-Newton step, in structured form.
 
@@ -458,7 +401,7 @@ def update_states(graph: FactorGraph, delta_x) -> FactorGraph:
     return out
 
 
-def _solve_normal(Hdiag, Hoff, loop_idx, V, g, lam, fix_first_node):
+def _solve_normal(Hdiag, Hoff, loop_idx, V, g, lam):
     """Solve (A + sum_l u_l u_l^T) delta = -g on a Schur complement over K.
 
     A is the damped block-tridiagonal chain matrix and K the sorted closure
@@ -476,18 +419,11 @@ def _solve_normal(Hdiag, Hoff, loop_idx, V, g, lam, fix_first_node):
     n x L is formed.  Raises RuntimeError when A_II or S_K is not positive
     definite, which happens exactly when A is not.
     """
-    first = 1 if fix_first_node else 0
-    Hd = Hdiag[first:] + lam * np.eye(12)
-    Ho = Hoff[first:]
-    r = -g.reshape(-1, 12)[first:]
+    Hd = Hdiag + lam * np.eye(12)
+    r = -g.reshape(-1, 12)
     N = len(Hd)
-    idx = loop_idx - first
-    # a closure side on the fixed first node drops out: zero block, other node
-    anchored = idx < 0
-    V = np.where(anchored[..., None, None], 0.0, V)
-    idx = np.where(anchored, idx[:, ::-1], idx)
-    K, pos = np.unique(idx, return_inverse=True)
-    pos = pos.reshape(idx.shape)
+    K, pos = np.unique(loop_idx, return_inverse=True)
+    pos = pos.reshape(loop_idx.shape)
     m, L = len(K), len(V)
 
     # interior matrix A_II: identity on K, chain couplings at K cut
@@ -496,13 +432,13 @@ def _solve_normal(Hdiag, Hoff, loop_idx, V, g, lam, fix_first_node):
     isK[K + 1] = True
     Hd_I = Hd.copy()
     Hd_I[K] = np.eye(12)
-    Ho_I = np.where((isK[1:-2] | isK[2:-1])[:, None, None], 0.0, Ho)
+    Ho_I = np.where((isK[1:-2] | isK[2:-1])[:, None, None], 0.0, Hoff)
     cb = _cholesky_banded(Hd_I, Ho_I, "interior chain matrix")
     if not m:
         delta = _cho_solve(cb, r)
     else:
         # A[k-1, k] = Hp[k] and A[k, k+1] = Hp[k+1], zero past both ends
-        Hp = np.concatenate([np.zeros((1, 12, 12)), Ho, np.zeros((1, 12, 12))])
+        Hp = np.concatenate([np.zeros((1, 12, 12)), Hoff, np.zeros((1, 12, 12))])
         prev_c, next_c = Hp[K], Hp[K + 1]
         prev_t, next_t = np.swapaxes(prev_c, -1, -2), np.swapaxes(next_c, -1, -2)
         left = ~isK[K + 2]  # node k+1 is interior, the left end of a segment
@@ -539,7 +475,7 @@ def _solve_normal(Hdiag, Hoff, loop_idx, V, g, lam, fix_first_node):
         r_I[K[right] - 1] -= (prev_c[right] @ d_K[right, :, None])[..., 0]
         delta = _cho_solve(cb, r_I)
         delta[K] = d_K
-    delta = np.concatenate([np.zeros(12 * first), delta.ravel()])
+    delta = delta.ravel()
     if not np.all(np.isfinite(delta)):
         raise RuntimeError("non-finite normal-equation solution")
     return delta
@@ -551,7 +487,8 @@ def solve(graph: FactorGraph, config: SolverConfig | None = None):
     Weights (process-noise discretization, measurement folds, robust
     loop-closure weights) are refreshed at each iteration's linearization
     point and held fixed while the step is evaluated.  A trial step is
-    accepted only if the fixed-weight objective does not increase; otherwise
+    accepted only if the fixed-weight objective does not increase, or if it
+    is an undamped step below the step tolerance; otherwise
     the damping factor escalates by 10x up to the cap, after which the best
     iterate so far is returned with ``converged=False``.  If the normal
     equations stay unsolvable up to the cap, SolverFailureError is raised
@@ -577,10 +514,10 @@ def solve(graph: FactorGraph, config: SolverConfig | None = None):
         accepted = False
         while True:
             try:
-                delta = _solve_normal(*normal, lam, config.fix_first_node)
+                delta = _solve_normal(*normal, lam)
             except RuntimeError:
                 lam = lam * 10.0 if lam > 0 else 1e-6
-                if lam > config.max_damping:
+                if lam > MAX_DAMPING:
                     failure = (
                         "normal equations singular at maximum damping "
                         f"({cur.num_nodes} nodes, "
@@ -590,11 +527,16 @@ def solve(graph: FactorGraph, config: SolverConfig | None = None):
                 continue
             trial = update_states(cur, delta)
             j_trial = _quadratic(terms, _linearize(trial, jacobians=False))
-            if j_trial <= j_base * (1.0 + 1e-12) + 1e-15:
+            # an undamped step below the tolerance is taken even where the
+            # objective's rounding noise (it grows with the distance from the
+            # origin) hides its decrease: the iterate is already stationary
+            if j_trial <= j_base * (1.0 + 1e-12) + 1e-15 or (
+                lam == 0 and np.max(np.abs(delta)) < config.step_tolerance
+            ):
                 accepted = True
                 break
             lam = lam * 10.0 if lam > 0 else 1e-6
-            if lam > config.max_damping:
+            if lam > MAX_DAMPING:
                 break
         if not accepted:
             message = failure or "damping limit reached without objective decrease"

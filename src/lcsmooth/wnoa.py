@@ -1,8 +1,8 @@
 """White-noise-on-acceleration motion prior.
 
-Continuous-time error kinematics, their discrete transition matrix, and the
-fourth-order series discretization of the process noise covariance and of its
-inverse, both in closed 6 x 6 block form.  State-error vectors are ordered
+The process noise covariance Q of the constant-velocity error kinematics, from
+its fourth-order series, and its inverse, the process-noise weight, both in
+closed 6 x 6 block form.  State-error vectors are ordered
 (delta_xi, delta_varpi), each block rotation-first.
 """
 
@@ -31,32 +31,6 @@ class WnoaPsd:
 
     def matrix(self):
         return np.diag([self.q_omega] * 3 + [self.q_nu] * 3)
-
-
-def error_kinematics(varpi_bar):
-    """Continuous-time error kinematics (A, L) at operating velocity varpi_bar."""
-    varpi_bar = np.asarray(varpi_bar, dtype=float)
-    A = np.zeros((12, 12))
-    A[:6, :6] = -lie.small_adjoint(varpi_bar)
-    A[:6, 6:] = -np.eye(6)
-    L = np.zeros((12, 6))
-    L[6:, :] = np.eye(6)
-    return A, L
-
-
-def transition_matrix(varpi_bar, dt):
-    """Discrete state-error transition over dt seconds; batched over leading dims."""
-    varpi_bar = np.asarray(varpi_bar, dtype=float)
-    dt = np.asarray(dt, dtype=float)
-    if np.any(dt <= 0.0):
-        raise ValueError("dt must be positive")
-    tv = dt[..., None] * varpi_bar
-    shape = tv.shape[:-1]
-    out = np.zeros(shape + (12, 12))
-    out[..., :6, :6] = lie.adjoint(lie.se3_exp(-tv))
-    out[..., :6, 6:] = -dt[..., None, None] * lie.right_jacobian(tv)
-    out[..., 6:, 6:] = np.eye(6)
-    return out
 
 
 def _q_blocks(varpi_bar, psd, dt):
@@ -94,39 +68,6 @@ def _q_blocks(varpi_bar, psd, dt):
     B = t4 / 8.0 * aQ + t5 / 120.0 * (4.0 * (a2 * q_c) + 3.0 * (aQ @ np.swapaxes(a, -1, -2)))
     B[diag] += t3[..., 0] / 6.0 * q_c
     return B + np.swapaxes(B, -1, -2), P * -q_c, dt[..., None] * q_c
-
-
-def q_expansion(varpi_bar, psd, dt):
-    """Truncated-series process-noise discretization, no clamping.
-
-    Carries the expansion through fourth order in the error-kinematics matrix;
-    the third-order truncation falls just short of the 1e-6 agreement with the
-    exact matrix-exponential construction at dt = 0.1 s, unit velocity.  The
-    12 x 12 matrix is assembled from the blocks of ``_q_blocks`` and is
-    symmetric to the bit.  Batched over leading dimensions of varpi_bar/dt.
-    """
-    Q_pp, Q_pv, q_vv = _q_blocks(varpi_bar, psd, dt)
-    Q = np.zeros(Q_pp.shape[:-2] + (12, 12))
-    Q[..., :6, :6] = Q_pp
-    Q[..., :6, 6:] = Q_pv
-    Q[..., 6:, :6] = np.swapaxes(Q_pv, -1, -2)
-    Q[..., range(6, 12), range(6, 12)] = q_vv
-    return Q
-
-
-def discretize_q(varpi_bar, psd, dt):
-    """Discretized WNOA process noise, eigenvalue-clamped to PSD.
-
-    The truncation can produce asymmetry and slightly negative eigenvalues at
-    machine precision; downstream factorizations require a PSD matrix.
-    """
-    Q = q_expansion(varpi_bar, psd, dt)
-    w, V = np.linalg.eigh(Q)
-    if np.any(w < -1e-12):
-        w = np.clip(w, 0.0, None)
-        Q = (V * w[..., None, :]) @ np.swapaxes(V, -1, -2)
-        Q = 0.5 * (Q + np.swapaxes(Q, -1, -2))
-    return Q
 
 
 def _lower_inverse(L):

@@ -1,3 +1,4 @@
+import json
 import tempfile
 from pathlib import Path
 
@@ -59,7 +60,7 @@ def smooth_flipped_line(directory, offset=0.0):
     dataio.write_trajectory(directory / "prior.csv", Trajectory(times, poses))
     dataio.write_loop_closures(directory / "loopclosures.csv", closures, times)
     assert cli.main(["smooth", "--dataset", str(directory)]) == cli.EXIT_OK
-    report = dataio.read_manifest(directory / "smooth_report.json")
+    report = json.loads((directory / "smooth_report.json").read_text())
     posterior = dataio.read_trajectory(directory / "posterior.csv")
     return posterior.poses, np.array(report["loop_weights"]), report["iterations"]
 
@@ -75,15 +76,15 @@ class TestSimulate:
         for name in ("truth.csv", "prior.csv", "profiles.csv", "manifest.json",
                      "config.cfg"):
             assert (d / name).exists()
-        manifest = dataio.read_manifest(d / "manifest.json")
+        manifest = json.loads((d / "manifest.json").read_text())
         assert manifest["seed"] == 4
         assert manifest["nodes"] > 500
 
     def test_deterministic_rerun(self, dataset, tmp_path):
         d, cfg = dataset
         assert cli.main(["simulate", "--out", str(tmp_path / "d2"), "--config", cfg]) == 0
-        m1 = dataio.read_manifest(d / "manifest.json")
-        m2 = dataio.read_manifest(tmp_path / "d2" / "manifest.json")
+        m1 = json.loads((d / "manifest.json").read_text())
+        m2 = json.loads((tmp_path / "d2" / "manifest.json").read_text())
         assert m1["config_hash"] == m2["config_hash"]
         assert (d / "truth.csv").read_bytes() == (tmp_path / "d2" / "truth.csv").read_bytes()
         assert (d / "prior.csv").read_bytes() == (tmp_path / "d2" / "prior.csv").read_bytes()
@@ -110,6 +111,28 @@ class TestSimulate:
         code = cli.main(["simulate", "--out", str(tmp_path / "d"), "--config", cfg])
         assert code == cli.EXIT_VALIDATION
         assert "wnoa.q_omega" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, raw",
+        [
+            ("robust.enabled", "ture"),
+            ("robust.enabled", "flase"),
+            ("solver.step_tolerance", "nan"),
+            ("frontend.delta_r_star", "inf"),
+            ("sim.seed", "4.0"),
+        ],
+    )
+    def test_unreadable_value_names_key(self, tmp_path, capsys, key, raw):
+        cfg = write_cfg(tmp_path, {key: raw})
+        code = cli.main(["simulate", "--out", str(tmp_path / "d"), "--config", cfg])
+        assert code == cli.EXIT_VALIDATION
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("raw", ["TRUE", "1", "Yes", "on", "False", "0", "NO", "off"])
+    def test_boolean_spellings(self, raw):
+        cfg = cli.PipelineConfig.from_flat({"robust.enabled": raw})
+        assert cfg.robust_enabled is (raw.lower() in ("true", "1", "yes", "on"))
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {"wnoa.bogus": "1.0"})
@@ -166,7 +189,7 @@ class TestSmooth:
         d, cfg = dataset
         assert cli.main(["smooth", "--dataset", str(d), "--config", cfg]) == 0
         assert (d / "posterior.csv").exists()
-        report = dataio.read_manifest(d / "smooth_report.json")
+        report = json.loads((d / "smooth_report.json").read_text())
         assert report["converged"]
         assert report["loop_closures"] == 2
         trace = report["objective_trace"]
@@ -177,7 +200,7 @@ class TestSmooth:
         assert cli.main(
             ["smooth", "--dataset", str(d), "--config", cfg, "--loop-closures", "0"]
         ) == 0
-        report = dataio.read_manifest(d / "smooth_report.json")
+        report = json.loads((d / "smooth_report.json").read_text())
         assert report["loop_closures"] == 0
         # re-smooth with all closures for downstream tests
         assert cli.main(["smooth", "--dataset", str(d), "--config", cfg]) == 0
@@ -187,7 +210,7 @@ class TestSmooth:
         assert cli.main(
             ["smooth", "--dataset", str(d), "--config", cfg, "--no-robust"]
         ) == 0
-        report = dataio.read_manifest(d / "smooth_report.json")
+        report = json.loads((d / "smooth_report.json").read_text())
         assert report["robust"] is False
         assert all(w == 1.0 for w in report["loop_weights"])
         assert cli.main(["smooth", "--dataset", str(d), "--config", cfg]) == 0
@@ -231,7 +254,7 @@ class TestSmooth:
         dataio.write_trajectory(tmp_path / "prior.csv", Trajectory(times, poses))
         dataio.write_loop_closures(tmp_path / "loopclosures.csv", closures, times)
         assert cli.main(["smooth", "--dataset", str(tmp_path)]) == cli.EXIT_OK
-        report = dataio.read_manifest(tmp_path / "smooth_report.json")
+        report = json.loads((tmp_path / "smooth_report.json").read_text())
         assert report["converged"]
         assert report["loop_weights"][1] < 0.01
         assert report["loop_weights"][0] > 0.5
@@ -280,7 +303,7 @@ class TestSmooth:
         )
         code = cli.main(["smooth", "--dataset", str(d2), "--config", cfg])
         assert code == cli.EXIT_SOLVER
-        report = dataio.read_manifest(d2 / "smooth_report.json")
+        report = json.loads((d2 / "smooth_report.json").read_text())
         assert report["failed"] is True
         assert "singular" in report["failure"]
         assert report["converged"] is False
@@ -302,7 +325,7 @@ class TestEvaluate:
              "--loopclosures", str(d / "loopclosures.csv"),
              "--out", str(out), "--config", cfg]
         ) == 0
-        summary = dataio.read_manifest(out / "evaluation.json")
+        summary = json.loads((out / "evaluation.json").read_text())
         assert summary["relative_displacement"]["max"] < 1e-12
 
     def test_posterior_beats_prior_disparity(self, dataset, tmp_path):
@@ -317,7 +340,7 @@ class TestEvaluate:
                  "--loopclosures", str(d / "loopclosures.csv"),
                  "--out", str(out), "--config", cfg]
             ) == 0
-            results[name] = dataio.read_manifest(out / "evaluation.json")
+            results[name] = json.loads((out / "evaluation.json").read_text())
         prior_med = results["prior"]["point_disparity"]["quantiles"]["0.5"]
         post_med = results["posterior"]["point_disparity"]["quantiles"]["0.5"]
         assert post_med < prior_med
@@ -331,6 +354,6 @@ class TestEvaluate:
              "--loopclosures", str(d / "loopclosures.csv"),
              "--out", str(out), "--config", cfg]
         ) == 0
-        summary = dataio.read_manifest(out / "evaluation.json")
+        summary = json.loads((out / "evaluation.json").read_text())
         assert any("relative_errors" in o for o in summary["omitted"])
         assert "point_disparity" in summary

@@ -201,26 +201,6 @@ class TestLoopClosureCsv:
         assert np.array_equal(info.value.times, [5.0, 7.0])
 
 
-class TestPly:
-    def test_roundtrip_with_normals(self, rng, tmp_path):
-        pts = rng.normal(size=(50, 3))
-        nrm = rng.normal(size=(50, 3))
-        nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
-        path = tmp_path / "cloud.ply"
-        dataio.write_ply(path, pts, nrm)
-        p, n = dataio.read_ply(path)
-        assert np.abs(p - pts).max() == 0.0
-        assert np.abs(n - nrm).max() == 0.0
-
-    def test_roundtrip_points_only(self, rng, tmp_path):
-        pts = rng.normal(size=(5, 3))
-        path = tmp_path / "cloud.ply"
-        dataio.write_ply(path, pts)
-        p, n = dataio.read_ply(path)
-        assert n is None
-        assert np.array_equal(p, pts)
-
-
 class TestConfig:
     def test_parse_and_hash(self):
         text = """

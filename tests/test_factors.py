@@ -5,6 +5,7 @@ from lcsmooth import factors, lie, solver
 from lcsmooth.wnoa import WnoaPsd
 
 from conftest import fd_jacobian, moderate_state, perturb, random_pose, stack_samples
+from oracles import transition_matrix
 
 N_FD = 100
 
@@ -82,8 +83,6 @@ class TestWnoaFactor:
         assert np.abs(e).max() < 1e-12
 
     def test_jacobian_at_zero_error_is_negative_transition(self, rng):
-        from lcsmooth.wnoa import transition_matrix
-
         varpi = rng.normal(size=6) * 0.5
         dt = 0.1
         p0 = random_pose(rng)

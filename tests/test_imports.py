@@ -1,4 +1,6 @@
-"""Every module of the package and of its tests uses each name it imports."""
+"""Every module of the package and of its tests uses each name it imports,
+and everything the package defines is reached from the package or the
+benchmark, not only from the tests."""
 
 import ast
 from pathlib import Path
@@ -11,6 +13,12 @@ PACKAGE = Path(lcsmooth.__file__).parent
 # __init__.py imports names only to re-export them
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
+# the benchmark's scripts, without its own tests
+BENCH = sorted(
+    p
+    for p in (Path(__file__).parents[1] / "bench").glob("*.py")
+    if not p.name.startswith("test_")
+)
 
 
 def unused_imports(source):
@@ -37,3 +45,71 @@ def test_guard_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _references(node, module):
+    """(module, name) pairs that the code under ``node`` refers to.
+
+    A name read in ``module`` refers to that module's definition, an
+    attribute to the definition in the module it is taken from, and
+    ``from .mod import name`` to the definition in ``mod``.
+    """
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out.add((module, n.id))
+        elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name):
+            out.add((n.value.id, n.attr))
+        elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Attribute):
+            out.add((n.value.attr, n.attr))
+        elif isinstance(n, ast.ImportFrom) and n.module:
+            out.update((n.module.rsplit(".", 1)[-1], a.name) for a in n.names)
+    return out
+
+
+def unreached_definitions(modules, callers=()):
+    """Module-level functions and classes that no code outside the tests reaches.
+
+    ``modules`` maps each package module's name to its source; ``callers``
+    holds the sources of scripts outside the package.  Code outside every
+    definition reaches what it refers to, and a reached definition reaches
+    what its own body refers to, so a helper of an unreached definition is
+    unreached too.
+    """
+    defs, roots = {}, set()
+    for module, source in modules.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[(module, node.name)] = _references(node, module)
+            else:
+                roots |= _references(node, module)
+    for source in callers:
+        roots |= _references(ast.parse(source), None)
+    reached = set()
+    todo = [key for key in roots if key in defs]
+    while todo:
+        key = todo.pop()
+        if key not in reached:
+            reached.add(key)
+            todo.extend(k for k in defs[key] if k in defs)
+    return sorted(defs.keys() - reached)
+
+
+def test_guard_finds_an_unreached_definition():
+    modules = {
+        "a": "from .b import used\ndef helper():\n    return dead()\n"
+        "def dead():\n    return 1\nX = used()\n",
+        "b": "def used():\n    return 1\ndef recursive():\n    return recursive()\n"
+        "class Called:\n    x: int = 0\n",
+    }
+    caller = "import lcsmooth.b\nlcsmooth.b.Called()\n"
+    assert unreached_definitions(modules, [caller]) == [
+        ("a", "dead"), ("a", "helper"), ("b", "recursive")
+    ]
+    assert ("b", "Called") in unreached_definitions(modules)
+
+
+def test_every_definition_is_reached():
+    modules = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    callers = [p.read_text() for p in BENCH]
+    assert unreached_definitions(modules, callers) == []

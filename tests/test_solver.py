@@ -9,6 +9,7 @@ from lcsmooth import factors, lie, solver, wnoa
 from lcsmooth.wnoa import WnoaPsd
 
 from conftest import flipped_closure_line, random_pose
+from oracles import assemble
 
 PSD = WnoaPsd(1e-2, 1e-4)
 R_REL = np.diag([1e-5**2] * 3 + [1e-3**2] * 3)
@@ -47,14 +48,14 @@ def robust_terms(g, w):
 class TestAssemble:
     def test_two_node_shape(self, rng):
         g = small_graph(rng, n=2, loops=())
-        e, gamma, w = solver.assemble(g)
+        e, gamma, w = assemble(g)
         assert gamma.shape == (33, 24)
         assert w.shape == (33, 33)
         assert e.shape == (33,)
 
     def test_zero_errors_at_generating_trajectory(self, rng):
         g = small_graph(rng, n=5, loops=())
-        e, _, _ = solver.assemble(g)
+        e, _, _ = assemble(g)
         # exact constant-velocity chain: every row is zero (prior included,
         # since the graph is initialized at the prior trajectory)
         assert np.abs(e).max() < 1e-10
@@ -62,7 +63,7 @@ class TestAssemble:
     def test_matches_dense_per_factor_sums(self, rng):
         g = small_graph(rng, n=4, loops=((0, 3), (1, 2)), perturb=0.02)
         w_rob = np.ones(2)
-        e, gamma, w = solver.assemble(g, robust_weights=w_rob)
+        e, gamma, w = assemble(g, robust_weights=w_rob)
         h_ref = (gamma.T @ w @ gamma).toarray()
 
         n = g.num_nodes
@@ -112,7 +113,7 @@ class TestAssemble:
     def test_structured_normal_equations_match(self, rng):
         g = small_graph(rng, n=5, loops=((0, 4), (1, 3)), perturb=0.02)
         w_rob = np.array([0.7, 1.0])
-        e, gamma, w = solver.assemble(g, robust_weights=w_rob)
+        e, gamma, w = assemble(g, robust_weights=w_rob)
         h_ref = (gamma.T @ w @ gamma).toarray()
         g_ref = gamma.T @ (w @ e)
         hdiag, hoff, loop_idx, v, grad = solver._normal_equations(
@@ -139,12 +140,12 @@ class TestAssemble:
         g = small_graph(rng, n=3, loops=((0, 2),))
         g.loop_closures[0].cov[0, 0] = -1.0
         with pytest.raises(ValueError, match="loop closure 0"):
-            solver.assemble(g)
+            assemble(g)
 
     def test_row_ordering(self, rng):
         # prior(12) + wnoa(12K) + loops(6L) + rel(6K) + obs(3K)
         g = small_graph(rng, n=3, loops=((0, 2),))
-        e, gamma, _ = solver.assemble(g)
+        e, gamma, _ = assemble(g)
         k = 2
         assert gamma.shape[0] == 12 + 12 * k + 6 + 6 * k + 3 * k
         # loop rows touch only pose columns of its two nodes
@@ -157,17 +158,13 @@ class TestSchurStep:
     """The closure-node Schur step against a sparse direct solve of H + lam I."""
 
     @staticmethod
-    def sparse_step(g, w, lam, fix_first_node):
-        e, gamma, weight = solver.assemble(g, robust_weights=w)
+    def sparse_step(g, w, lam):
+        e, gamma, weight = assemble(g, robust_weights=w)
         h = (gamma.T @ weight @ gamma + lam * sp.identity(gamma.shape[1])).tocsc()
-        rhs = -(gamma.T @ (weight @ e))
-        s = 12 if fix_first_node else 0
-        delta = np.zeros_like(rhs)
-        delta[s:] = spla.spsolve(h[s:, s:], rhs[s:])
-        return delta
+        return spla.spsolve(h, -(gamma.T @ (weight @ e)))
 
     @pytest.mark.parametrize(
-        "loops, lam, fix_first_node",
+        "loops, lam, unit_weights",
         [
             (((3, 4), (6, 7)), 0.0, False),  # adjacent closure nodes
             (((0, 5), (6, 11)), 0.0, False),  # first and last node
@@ -175,20 +172,16 @@ class TestSchurStep:
             (((2, 4), (4, 6), (1, 9)), 0.0, False),  # one-node segments
             ((), 0.0, False),  # no closures
             (((1, 8), (3, 10)), 0.5, False),  # damped
-            (((0, 6), (0, 1), (3, 8)), 0.0, True),  # closures on the fixed node
+            (((0, 6), (0, 1), (3, 8)), 0.0, True),  # node 0 shared, robust cost off
         ],
     )
-    def test_matches_sparse_solve(self, rng, loops, lam, fix_first_node):
+    def test_matches_sparse_solve(self, rng, loops, lam, unit_weights):
         g = small_graph(rng, n=12, loops=loops, perturb=0.02)
-        if fix_first_node:
-            g.prior = None
-        w = rng.uniform(0.3, 1.0, size=len(loops))
+        w = np.ones(len(loops)) if unit_weights else rng.uniform(0.3, 1.0, size=len(loops))
         normal = solver._normal_equations(robust_terms(g, w), g.num_nodes)
-        delta = solver._solve_normal(*normal, lam, fix_first_node)
-        ref = self.sparse_step(g, w, lam, fix_first_node)
+        delta = solver._solve_normal(*normal, lam)
+        ref = self.sparse_step(g, w, lam)
         assert np.linalg.norm(delta - ref) <= 1e-9 * np.linalg.norm(ref)
-        if fix_first_node:
-            assert np.array_equal(delta[:12], np.zeros(12))
 
 
 # relative-pose factors this stiff put the rounding error of the normal
@@ -214,9 +207,9 @@ class TestSolverFailure:
         # closures the gauge freedom surfaces in the Schur complement
         g = unanchored_graph(rng, loops)
         normal = solver._normal_equations(robust_terms(g, np.ones(len(loops))), g.num_nodes)
-        for lam in (0.0, solver.SolverConfig().max_damping):
+        for lam in (0.0, solver.MAX_DAMPING):
             with pytest.raises(RuntimeError, match=singular):
-                solver._solve_normal(*normal, lam, False)
+                solver._solve_normal(*normal, lam)
 
     def test_solve_escalates_damping_to_failure(self, rng):
         g = unanchored_graph(rng, ((2, 9),))
@@ -225,7 +218,7 @@ class TestSolverFailure:
             solver.solve(g, cfg)
         best, report = info.value.graph, info.value.report
         assert report.iterations == 0 and not report.converged
-        assert report.damping_final > cfg.max_damping
+        assert report.damping_final > solver.MAX_DAMPING
         assert report.message == str(info.value)
         assert np.array_equal(best.poses, g.poses)
 
@@ -239,7 +232,8 @@ class TestSolverFailure:
         best, report = info.value.graph, info.value.report
         assert report.iterations >= 1 and not report.converged
         assert report.objective < report.objective_trace[0]
-        assert report.objective == pytest.approx(solver.objective(best, cfg)[0], rel=1e-12)
+        e, _, weight = assemble(best, robust_weights=report.loop_weights)
+        assert report.objective == pytest.approx(0.5 * e @ (weight @ e), rel=1e-12)
         assert np.abs(best.poses - g.poses).max() > 1e-6
 
 
@@ -293,8 +287,8 @@ class TestStepAndUpdate:
         g = small_graph(rng, n=4, loops=((0, 3),))
         w = np.ones(1)
         normal = solver._normal_equations(robust_terms(g, w), g.num_nodes)
-        delta = solver._solve_normal(*normal, 0.0, False)
-        e, gamma, weight = solver.assemble(g, robust_weights=w)
+        delta = solver._solve_normal(*normal, 0.0)
+        e, gamma, weight = assemble(g, robust_weights=w)
         r = e + gamma @ delta
         predicted = 0.5 * r @ (weight @ r)
         assert np.abs(delta).max() < 1e-8
@@ -354,33 +348,36 @@ class TestSolve:
         assert np.array_equal(post1.poses, post2.poses)
         assert rep1.objective_trace == rep2.objective_trace
 
-    def test_gauge_equivariance(self, rng):
-        # prior removed, first node frozen: left-composing every input by a
-        # fixed pose must left-compose the posterior identically
-        times, poses, _ = constant_velocity_trajectory(rng, 3)
-        meas = [
-            factors.LoopClosureMeasurement(
-                0, 2,
-                lie.se3_inv(poses[0]) @ poses[2] @ lie.se3_exp(rng.normal(size=6) * 0.02),
-                LC_COV.copy(),
-            )
-        ]
-        cfg = solver.SolverConfig(robust_cost=False, fix_first_node=True)
-
-        def solve_shifted(G):
-            g = solver.build_graph(times, G @ poses, list(meas), PSD, R_REL, R_OBS)
-            g.prior = None
-            g.poses = g.poses.copy()
-            g.poses[1:] = g.poses[1:] @ lie.se3_exp(rng2.normal(size=(2, 6)) * 0.01)
-            post, _ = solver.solve(g, cfg)
-            return post.poses
-
-        rng2 = np.random.default_rng(7)
-        base = solve_shifted(np.eye(4))
-        rng2 = np.random.default_rng(7)
-        G = random_pose(rng)
-        shifted = solve_shifted(G)
-        assert np.abs(shifted - G @ base).max() <= 1e-8
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(
+        psi=st.floats(-np.pi, np.pi, exclude_min=True),
+        x=st.floats(-1e3, 1e3),
+        y=st.floats(-1e3, 1e3),
+    )
+    def test_gauge_equivariance(self, psi, x, y):
+        # left-composing every input pose with a yaw and planar translation G
+        # leaves every factor unchanged (the roll/pitch/depth factor fixes the
+        # rest of the gauge), so the posterior is left-composed with G; the
+        # closures are relative and stay as they are
+        times, poses, closures = flipped_closure_line(orthonormal=True)
+        # the consistent closure moved by about one sigma, so that the
+        # posterior moves away from the prior
+        good = closures[0]
+        nudge = lie.se3_exp(np.array([0.002, -0.001, 0.003, 0.02, -0.01, 0.015]))
+        closures[0] = factors.LoopClosureMeasurement(
+            good.idx_l1, good.idx_l2, good.xi_meas @ nudge, good.cov
+        )
+        G = lie.make_pose(lie.so3_exp(np.array([0.0, 0.0, psi])), [x, y, 0.0])
+        post, report = solver.solve(
+            solver.build_graph(times, poses, closures, PSD, R_REL, R_OBS)
+        )
+        post_g, report_g = solver.solve(
+            solver.build_graph(times, G @ poses, closures, PSD, R_REL, R_OBS)
+        )
+        assert report.converged and report_g.converged
+        assert report_g.iterations == report.iterations
+        assert np.abs(report_g.loop_weights - report.loop_weights).max() <= 1e-9
+        assert np.abs(post_g.poses - G @ post.poses).max() <= 1e-9
 
     @settings(max_examples=25, deadline=None, database=None)
     @given(seed=st.integers(0, 2**32 - 1), order=st.permutations(range(5)))
