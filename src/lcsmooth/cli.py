@@ -380,6 +380,8 @@ def cmd_smooth(args):
         "converged": report.converged,
         "objective": report.objective,
         "objective_trace": report.objective_trace,
+        "step_objectives": [list(step) for step in report.step_objectives],
+        "damping_final": float(report.damping_final),
         "loop_weights": list(map(float, report.loop_weights)),
         "message": report.message,
     }

@@ -12,13 +12,14 @@ evaluates errors only.
 
 The normal equations exploit the structure in node order: the chain part is
 block-tridiagonal, and each loop closure adds a PSD rank-6 term on its two
-nodes.  The step eliminates every node that no closure touches with banded
-Cholesky solves, leaving a block-tridiagonal Schur complement over the
-m <= 2L closure nodes, to which the closure terms are added through a
-Woodbury update.  That costs O(n) banded work plus work in m and L only, and
-stores nothing of size n x L.  Levenberg-Marquardt damping wraps the
-Gauss-Newton step so the objective is non-increasing across accepted
-iterations.
+nodes.  The step eliminates every node that no closure touches with one
+banded Cholesky factorization and one forward triangular sweep, leaving a
+block-tridiagonal Schur complement over the m <= 2L closure nodes, to which
+the closure terms are added through a Woodbury update.  That costs O(n)
+banded work plus work in m and L only, and stores nothing of size n x L.
+Levenberg-Marquardt damping wraps the Gauss-Newton step so the objective is
+non-increasing across accepted iterations; a step that cannot be computed
+(NotPositiveDefiniteError) raises the damping.
 """
 
 from __future__ import annotations
@@ -34,6 +35,20 @@ from .wnoa import WnoaPsd, process_weight
 
 # Levenberg-Marquardt damping above which the solver gives up
 MAX_DAMPING = 1e8
+
+
+class NotPositiveDefiniteError(RuntimeError):
+    """A damped Gauss-Newton step cannot be computed.
+
+    ``matrix`` names what failed: "interior chain matrix" or "closure-node
+    Schur complement" when that matrix is not positive definite (numerically),
+    "normal-equation solution" when the step came out non-finite.  The solver
+    answers it by raising the damping.
+    """
+
+    def __init__(self, matrix, message):
+        super().__init__(message)
+        self.matrix = matrix
 
 
 class SolverFailureError(RuntimeError):
@@ -375,9 +390,7 @@ def _cholesky_banded(Hdiag, Hoff, what):
             _to_lower_band(Hdiag, Hoff), lower=True, check_finite=False
         )
     except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"{what} not positive definite: {exc}") from exc
-    except ValueError as exc:
-        raise RuntimeError(f"banded factorization of {what} failed: {exc}") from exc
+        raise NotPositiveDefiniteError(what, f"{what} not positive definite: {exc}") from exc
 
 
 def _cho_solve(cb, rhs):
@@ -386,6 +399,24 @@ def _cho_solve(cb, rhs):
         (cb, True), rhs.reshape(cb.shape[1], -1), check_finite=False
     )
     return x.reshape(rhs.shape)
+
+
+def _forward_sweep(cb, rhs, what):
+    """L^-1 rhs for the lower banded factor L of ``cb``, in node blocks."""
+    x, info = scipy.linalg.lapack.dtbtrs(
+        cb, rhs.reshape(cb.shape[1], -1), uplo="L", trans="N"
+    )
+    if info:
+        raise NotPositiveDefiniteError(what, f"triangular sweep of {what} failed: info {info}")
+    return x.reshape(rhs.shape)
+
+
+def _diagonal_blocks(cb, nodes):
+    """The 12 x 12 diagonal blocks L_kk of the lower banded factor ``cb``."""
+    i, j = np.tril_indices(12)
+    out = np.zeros((len(nodes), 12, 12))
+    out[:, i, j] = cb[i - j, 12 * nodes[:, None] + j]
+    return out
 
 
 def update_states(graph: FactorGraph, delta_x) -> FactorGraph:
@@ -406,18 +437,23 @@ def _solve_normal(Hdiag, Hoff, loop_idx, V, g, lam):
 
     A is the damped block-tridiagonal chain matrix and K the sorted closure
     nodes (m <= 2L of them).  Cutting the chain couplings at K leaves the
-    interior matrix A_II, whose segments between consecutive K nodes are
-    decoupled; one banded Cholesky factorizes it.  A single solve with 25
-    right-hand sides gives A_II^-1 r_I together with, for every segment at
-    once, the columns of A_II^-1 coupled to its left K node (12) and to its
-    right K node (12).  Their end rows give the block-tridiagonal Schur
-    complement S_K = A_KK - A_KI A_II^-1 A_IK, a second banded Cholesky over
-    m blocks.  The closure terms enter S_K through the Woodbury identity,
-    with the (6L x 6L) capacitance gathered from the closures' rows of
-    S_K^-1 U_K.  One more single-RHS solve back-substitutes the interior.
-    The cost is O(n) banded work plus work in m and L only; nothing of size
-    n x L is formed.  Raises RuntimeError when A_II or S_K is not positive
-    definite, which happens exactly when A is not.
+    interior matrix A_II = L L^T, whose segments between consecutive K nodes
+    are decoupled; one banded Cholesky factorizes it.  The Schur complement
+    S_K = A_KK - A_KI A_II^-1 A_IK needs A_II^-1 only between a segment's
+    first node f and last node l, and A_II^-1 = L^-T L^-1 makes each of those
+    blocks a Gram product of columns of L^-1.  One forward-only sweep with 13
+    columns, F = L^-1 [r_I | A_If at each segment's first node], gives them
+    all: within segment s, F_s^T F_s holds the (f, f) block and the coupling
+    of f to A_II^-1 r_I.  L^-1 keeps a column block on the last node l where
+    it is, so the (l, l) terms come from R = L_ll^-1 A_lK alone, and the
+    (f, l) coupling from F at l and R.  S_K is block-tridiagonal, a second
+    banded Cholesky over m blocks.  The closure terms enter S_K through the
+    Woodbury identity, with the (6L x 6L) capacitance gathered from the
+    closures' rows of S_K^-1 U_K.  One more single-RHS solve back-substitutes
+    the interior.  The cost is O(n) banded work plus work in m and L only;
+    nothing of size n x L is formed.  Raises NotPositiveDefiniteError when
+    A_II or S_K is not positive definite, which happens exactly when A is
+    not, or when the solution is not finite.
     """
     Hd = Hdiag + lam * np.eye(12)
     r = -g.reshape(-1, 12)
@@ -440,23 +476,34 @@ def _solve_normal(Hdiag, Hoff, loop_idx, V, g, lam):
         # A[k-1, k] = Hp[k] and A[k, k+1] = Hp[k+1], zero past both ends
         Hp = np.concatenate([np.zeros((1, 12, 12)), Hoff, np.zeros((1, 12, 12))])
         prev_c, next_c = Hp[K], Hp[K + 1]
-        prev_t, next_t = np.swapaxes(prev_c, -1, -2), np.swapaxes(next_c, -1, -2)
-        left = ~isK[K + 2]  # node k+1 is interior, the left end of a segment
-        right = ~isK[K]  # node k-1 is interior, the right end of a segment
+        next_t = np.swapaxes(next_c, -1, -2)
+        left = ~isK[K + 2]  # node k+1 is interior, the first node of a segment
+        right = ~isK[K]  # node k-1 is interior, the last node of a segment
+        first, last = K[left] + 1, K[right] - 1
         r_I = np.where(isK[1:-1, None], 0.0, r)
-        rhs = np.zeros((N, 12, 25))
+        rhs = np.zeros((N, 12, 13))
         rhs[:, :, 0] = r_I
-        rhs[K[left] + 1, :, 1:13] = next_t[left]
-        rhs[K[right] - 1, :, 13:] = prev_c[right]
-        Y = _cho_solve(cb, rhs)
+        rhs[first, :, 1:] = next_t[left]
+        F = _forward_sweep(cb, rhs, "interior chain matrix")
 
-        # Y vanishes on K rows, so couplings between K nodes drop out here
-        Yp = np.concatenate([np.zeros((1, 12, 25)), Y, np.zeros((1, 12, 25))])
-        Y_prev, Y_next = Yp[K], Yp[K + 2]
-        Sd = Hd[K] - prev_t @ Y_prev[:, :, 13:] - next_c @ Y_next[:, :, 1:13]
+        # F vanishes on K rows, and its columns 1: outside the segments that
+        # follow a K node, so the sum from one first node to the next (or to
+        # the end) is that segment's Gram product M_s = F_s^T F_s, rows 1:
+        P = np.swapaxes(F[:, :, 1:], -1, -2) @ F
+        M = np.add.reduceat(P, first, axis=0)
+        R = np.zeros((m, 12, 12))
+        R[right] = np.linalg.solve(_diagonal_blocks(cb, last), prev_c[right])
+        Rt = np.swapaxes(R, -1, -2)
+        Sd = Hd[K] - Rt @ R
+        Sd[left] -= M[:, :, 1:]
+        r_K = r[K].copy()
+        r_K[left] -= M[:, :, 0]
+        r_K[right] -= (Rt[right] @ F[last, :, :1])[..., 0]
+        # between K nodes k < k' with a segment in between, F at k' - 1 holds
+        # the columns of k's segment; both factors vanish for adjacent ones
         adjacent = (K[1:] == K[:-1] + 1)[:, None, None]
-        So = np.where(adjacent, next_c[:-1], 0.0) - next_c[:-1] @ Y_next[:-1, :, 13:]
-        r_K = r[K] - (prev_t @ Y_prev[:, :, :1] + next_c @ Y_next[:, :, :1])[..., 0]
+        F_end = np.swapaxes(F[K[1:] - 1, :, 1:], -1, -2)
+        So = np.where(adjacent, next_c[:-1], 0.0) - F_end @ R[1:]
         cs = _cholesky_banded(Sd, So, "closure-node Schur complement")
 
         # Woodbury over the closure terms; U_K holds V[l, s] in the pose rows
@@ -471,13 +518,15 @@ def _solve_normal(Hdiag, Hoff, loop_idx, V, g, lam):
         d_K = Z[:, :, 0] - Z[:, :, 1:] @ np.linalg.solve(cap, UtZ[:, 0])
 
         # interior back-substitution: A_II d_I = r_I - A_IK d_K
-        r_I[K[left] + 1] -= (next_t[left] @ d_K[left, :, None])[..., 0]
-        r_I[K[right] - 1] -= (prev_c[right] @ d_K[right, :, None])[..., 0]
+        r_I[first] -= (next_t[left] @ d_K[left, :, None])[..., 0]
+        r_I[last] -= (prev_c[right] @ d_K[right, :, None])[..., 0]
         delta = _cho_solve(cb, r_I)
         delta[K] = d_K
     delta = delta.ravel()
     if not np.all(np.isfinite(delta)):
-        raise RuntimeError("non-finite normal-equation solution")
+        raise NotPositiveDefiniteError(
+            "normal-equation solution", "non-finite normal-equation solution"
+        )
     return delta
 
 
@@ -515,7 +564,7 @@ def solve(graph: FactorGraph, config: SolverConfig | None = None):
         while True:
             try:
                 delta = _solve_normal(*normal, lam)
-            except RuntimeError:
+            except NotPositiveDefiniteError:
                 lam = lam * 10.0 if lam > 0 else 1e-6
                 if lam > MAX_DAMPING:
                     failure = (

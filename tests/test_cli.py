@@ -194,6 +194,12 @@ class TestSmooth:
         assert report["loop_closures"] == 2
         trace = report["objective_trace"]
         assert len(trace) >= 2
+        # one (before, after) pair per accepted step, never increasing
+        steps = report["step_objectives"]
+        assert len(steps) == report["iterations"] >= 1
+        for before, after in steps:
+            assert after <= before * (1 + 1e-12) + 1e-15
+        assert report["damping_final"] >= 0.0
 
     def test_keep_first_k(self, dataset):
         d, cfg = dataset

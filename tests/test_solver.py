@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lcsmooth import factors, lie, solver, wnoa
@@ -154,6 +154,15 @@ class TestAssemble:
         assert set(occupied) <= set(range(0, 6)) | set(range(24, 30))
 
 
+@st.composite
+def closure_layouts(draw):
+    """(n, closure node pairs): 2 to 30 nodes and 0 to 6 closures."""
+    n = draw(st.integers(2, 30))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node).filter(lambda p: p[0] != p[1]), max_size=6))
+    return n, tuple((min(p), max(p)) for p in pairs)
+
+
 class TestSchurStep:
     """The closure-node Schur step against a sparse direct solve of H + lam I."""
 
@@ -183,6 +192,27 @@ class TestSchurStep:
         ref = self.sparse_step(g, w, lam)
         assert np.linalg.norm(delta - ref) <= 1e-9 * np.linalg.norm(ref)
 
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(
+        layout=closure_layouts(),
+        lam=st.one_of(st.just(0.0), st.floats(1e-6, 10.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # both chain ends; runs of adjacent closure nodes, so empty segments; a
+    # repeated pair; no interior node at all
+    @example(layout=(12, ((0, 11), (3, 4), (3, 4))), lam=0.0, seed=1)
+    @example(layout=(30, ((4, 5), (5, 6), (6, 8), (0, 29))), lam=0.0, seed=2)
+    @example(layout=(3, ((0, 1), (1, 2))), lam=0.3, seed=3)
+    def test_matches_sparse_solve_on_random_layouts(self, layout, lam, seed):
+        n, loops = layout
+        rng = np.random.default_rng(seed)
+        g = small_graph(rng, n=n, loops=loops, perturb=0.02)
+        w = rng.uniform(0.3, 1.0, size=len(loops))
+        normal = solver._normal_equations(robust_terms(g, w), g.num_nodes)
+        delta = solver._solve_normal(*normal, lam)
+        ref = self.sparse_step(g, w, lam)
+        assert np.linalg.norm(delta - ref) <= 1e-9 * np.linalg.norm(ref)
+
 
 # relative-pose factors this stiff put the rounding error of the normal
 # equations far above the damping cap
@@ -200,7 +230,8 @@ def unanchored_graph(rng, loops):
 class TestSolverFailure:
     @pytest.mark.parametrize(
         "loops, singular",
-        [((), "interior chain matrix"), (((2, 9), (4, 5)), "Schur complement")],
+        [((), "interior chain matrix"), (((2, 9), (4, 5)), "closure-node Schur complement")],
+        ids=["loops0-interior chain matrix", "loops1-Schur complement"],
     )
     def test_singular_normal_equations_raise(self, rng, loops, singular):
         # pinning the closure nodes anchors every interior segment, so with
@@ -208,8 +239,29 @@ class TestSolverFailure:
         g = unanchored_graph(rng, loops)
         normal = solver._normal_equations(robust_terms(g, np.ones(len(loops))), g.num_nodes)
         for lam in (0.0, solver.MAX_DAMPING):
-            with pytest.raises(RuntimeError, match=singular):
+            with pytest.raises(solver.NotPositiveDefiniteError) as info:
                 solver._solve_normal(*normal, lam)
+            assert info.value.matrix == singular
+
+    def test_non_finite_solution_raises(self, rng):
+        g = small_graph(rng, n=12, loops=((2, 9),), perturb=0.02)
+        hdiag, hoff, loop_idx, v, grad = solver._normal_equations(
+            robust_terms(g, np.ones(1)), g.num_nodes
+        )
+        grad[40] = np.nan
+        with pytest.raises(solver.NotPositiveDefiniteError) as info:
+            solver._solve_normal(hdiag, hoff, loop_idx, v, grad, 0.0)
+        assert info.value.matrix == "normal-equation solution"
+
+    def test_other_errors_are_not_taken_for_failure(self, rng, monkeypatch):
+        # only a step that cannot be computed raises the damping; a fault in
+        # the step code reaches the caller as it is
+        def faulty(*args):
+            raise RuntimeError("fault")
+
+        monkeypatch.setattr(solver, "_solve_normal", faulty)
+        with pytest.raises(RuntimeError, match="fault"):
+            solver.solve(small_graph(rng, perturb=0.02))
 
     def test_solve_escalates_damping_to_failure(self, rng):
         g = unanchored_graph(rng, ((2, 9),))
