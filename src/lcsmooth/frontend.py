@@ -8,7 +8,7 @@ loop-closure measurements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -62,12 +62,15 @@ class PointCloud:
 
 @dataclass
 class Submap:
-    """Body-frame point patch around an anchor node, ready for alignment."""
+    """Body-frame point patch around an anchor node, ready for alignment.
+
+    An alignment target carries unit ``normals`` and the ``planar`` mask of
+    the points whose error is point-to-plane rather than point-to-point.
+    """
 
     points: np.ndarray
     normals: np.ndarray | None = None
-    variation: np.ndarray | None = None
-    normal_valid: np.ndarray | None = None
+    planar: np.ndarray | None = None
 
     def __len__(self):
         return len(self.points)
@@ -100,31 +103,28 @@ class IcpReport:
     converged: bool
     inlier_fraction: float
     rmsd: float
-    objective: float
     num_correspondences: int
-    objective_trace: list = field(default_factory=list)
     # per iteration: fixed-correspondence objective (before, after) the update
     step_objectives: list = field(default_factory=list)
 
 
-def register_profiles(profiles, trajectory: Trajectory, extrinsics=None):
+def register_profiles(profiles, trajectory: Trajectory):
     """Map sensor-frame profiles into the world frame along the trajectory.
 
-    The trajectory is interpolated at each profile timestamp; profiles whose
-    timestamps fall outside the trajectory span are rejected.  Returns the
-    world-frame cloud (with per-point capture times) and the rejected count.
+    The sensor frame is the body frame.  The trajectory is interpolated at
+    each profile timestamp; profiles whose timestamps fall outside the
+    trajectory span are rejected.  Returns the world-frame cloud (with
+    per-point capture times) and the rejected count.
     """
-    extrinsics = np.eye(4) if extrinsics is None else np.asarray(extrinsics, float)
     stamps = np.array([p.timestamp for p in profiles])
     in_span = (stamps >= trajectory.times[0]) & (stamps <= trajectory.times[-1])
     rejected = int(np.sum(~in_span))
     kept = [p for p, ok in zip(profiles, in_span) if ok]
     if not kept:
         return PointCloud(np.zeros((0, 3)), np.zeros(0)), rejected
-    sensor_poses = trajectory.pose_at(stamps[in_span]) @ extrinsics
     pts = []
     times = []
-    for pose, prof in zip(sensor_poses, kept):
+    for pose, prof in zip(trajectory.pose_at(stamps[in_span]), kept):
         pts.append(prof.points @ pose[:3, :3].T + pose[:3, 3])
         times.append(np.full(len(prof.points), prof.timestamp))
     return PointCloud(np.vstack(pts), np.concatenate(times)), rejected
@@ -211,16 +211,15 @@ def voxel_downsample(points, cell):
     return sums / counts[:, None]
 
 
-def estimate_normals_and_variation(submap: Submap, k=40, viewpoint=(0.0, 0.0, 0.0)):
-    """Neighborhood-PCA normals and surface variation for each point.
+def estimate_normals_and_variation(pts, k=40):
+    """Neighborhood-PCA ``(normals, variation, valid)`` for each point.
 
     The normal is the smallest-eigenvalue direction of the k-nearest-neighbor
-    covariance, oriented toward ``viewpoint``; the variation is the smallest
-    eigenvalue over the eigenvalue sum (0 on a plane, up to 1/3 for isotropic
-    scatter).  Points whose neighborhoods are rank-deficient are flagged and
-    excluded from plane errors downstream.
+    covariance, oriented toward the origin of the points' frame; the
+    variation is the smallest eigenvalue over the eigenvalue sum (0 on a
+    plane, up to 1/3 for isotropic scatter).  ``valid`` is false where the
+    neighborhood is rank-deficient.
     """
-    pts = submap.points
     if len(pts) < k + 1:
         raise InsufficientOverlapError(f"need at least {k + 1} points for normals")
     _, idx = cKDTree(pts).query(pts, k=k + 1)
@@ -233,15 +232,9 @@ def estimate_normals_and_variation(submap: Submap, k=40, viewpoint=(0.0, 0.0, 0.
     variation = np.where(total > 0, evals[:, 0] / np.where(total > 0, total, 1.0), 0.0)
     # rank >= 2 requires a healthy middle eigenvalue
     valid = evals[:, 1] > 1e-8 * np.maximum(evals[:, 2], 1e-300)
-    to_view = np.asarray(viewpoint, dtype=float) - pts
-    flip = np.einsum("ni,ni->n", normals, to_view) < 0
+    flip = np.einsum("ni,ni->n", normals, pts) > 0
     normals[flip] *= -1.0
-    return replace(
-        submap,
-        normals=normals,
-        variation=variation,
-        normal_valid=valid,
-    )
+    return normals, variation, valid
 
 
 def _frmsd_select(distances, params):
@@ -262,66 +255,64 @@ def _frmsd_select(distances, params):
     return order[:m], f, rmsd, score
 
 
-def _icp_system(src_pts, tgt_pts, tgt_normals, use_plane, sigma):
-    """Normal equations and objective of the mixed alignment cost."""
-    w = 1.0 / sigma**2
-    H = np.zeros((6, 6))
-    b = np.zeros(6)
-    obj = 0.0
-    if np.any(use_plane):
-        q = src_pts[use_plane]
-        nrm = tgt_normals[use_plane]
-        r = np.einsum("ni,ni->n", nrm, q - tgt_pts[use_plane])
-        A = np.hstack([np.cross(q, nrm), nrm])
-        H += w * A.T @ A
-        b += w * A.T @ r
-        obj += w * np.sum(r**2)
-    if np.any(~use_plane):
-        q = src_pts[~use_plane]
-        r = q - tgt_pts[~use_plane]
-        A = np.zeros((len(q), 3, 6))
-        A[:, :, :3] = -lie.skew(q)
-        A[:, :, 3:] = np.eye(3)
-        H += w * np.einsum("nij,nik->jk", A, A)
-        b += w * np.einsum("nij,ni->j", A, r)
-        obj += w * np.sum(r**2)
-    return H, b, 0.5 * obj
+def _icp_cost(src, tgt, nrm, use_plane, sigma, jacobians=True):
+    """Mixed alignment cost of fixed correspondences ``(objective, H, b)``.
 
-
-def _mixed_objective(src_pts, tgt_pts, tgt_normals, use_plane, sigma):
+    Point-to-plane errors where ``use_plane``, point-to-point errors
+    elsewhere, each weighted by ``1 / sigma**2``.  ``H`` and ``b`` are the
+    Gauss-Newton normal equations under the update q -> exp(dphi) q + drho,
+    or None with ``jacobians=False``.
+    """
     w = 1.0 / sigma**2
     obj = 0.0
+    H = np.zeros((6, 6)) if jacobians else None
+    b = np.zeros(6) if jacobians else None
     if np.any(use_plane):
-        r = np.einsum(
-            "ni,ni->n", tgt_normals[use_plane], src_pts[use_plane] - tgt_pts[use_plane]
-        )
+        q = src[use_plane]
+        n = nrm[use_plane]
+        r = np.einsum("ni,ni->n", n, q - tgt[use_plane])
         obj += w * np.sum(r**2)
+        if jacobians:
+            A = np.hstack([np.cross(q, n), n])
+            H += w * A.T @ A
+            b += w * A.T @ r
     if np.any(~use_plane):
-        obj += w * np.sum((src_pts[~use_plane] - tgt_pts[~use_plane]) ** 2)
-    return 0.5 * obj
+        q = src[~use_plane]
+        r = q - tgt[~use_plane]
+        obj += w * np.sum(r**2)
+        if jacobians:
+            A = np.zeros((len(q), 3, 6))
+            A[:, :, :3] = -lie.skew(q)
+            A[:, :, 3:] = np.eye(3)
+            H += w * np.einsum("nij,nik->jk", A, A)
+            b += w * np.einsum("nij,ni->j", A, r)
+    return 0.5 * obj, H, b
 
 
 def icp_align(source: Submap, target: Submap, init=None, params: IcpParams | None = None):
     """Align the source submap onto the target with mixed-error ICP.
 
     Per iteration: single nearest-neighbor association, FRMSD inlier
-    selection, error kind chosen by the target point's surface variation,
-    then one safeguarded Gauss-Newton update of the pose.  Terminates when
+    selection, then one safeguarded Gauss-Newton update of the pose.  Terminates when
     the pose differential drops below (rot_tol, trans_tol) or at the
     iteration cap.  Raises AlignmentFailureError when the robust alignment
     error grows for ``DIVERGENCE_LIMIT`` consecutive iterations or the
     inlier set collapses.
+
+    Each correspondence takes its error kind from the target point:
+    point-to-plane along ``target.normals`` where ``target.planar`` is set
+    (see ``preprocess_submap``), point-to-point elsewhere.
     """
     if params is None:
         params = IcpParams()
-    if target.normals is None or target.variation is None:
-        raise ValueError("target submap needs normals and surface variation")
+    if target.normals is None or target.planar is None:
+        raise ValueError("target submap needs normals and a plane mask")
     if len(source) < 6 or len(target) < 6:
         raise AlignmentFailureError("too few points to align")
     T = np.eye(4) if init is None else np.asarray(init, dtype=float).copy()
     tree = cKDTree(target.points)
     sigma = params.voxel_cell / 2.0  # point position sigma: half a voxel
-    report = IcpReport(0, False, 0.0, np.inf, np.inf, 0)
+    report = IcpReport(0, False, 0.0, np.inf, 0)
     prev_score = np.inf
     diverging = 0
 
@@ -345,18 +336,14 @@ def icp_align(source: Submap, target: Submap, init=None, params: IcpParams | Non
 
         q = src[inliers]
         j = nn[inliers]
-        tgt_pts = target.points[j]
-        tgt_nrm = target.normals[j]
-        use_plane = (target.variation[j] < params.variation_threshold) & (
-            target.normal_valid[j] if target.normal_valid is not None else True
-        )
-        H, b, obj0 = _icp_system(q, tgt_pts, tgt_nrm, use_plane, sigma)
+        corr = (target.points[j], target.normals[j], target.planar[j], sigma)
+        obj0, H, b = _icp_cost(q, *corr)
         delta = -np.linalg.lstsq(H, b, rcond=None)[0]
         # Safeguard: with correspondences fixed, the update must not
         # increase the mixed objective.
         for _ in range(12):
             q_new = q @ lie.so3_exp(delta[:3]).T + delta[3:]
-            obj1 = _mixed_objective(q_new, tgt_pts, tgt_nrm, use_plane, sigma)
+            obj1 = _icp_cost(q_new, *corr, jacobians=False)[0]
             if obj1 <= obj0 * (1.0 + 1e-12) + 1e-15:
                 break
             delta = 0.5 * delta
@@ -364,9 +351,7 @@ def icp_align(source: Submap, target: Submap, init=None, params: IcpParams | Non
         report.iterations = it + 1
         report.inlier_fraction = float(frac)
         report.rmsd = float(rmsd)
-        report.objective = float(obj1)
         report.num_correspondences = int(len(inliers))
-        report.objective_trace.append(float(obj1))
         report.step_objectives.append((float(obj0), float(obj1)))
         if (
             np.linalg.norm(delta[:3]) < params.rot_tol
@@ -378,12 +363,16 @@ def icp_align(source: Submap, target: Submap, init=None, params: IcpParams | Non
 
 
 def preprocess_submap(submap: Submap, params: IcpParams, with_normals: bool):
-    """Voxel-downsample a submap; optionally attach normals and variation."""
+    """Voxel-downsample a submap; for an alignment target, also attach the
+    normals and the plane mask: points with a full-rank neighborhood and
+    surface variation below ``params.variation_threshold``."""
     pts = voxel_downsample(submap.points, params.voxel_cell)
-    out = replace(submap, points=pts, normals=None, variation=None, normal_valid=None)
-    if with_normals:
-        out = estimate_normals_and_variation(out, k=params.normal_neighbors)
-    return out
+    if not with_normals:
+        return Submap(pts)
+    normals, variation, valid = estimate_normals_and_variation(
+        pts, k=params.normal_neighbors
+    )
+    return Submap(pts, normals, (variation < params.variation_threshold) & valid)
 
 
 def make_loop_closure(

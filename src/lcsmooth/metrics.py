@@ -76,13 +76,13 @@ def point_disparity(passes, overlap_gate):
     return np.concatenate(samples)
 
 
-def nearest_rank_quantiles(samples, quantiles=SUMMARY_QUANTILES):
-    """Empirical quantiles by the nearest-rank rule."""
+def nearest_rank_quantiles(samples):
+    """Empirical ``SUMMARY_QUANTILES`` by the nearest-rank rule."""
     samples = np.sort(np.asarray(samples, dtype=float))
     if len(samples) == 0:
         raise ValueError("no samples to summarize")
     out = {}
-    for q in quantiles:
+    for q in SUMMARY_QUANTILES:
         rank = max(1, int(np.ceil(q * len(samples))))
         out[q] = float(samples[rank - 1])
     return out

@@ -60,7 +60,6 @@ class ScannerSpec:
     beams: int = 112
     fov_deg: float = 60.0
     noise_sigma: float = 0.01
-    extrinsics: np.ndarray = field(default_factory=lambda: np.eye(4))
 
 
 @dataclass
@@ -97,7 +96,6 @@ class SimConfig:
     pass_length: float = 55.0
     lane_spacing: float = 7.0
     tie_margin: float = 10.0
-    approach_offset: float = 7.5
     turn_radius: float = 2.5
     speed: float = 1.0
     node_rate: float = 10.0
@@ -139,6 +137,10 @@ def default_config(seed=0):
 # ---------------------------------------------------------------------------
 # Ground-truth path construction
 
+# the path comes down from the tie line to the first lane this far (m)
+# east of the lane ends
+APPROACH_OFFSET = 7.5
+
 
 def _fillet_legs(waypoints, radius, speed):
     """Straight/arc legs along a waypoint polyline with filleted corners.
@@ -173,7 +175,7 @@ def _survey_waypoints(cfg: SimConfig):
     half = cfg.pass_length / 2.0
     y_top = (cfg.passes - 1) * cfg.lane_spacing
     wps = [(0.0, -cfg.tie_margin), (0.0, y_top + cfg.tie_margin)]
-    x_entry = half + cfg.approach_offset
+    x_entry = half + APPROACH_OFFSET
     wps.append((x_entry, y_top + cfg.tie_margin))
     wps.append((x_entry, y_top))
     # serpentine lanes from the top lane down
@@ -232,7 +234,7 @@ def generate_truth(cfg: SimConfig) -> Trajectory:
     )
 
 
-def degrade(truth: Trajectory, cfg: SimConfig, seed=None) -> Trajectory:
+def degrade(truth: Trajectory, cfg: SimConfig) -> Trajectory:
     """Dead-reckoned prior: re-integrate true increments with frame errors.
 
     Each step commits a body-frame twist error made of a white increment
@@ -240,9 +242,10 @@ def degrade(truth: Trajectory, cfg: SimConfig, seed=None) -> Trajectory:
     ``vel_bias`` plus the ``vel_psd`` random walk), and the deterministic
     heading bias.  A pure heading bias bends subsequent motion, so the
     planar displacement error grows superlinearly along a straight pass; a
-    zero-noise, zero-bias config returns the truth exactly.
+    zero-noise, zero-bias config returns the truth exactly.  The noise
+    draws come from ``cfg.seed``.
     """
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
+    rng = np.random.default_rng(cfg.seed)
     n = len(truth)
     dts = np.diff(truth.times)
     sigmas = np.sqrt(np.asarray(cfg.drift.psd, dtype=float) * dts[:, None])
@@ -281,8 +284,9 @@ def synth_scan(truth: Trajectory, terrain: TerrainSpec, scanner: ScannerSpec, se
 
     Rays fan across-track in the sensor frame; each is intersected with the
     analytic terrain (Newton refinement from the flat-seabed solution) and
-    reported in the sensor frame with isotropic noise.  Rays that miss or
-    graze the terrain are dropped, and so are profiles left with no ray.
+    reported in the sensor frame, which is the body frame, with isotropic
+    noise.  Rays that miss or graze the terrain are dropped, and so are
+    profiles left with no ray.
 
     Newton runs on chunks of ``_CHUNK_PROFILES`` profiles at once, one
     ``TerrainSpec.depth`` and ``depth_grad`` call per chunk iteration.  Each
@@ -296,7 +300,7 @@ def synth_scan(truth: Trajectory, terrain: TerrainSpec, scanner: ScannerSpec, se
     dt = 1.0 / scanner.rate
     stamps = np.arange(truth.times[0], truth.times[-1] + 1e-9, dt)
     stamps = stamps[(stamps >= truth.times[0]) & (stamps <= truth.times[-1])]
-    sensor_poses = truth.pose_at(stamps) @ scanner.extrinsics
+    sensor_poses = truth.pose_at(stamps)
     half = np.deg2rad(scanner.fov_deg) / 2.0
     angles = np.linspace(-half, half, scanner.beams)
     dirs = np.stack([np.zeros_like(angles), np.sin(angles), np.cos(angles)], axis=1)

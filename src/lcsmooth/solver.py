@@ -115,7 +115,7 @@ class FactorGraph:
     times: np.ndarray
     poses: np.ndarray
     varpis: np.ndarray
-    prior: PriorBelief | None
+    prior: PriorBelief
     loop_closures: list[LoopClosureMeasurement]
     rel_xi: np.ndarray
     prior_poses: np.ndarray
@@ -179,14 +179,11 @@ def build_graph(
     r_rel,
     r_obs,
     prior_cov=None,
-    varpis=None,
 ) -> FactorGraph:
     """Assemble the smoothing graph, initialized at the prior trajectory."""
     times = np.asarray(times, dtype=float)
     prior_poses = np.asarray(prior_poses, dtype=float)
-    if varpis is None:
-        varpis = initial_velocities(times, prior_poses)
-    varpis = np.asarray(varpis, dtype=float)
+    varpis = initial_velocities(times, prior_poses)
     if prior_cov is None:
         prior_cov = np.diag([1e-6] * 3 + [1e-4] * 3 + [1e-4] * 3 + [1e-2] * 3)
     prior = PriorBelief(prior_poses[0], varpis[0], prior_cov)
@@ -257,8 +254,8 @@ class _Factors:
 def _linearize(graph, jacobians=True) -> dict[str, _Factors]:
     """Every factor of the graph, keyed by type in block-row order.
 
-    The types are prior (absent when the graph has none), wnoa, loop, rel
-    and obs.  With ``jacobians=False`` only the errors are evaluated.
+    The types are prior, wnoa, loop, rel and obs.  With ``jacobians=False``
+    only the errors are evaluated.
     """
     P, V = graph.poses, graph.varpis
     k = graph.num_nodes - 1
@@ -270,11 +267,10 @@ def _linearize(graph, jacobians=True) -> dict[str, _Factors]:
     dts = np.diff(graph.times)
 
     terms = {}
-    if graph.prior is not None:
-        p = graph.prior
-        terms["prior"] = _Factors(
-            *factors.prior(P[:1], V[:1], p.pose, p.varpi, jacobians), nodes[:1, None]
-        )
+    p = graph.prior
+    terms["prior"] = _Factors(
+        *factors.prior(P[:1], V[:1], p.pose, p.varpi, jacobians), nodes[:1, None]
+    )
     terms["wnoa"] = _Factors(
         *factors.wnoa(P[:-1], V[:-1], P[1:], V[1:], dts, jacobians), chain
     )
@@ -291,12 +287,11 @@ def _linearize(graph, jacobians=True) -> dict[str, _Factors]:
     if not jacobians:
         return terms
 
-    if graph.prior is not None:
-        # Prior-noise Jacobian folded into the weight: R0 = M0 S0 M0^T.
-        M0 = np.zeros((12, 12))
-        M0[:6, :6] = -lie.right_jacobian_inv(terms["prior"].e[0, :6])
-        M0[6:, 6:] = -np.eye(6)
-        terms["prior"].W = np.linalg.inv(M0 @ graph.prior.cov @ M0.T)[None]
+    # Prior-noise Jacobian folded into the weight: R0 = M0 S0 M0^T.
+    M0 = np.zeros((12, 12))
+    M0[:6, :6] = -lie.right_jacobian_inv(terms["prior"].e[0, :6])
+    M0[6:, 6:] = -np.eye(6)
+    terms["prior"].W = np.linalg.inv(M0 @ p.cov @ M0.T)[None]
     terms["wnoa"].W = process_weight(V[:-1], graph.psd, dts)
     # Measurement-noise Jacobian folded into the weight: R_l = M R_Xi M^T
     # with M = -Jr_inv, so the sign drops out of the product.
@@ -565,27 +560,27 @@ def solve(graph: FactorGraph, config: SolverConfig | None = None):
             try:
                 delta = _solve_normal(*normal, lam)
             except NotPositiveDefiniteError:
-                lam = lam * 10.0 if lam > 0 else 1e-6
-                if lam > MAX_DAMPING:
+                delta = None
+            if delta is not None:
+                trial = update_states(cur, delta)
+                j_trial = _quadratic(terms, _linearize(trial, jacobians=False))
+                # an undamped step below the tolerance is taken even where the
+                # objective's rounding noise (it grows with the distance from
+                # the origin) hides its decrease: the iterate is already
+                # stationary
+                if j_trial <= j_base * (1.0 + 1e-12) + 1e-15 or (
+                    lam == 0 and np.max(np.abs(delta)) < config.step_tolerance
+                ):
+                    accepted = True
+                    break
+            lam = lam * 10.0 if lam > 0 else 1e-6
+            if lam > MAX_DAMPING:
+                if delta is None:
                     failure = (
                         "normal equations singular at maximum damping "
                         f"({cur.num_nodes} nodes, "
                         f"{len(cur.loop_closures)} loop closures)"
                     )
-                    break
-                continue
-            trial = update_states(cur, delta)
-            j_trial = _quadratic(terms, _linearize(trial, jacobians=False))
-            # an undamped step below the tolerance is taken even where the
-            # objective's rounding noise (it grows with the distance from the
-            # origin) hides its decrease: the iterate is already stationary
-            if j_trial <= j_base * (1.0 + 1e-12) + 1e-15 or (
-                lam == 0 and np.max(np.abs(delta)) < config.step_tolerance
-            ):
-                accepted = True
-                break
-            lam = lam * 10.0 if lam > 0 else 1e-6
-            if lam > MAX_DAMPING:
                 break
         if not accepted:
             message = failure or "damping limit reached without objective decrease"

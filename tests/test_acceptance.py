@@ -360,8 +360,9 @@ def test_criterion_08_icp_suite(rng):
         )
         z -= 0.8 * np.exp(-((xy[:, 0] + 1.4) ** 2 + (xy[:, 1] - 1.1) ** 2) / 1.2)
         pts = np.column_stack([xy, z])
-        target = frontend.Submap(points=frontend.voxel_downsample(pts, 0.05))
-        target = frontend.estimate_normals_and_variation(target, k=40)
+        target = frontend.preprocess_submap(
+            frontend.Submap(pts), frontend.IcpParams(), with_normals=True
+        )
         angle_axis = trial_rng.normal(size=3)
         angle_axis *= trial_rng.uniform(0, np.deg2rad(10.0)) / np.linalg.norm(angle_axis)
         trans = trial_rng.normal(size=3)

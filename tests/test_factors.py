@@ -28,10 +28,13 @@ def one(*arrays):
 def graph_of(states, psd, loops=(), prior_cov=None, dt=0.1):
     """A graph at the given (pose, varpi) states, its prior on node 0 at them."""
     poses, varpis = stack_samples(states)
-    return solver.build_graph(
+    graph = solver.build_graph(
         np.arange(len(poses)) * dt, poses, list(loops), psd, REL_COV, OBS_COV,
-        prior_cov=prior_cov, varpis=varpis,
+        prior_cov=prior_cov,
     )
+    graph.varpis = varpis
+    graph.prior = factors.PriorBelief(poses[0], varpis[0], graph.prior.cov)
+    return graph.validate()
 
 
 class TestPriorFactor:

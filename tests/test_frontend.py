@@ -57,6 +57,12 @@ def bumpy_surface(rng, n=4000, extent=8.0):
     return np.column_stack([xy, z])
 
 
+def as_target(points, k=40, variation_threshold=3e-2):
+    """Alignment target on the given points, without downsampling them."""
+    normals, variation, valid = frontend.estimate_normals_and_variation(points, k)
+    return frontend.Submap(points, normals, (variation < variation_threshold) & valid)
+
+
 class TestRegisterProfiles:
     def test_identity_everything(self):
         poses = np.tile(np.eye(4), (3, 1, 1))
@@ -102,14 +108,10 @@ class TestRegisterProfiles:
         n = 10
         poses = np.stack([random_pose(rng) for _ in range(n)])
         traj = Trajectory(times=np.arange(n, dtype=float), poses=poses)
-        ext = random_pose(rng)
         pts = rng.normal(size=(5, 3)) * 3.0
-        t = 4.0
-        cloud, _ = frontend.register_profiles(
-            [frontend.LaserProfile(t, pts)], traj, extrinsics=ext
-        )
-        sensor_pose = traj.pose_at(t) @ ext
-        inv = lie.se3_inv(sensor_pose)
+        t = 4.3  # between nodes: the pose is interpolated
+        cloud, _ = frontend.register_profiles([frontend.LaserProfile(t, pts)], traj)
+        inv = lie.se3_inv(traj.pose_at(t))
         back = cloud.points @ inv[:3, :3].T + inv[:3, 3]
         assert np.abs(back - pts).max() <= 1e-12
 
@@ -218,48 +220,118 @@ class TestVoxelDownsample:
 class TestNormals:
     def test_plane_normals_and_zero_variation(self, rng):
         xy = rng.uniform(-5, 5, size=(500, 2))
-        pts = np.column_stack([xy, np.zeros(500)])
-        sm = frontend.estimate_normals_and_variation(
-            frontend.Submap(points=pts), k=20, viewpoint=(0, 0, -10.0)
-        )
-        assert np.abs(np.abs(sm.normals[:, 2]) - 1.0).max() < 1e-9
-        assert np.all(sm.normals[:, 2] < 0)  # oriented toward the viewpoint
-        assert sm.variation.max() < 1e-12
+        pts = np.column_stack([xy, np.full(500, 10.0)])
+        normals, variation, valid = frontend.estimate_normals_and_variation(pts, k=20)
+        assert np.abs(np.abs(normals[:, 2]) - 1.0).max() < 1e-9
+        assert np.all(normals[:, 2] < 0)  # oriented toward the origin
+        assert variation.max() < 1e-12
+        assert valid.all()
 
     def test_isotropic_blob_variation_near_third(self, rng):
         pts = rng.normal(size=(4000, 3))
-        sm = frontend.estimate_normals_and_variation(
-            frontend.Submap(points=pts), k=60
-        )
-        assert abs(np.median(sm.variation) - 1.0 / 3.0) < 0.08
+        _, variation, _ = frontend.estimate_normals_and_variation(pts, k=60)
+        assert abs(np.median(variation) - 1.0 / 3.0) < 0.08
 
-    def test_edge_points_exceed_plane_threshold(self, rng):
-        # two perpendicular planes meeting at x = 0
-        n = 1500
+    @staticmethod
+    def corner(rng, n=1500):
+        """Two perpendicular planes meeting at x = 0."""
         a = np.column_stack(
             [rng.uniform(-3, 0, n), rng.uniform(-3, 3, n), np.zeros(n)]
         )
         b = np.column_stack(
             [np.zeros(n), rng.uniform(-3, 3, n), rng.uniform(0, 3, n)]
         )
-        pts = np.vstack([a, b]) + rng.normal(size=(2 * n, 3)) * 1e-3
-        sm = frontend.estimate_normals_and_variation(
-            frontend.Submap(points=pts), k=40
-        )
+        return np.vstack([a, b]) + rng.normal(size=(2 * n, 3)) * 1e-3
+
+    def test_edge_points_exceed_plane_threshold(self, rng):
+        pts = self.corner(rng)
+        _, variation, _ = frontend.estimate_normals_and_variation(pts, k=40)
         near_edge = (np.abs(pts[:, 0]) < 0.15) & (pts[:, 2] < 0.15)
-        assert np.median(sm.variation[near_edge]) > 3e-2
+        assert np.median(variation[near_edge]) > 3e-2
 
     def test_unit_normals(self, rng):
         pts = bumpy_surface(rng, 2000)
-        sm = frontend.estimate_normals_and_variation(frontend.Submap(points=pts), k=30)
-        assert np.abs(np.linalg.norm(sm.normals, axis=1) - 1.0).max() <= 1e-6
+        normals, _, _ = frontend.estimate_normals_and_variation(pts, k=30)
+        assert np.abs(np.linalg.norm(normals, axis=1) - 1.0).max() <= 1e-6
+
+    def test_target_plane_mask(self, rng):
+        pts = self.corner(rng)
+        raw = frontend.Submap(pts)
+        params = frontend.IcpParams()
+        target = frontend.preprocess_submap(raw, params, with_normals=True)
+        down = frontend.voxel_downsample(pts, params.voxel_cell)
+        normals, variation, valid = frontend.estimate_normals_and_variation(down)
+        assert np.array_equal(target.points, down)
+        assert np.array_equal(target.normals, normals)
+        assert np.array_equal(target.planar, (variation < 3e-2) & valid)
+        assert 0 < target.planar.sum() < len(target)
+        source = frontend.preprocess_submap(raw, params, with_normals=False)
+        assert source.normals is None and source.planar is None
+
+
+class TestIcpCost:
+    """Normal equations of the mixed cost against finite differences of its
+    objective under the update q -> exp(dphi) q + drho."""
+
+    SIGMA = 0.025
+
+    @staticmethod
+    def correspondences(rng, n=200):
+        """Random source points and unit normals, half of them planar."""
+        src = rng.normal(size=(n, 3)) * 2.0
+        nrm = rng.normal(size=(n, 3))
+        nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
+        return src, nrm, rng.permutation(n) < n // 2
+
+    @staticmethod
+    def objective_at(delta, src, *corr):
+        moved = src @ lie.so3_exp(delta[:3]).T + delta[3:]
+        return frontend._icp_cost(moved, *corr, jacobians=False)[0]
+
+    def test_gradient_matches_central_differences(self, rng):
+        src, nrm, use_plane = self.correspondences(rng)
+        tgt = src + rng.normal(size=src.shape) * 0.05
+        corr = (tgt, nrm, use_plane, self.SIGMA)
+        obj, H, b = frontend._icp_cost(src, *corr)
+        assert frontend._icp_cost(src, *corr, jacobians=False) == (obj, None, None)
+        h = 1e-6
+        fd = np.array([
+            (self.objective_at(h * e, src, *corr) - self.objective_at(-h * e, src, *corr))
+            / (2 * h)
+            for e in np.eye(6)
+        ])
+        assert np.abs(b - fd).max() <= 1e-6 * np.abs(b).max()
+
+    def test_hessian_matches_finite_differences_at_zero_residual(self, rng):
+        src, nrm, use_plane = self.correspondences(rng)
+        # plane targets slide along their tangent plane: still zero residual
+        slide = rng.normal(size=src.shape) * 0.3
+        slide -= np.einsum("ni,ni->n", slide, nrm)[:, None] * nrm
+        tgt = src + np.where(use_plane[:, None], slide, 0.0)
+        corr = (tgt, nrm, use_plane, self.SIGMA)
+        obj, H, _ = frontend._icp_cost(src, *corr)
+        assert obj < 1e-20
+        h = 1e-4
+        E = h * np.eye(6)
+        fd = np.array([
+            [
+                self.objective_at(E[i] + E[j], src, *corr)
+                - self.objective_at(E[i] - E[j], src, *corr)
+                - self.objective_at(E[j] - E[i], src, *corr)
+                + self.objective_at(-E[i] - E[j], src, *corr)
+                for j in range(6)
+            ]
+            for i in range(6)
+        ]) / (4 * h**2)
+        assert np.abs(H - fd).max() <= 1e-6 * np.abs(H).max()
 
 
 class TestIcp:
     def prepared_target(self, rng, pts=None):
         pts = bumpy_surface(rng) if pts is None else pts
-        target = frontend.Submap(points=frontend.voxel_downsample(pts, 0.05))
-        return frontend.estimate_normals_and_variation(target, k=40)
+        return frontend.preprocess_submap(
+            frontend.Submap(pts), frontend.IcpParams(), with_normals=True
+        )
 
     def test_self_alignment_is_identity(self, rng):
         target = self.prepared_target(rng)
@@ -301,7 +373,7 @@ class TestIcp:
         true = lie.se3_exp(np.array([0.05, 0.02, -0.1, 0.2, 0.3, -0.1]))
         source = frontend.Submap(points=(target.points - true[:3, 3]) @ true[:3, :3])
         _, report = frontend.icp_align(source, target)
-        assert len(report.objective_trace) == report.iterations
+        assert len(report.step_objectives) == report.iterations
         # each safeguarded update may not increase the fixed-correspondence cost
         for before, after in report.step_objectives:
             assert after <= before * (1 + 1e-12) + 1e-15
@@ -314,9 +386,7 @@ class TestIcp:
         T0, _ = frontend.icp_align(source, target)
         G = lie.se3_exp(np.array([0.1, 0.2, -0.3, 1.0, -2.0, 0.5]))
         moved_pts = target.points @ G[:3, :3].T + G[:3, 3]
-        moved = frontend.estimate_normals_and_variation(
-            frontend.Submap(points=moved_pts), k=40
-        )
+        moved = as_target(moved_pts)
         T1, _ = frontend.icp_align(source, moved, init=G @ T0)
         assert np.abs(T1 - G @ T0).max() <= 1e-6
 

@@ -1,6 +1,7 @@
-"""Every module of the package and of its tests uses each name it imports,
-and everything the package defines is reached from the package or the
-benchmark, not only from the tests."""
+"""Every module of the package and of its tests uses each name it imports;
+everything the package defines is reached from the package or the
+benchmark, not only from the tests; and for each parameter with a default,
+some call in the package or the benchmark passes it."""
 
 import ast
 from pathlib import Path
@@ -113,3 +114,70 @@ def test_every_definition_is_reached():
     modules = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     callers = [p.read_text() for p in BENCH]
     assert unreached_definitions(modules, callers) == []
+
+
+def unpassed_parameters(modules, callers=()):
+    """(module, function, parameter) for each parameter with a default, of a
+    module-level function in ``modules``, that no call passes.
+
+    Calls in ``modules`` and ``callers`` count, by position or by keyword.
+    A call is matched by the function's name alone, and one that unpacks
+    ``*args`` or ``**kwargs`` passes every parameter of that kind.
+    """
+    defaults = {}
+    for module, source in modules.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.FunctionDef):
+                a = node.args
+                positional = a.posonlyargs + a.args
+                first = len(positional) - len(a.defaults)
+                defaults[(module, node.name)] = [
+                    (i, p.arg) for i, p in enumerate(positional) if i >= first
+                ] + [
+                    (None, p.arg)
+                    for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                    if d is not None
+                ]
+    passed = set()
+    for source in [*modules.values(), *callers]:
+        for call in ast.walk(ast.parse(source)):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            n_pos = len(call.args)
+            if any(isinstance(a, ast.Starred) for a in call.args):
+                n_pos = float("inf")
+            keywords = {k.arg for k in call.keywords}
+            unpacks = None in keywords
+            for (module, function), params in defaults.items():
+                if function != name:
+                    continue
+                for i, arg in params:
+                    if unpacks or arg in keywords or (i is not None and i < n_pos):
+                        passed.add((module, function, arg))
+    return sorted(
+        (module, function, arg)
+        for (module, function), params in defaults.items()
+        for _, arg in params
+        if (module, function, arg) not in passed
+    )
+
+
+def test_guard_finds_an_unpassed_parameter():
+    modules = {
+        "a": "def f(x, y=1, *, z=2, w=3):\n    return x\n"
+        "def g(p=0, q=0):\n    return p\nf(1, 2)\n",
+        "b": "from .a import g\ng(q=1)\ndef h(u=1, *, v=2):\n    return u\n"
+        "def k(s=0):\n    return h(*s, **s)\n",
+    }
+    caller = "import lcsmooth.a\nlcsmooth.a.f(0, w=1)\n"
+    assert unpassed_parameters(modules, [caller]) == [
+        ("a", "f", "z"), ("a", "g", "p"), ("b", "k", "s")
+    ]
+    assert ("a", "f", "w") in unpassed_parameters(modules)
+
+
+def test_every_defaulted_parameter_is_passed():
+    modules = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    callers = [p.read_text() for p in BENCH]
+    assert unpassed_parameters(modules, callers) == []

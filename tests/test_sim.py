@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ def synth_scan_per_profile(truth, terrain, scanner, seed=0):
     dt = 1.0 / scanner.rate
     stamps = np.arange(truth.times[0], truth.times[-1] + 1e-9, dt)
     stamps = stamps[(stamps >= truth.times[0]) & (stamps <= truth.times[-1])]
-    sensor_poses = truth.pose_at(stamps) @ scanner.extrinsics
+    sensor_poses = truth.pose_at(stamps)
     half = np.deg2rad(scanner.fov_deg) / 2.0
     angles = np.linspace(-half, half, scanner.beams)
     dirs = np.stack([np.zeros_like(angles), np.sin(angles), np.cos(angles)], axis=1)
@@ -134,9 +136,11 @@ class TestDegrade:
         assert abs(err[-1] - expect) / expect < 0.05
 
     def test_deterministic_under_seed(self, cfg, truth):
-        p1 = sim.degrade(truth, cfg, seed=9)
-        p2 = sim.degrade(truth, cfg, seed=9)
+        reseeded = replace(cfg, seed=9)
+        p1 = sim.degrade(truth, reseeded)
+        p2 = sim.degrade(truth, reseeded)
         assert np.array_equal(p1.poses, p2.poses)
+        assert not np.array_equal(sim.degrade(truth, cfg).poses, p1.poses)
 
     def test_drift_magnitude_in_target_band(self, cfg, truth):
         prior = sim.degrade(truth, cfg)
@@ -192,7 +196,10 @@ class TestSynthScan:
         cfg.passes, cfg.pass_length, cfg.tie_margin = 2, 14.0, 8.0
         full = sim.generate_truth(cfg)
         n = 300  # 30 s up the bumpy tie line: 599 profiles at 20 Hz
-        poses = full.poses[:n].copy()
+        # a 70 degree roll sends the outer beams above the dz > 0.05 cutoff
+        poses = full.poses[:n] @ lie.make_pose(
+            lie.so3_exp(np.array([np.deg2rad(70.0), 0.0, 0.0])), np.zeros(3)
+        )
         # below the seabed every ray misses, so these profiles are dropped
         poses[100:110, 2, 3] = 12.0
         # rolled further over, no beam points down enough to cast
@@ -200,11 +207,7 @@ class TestSynthScan:
             np.array([np.deg2rad(100.0), 0.0, 0.0])
         )
         truth = Trajectory(times=full.times[:n], poses=poses)
-        # a 70 degree roll sends the outer beams above the dz > 0.05 cutoff
-        roll = lie.make_pose(
-            lie.so3_exp(np.array([np.deg2rad(70.0), 0.0, 0.0])), np.zeros(3)
-        )
-        scanner = sim.ScannerSpec(beams=24, noise_sigma=0.01, extrinsics=roll)
+        scanner = sim.ScannerSpec(beams=24, noise_sigma=0.01)
         stamps = len(np.arange(truth.times[0], truth.times[-1] + 1e-9, 0.05))
         assert stamps > 2 * sim._CHUNK_PROFILES and stamps % sim._CHUNK_PROFILES
 
