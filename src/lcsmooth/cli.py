@@ -413,15 +413,10 @@ def cmd_evaluate(args):
         truth = dataio.read_trajectory(args.truth)
         anchor = min(m.idx_l1 for m in closures) if closures else 0
         rel = metrics.relative_pose_errors(estimate, truth, anchor)
-        np.savetxt(
+        dataio.write_rows(
             out / "relative_errors.csv",
-            np.column_stack(
-                [rel.times, rel.attitude_deg, rel.displacement]
-            ),
-            fmt="%.17g",
-            delimiter=",",
-            header="t,att_x_deg,att_y_deg,att_z_deg,displacement_m",
-            comments="",
+            "t,att_x_deg,att_y_deg,att_z_deg,displacement_m",
+            np.column_stack([rel.times, rel.attitude_deg, rel.displacement]),
         )
         traj = Trajectory(times=estimate.times, poses=estimate.poses)
         summary["relative_displacement"] = metrics.summarize(rel.displacement, traj)
@@ -457,13 +452,7 @@ def cmd_evaluate(args):
                     samples.append(metrics.point_disparity(pair, gate))
             samples = np.concatenate(samples) if samples else np.zeros(0)
             if samples.size:
-                np.savetxt(
-                    out / "disparity.csv",
-                    samples,
-                    fmt="%.17g",
-                    header="disparity_m",
-                    comments="",
-                )
+                dataio.write_rows(out / "disparity.csv", "disparity_m", samples)
                 summary["point_disparity"] = metrics.summarize(samples)
             else:
                 summary["omitted"].append("point_disparity (no overlap samples)")

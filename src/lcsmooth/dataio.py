@@ -5,6 +5,9 @@ Rotations are stored as unit quaternions (Hamilton convention, scalar first;
 matrices.  Floats are written with 17 significant digits so write-then-read
 round-trips of the stored numbers are exact; a rotation matrix comes back
 through its quaternion to rounding (about 1e-16).
+
+CSV rows are formatted one ``%`` per block, a profile's timestamp once per
+profile: the bytes of ``np.savetxt(..., fmt="%.17g", delimiter=",")``.
 """
 
 from __future__ import annotations
@@ -23,17 +26,28 @@ from .trajectory import Trajectory
 _FMT = "%.17g"
 
 
+def _write_block(f, prefix, data):
+    """Rows of a 2-D array as CSV lines, each led by the literal ``prefix``."""
+    line = prefix + ",".join([_FMT] * data.shape[1]) + "\n"
+    f.write(line * len(data) % tuple(data.ravel().tolist()))
+
+
+def write_rows(path, header, data):
+    """A header line, then one CSV line per row (per value of 1-D data)."""
+    data = np.asarray(data, dtype=float)
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        _write_block(f, "", data[:, None] if data.ndim == 1 else data)
+
+
 # ---------------------------------------------------------------------------
 # Trajectory CSV: t, rx, ry, rz, qw, qx, qy, qz
 
 
 def write_trajectory(path, trajectory: Trajectory):
     q = lie.quat_from_rotation(trajectory.poses[:, :3, :3])
-    data = np.hstack(
-        [trajectory.times[:, None], trajectory.positions, q]
-    )
-    header = "t,rx,ry,rz,qw,qx,qy,qz"
-    np.savetxt(path, data, fmt=_FMT, delimiter=",", header=header, comments="")
+    data = np.hstack([trajectory.times[:, None], trajectory.positions, q])
+    write_rows(path, "t,rx,ry,rz,qw,qx,qy,qz", data)
 
 
 def read_trajectory(path) -> Trajectory:
@@ -50,14 +64,10 @@ def read_trajectory(path) -> Trajectory:
 
 
 def write_profiles(path, profiles):
-    rows = []
-    for p in profiles:
-        stamped = np.hstack(
-            [np.full((len(p.points), 1), p.timestamp), p.points]
-        )
-        rows.append(stamped)
-    data = np.vstack(rows) if rows else np.zeros((0, 4))
-    np.savetxt(path, data, fmt=_FMT, delimiter=",", header="t,x,y,z", comments="")
+    with open(path, "w") as f:
+        f.write("t,x,y,z\n")
+        for p in profiles:
+            _write_block(f, _FMT % p.timestamp + ",", p.points)
 
 
 def _load_csv(path, what):
@@ -112,11 +122,10 @@ def write_loop_closures(path, measurements, times):
         rows.append(
             np.concatenate([[times[m.idx_l1], times[m.idx_l2]], C, r, var])
         )
-    data = np.vstack(rows) if rows else np.zeros((0, 20))
     header = "t_l1,t_l2," + ",".join(
         [f"c{i}{j}" for i in range(3) for j in range(3)]
     ) + ",rx,ry,rz," + ",".join([f"var{i}" for i in range(6)])
-    np.savetxt(path, data, fmt=_FMT, delimiter=",", header=header, comments="")
+    write_rows(path, header, np.reshape(rows, (-1, 20)))
 
 
 class UnresolvedClosureTimeError(ValueError):

@@ -46,15 +46,18 @@ class LaserProfile:
 
 @dataclass
 class PointCloud:
+    """World-frame points with their capture times, in time order."""
+
     points: np.ndarray
-    times: np.ndarray | None = None
+    times: np.ndarray
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
-        if self.times is not None:
-            self.times = np.asarray(self.times, dtype=float).reshape(-1)
-            if len(self.times) != len(self.points):
-                raise ValueError("times must match points")
+        self.times = np.asarray(self.times, dtype=float).reshape(-1)
+        if len(self.times) != len(self.points):
+            raise ValueError("times must match points")
+        if not np.all(np.isfinite(self.times)) or np.any(np.diff(self.times) < 0):
+            raise ValueError("times must be finite and nondecreasing")
 
     def __len__(self):
         return len(self.points)
@@ -114,19 +117,19 @@ def register_profiles(profiles, trajectory: Trajectory):
     The sensor frame is the body frame.  The trajectory is interpolated at
     each profile timestamp; profiles whose timestamps fall outside the
     trajectory span are rejected.  Returns the world-frame cloud (with
-    per-point capture times) and the rejected count.
+    per-point capture times, profiles in stable timestamp order) and the
+    rejected count.
     """
     stamps = np.array([p.timestamp for p in profiles])
     in_span = (stamps >= trajectory.times[0]) & (stamps <= trajectory.times[-1])
     rejected = int(np.sum(~in_span))
-    kept = [p for p, ok in zip(profiles, in_span) if ok]
-    if not kept:
+    order = np.flatnonzero(in_span)[np.argsort(stamps[in_span], kind="stable")]
+    if not len(order):
         return PointCloud(np.zeros((0, 3)), np.zeros(0)), rejected
-    pts = []
-    times = []
-    for pose, prof in zip(trajectory.pose_at(stamps[in_span]), kept):
-        pts.append(prof.points @ pose[:3, :3].T + pose[:3, 3])
-        times.append(np.full(len(prof.points), prof.timestamp))
+    kept = [profiles[i] for i in order]
+    poses = trajectory.pose_at(stamps[order])
+    pts = [p.points @ T[:3, :3].T + T[:3, 3] for T, p in zip(poses, kept)]
+    times = [np.full(len(p.points), p.timestamp) for p in kept]
     return PointCloud(np.vstack(pts), np.concatenate(times)), rejected
 
 
@@ -415,14 +418,19 @@ def make_loop_closure(
 
 
 def crop_world(cloud: PointCloud, center_xy, radius, t_center=None, window=None):
-    """World-frame crop by planar radius and, optionally, capture time."""
-    center_xy = np.asarray(center_xy, dtype=float)
-    mask = np.linalg.norm(cloud.points[:, :2] - center_xy, axis=1) <= radius
-    if t_center is not None and window is not None:
-        if cloud.times is None:
-            raise ValueError("cloud has no per-point times for time gating")
-        mask &= np.abs(cloud.times - t_center) <= window
-    return PointCloud(
-        cloud.points[mask],
-        None if cloud.times is None else cloud.times[mask],
-    )
+    """World-frame crop by planar radius and, optionally, capture time.
+
+    Only the ``searchsorted`` slice of the time-ordered cloud that the time
+    gate can keep, widened by a few ulps, is masked: the same points, in the
+    same order, as masking the whole cloud.
+    """
+    gated = t_center is not None and window is not None
+    lo, hi = 0, len(cloud)
+    if gated and hi and np.isfinite(t_center):
+        reach = window + 8.0 * np.spacing(max(abs(t_center), *np.abs(cloud.times[[0, -1]])))
+        lo, hi = np.searchsorted(cloud.times, [t_center - reach, t_center + reach])
+    points, times = cloud.points[lo:hi], cloud.times[lo:hi]
+    mask = np.linalg.norm(points[:, :2] - np.asarray(center_xy, float), axis=1) <= radius
+    if gated:
+        mask &= np.abs(times - t_center) <= window
+    return PointCloud(points[mask], times[mask])

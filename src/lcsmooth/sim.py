@@ -43,15 +43,18 @@ class TerrainSpec:
         return d
 
     def depth_grad(self, x, y):
+        """``(depth, d depth / dx, d depth / dy)``; the depth is ``depth(x, y)``."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        gx = np.zeros(np.broadcast_shapes(x.shape, y.shape))
-        gy = np.zeros_like(gx)
+        d = np.full(np.broadcast_shapes(x.shape, y.shape), self.base_depth, dtype=float)
+        gx, gy = np.zeros((2, *d.shape))
         for bx, by, amp, sig in self.bumps:
-            e = amp * np.exp(-((x - bx) ** 2 + (y - by) ** 2) / (2.0 * sig**2))
-            gx = gx + e * (x - bx) / sig**2
-            gy = gy + e * (y - by) / sig**2
-        return gx, gy
+            dx, dy = x - bx, y - by
+            e = amp * np.exp(-(dx**2 + dy**2) / (2.0 * sig**2))
+            d -= e
+            gx += e * dx / sig**2
+            gy += e * dy / sig**2
+        return d, gx, gy
 
 
 @dataclass
@@ -289,7 +292,7 @@ def synth_scan(truth: Trajectory, terrain: TerrainSpec, scanner: ScannerSpec, se
     profiles left with no ray.
 
     Newton runs on chunks of ``_CHUNK_PROFILES`` profiles at once, one
-    ``TerrainSpec.depth`` and ``depth_grad`` call per chunk iteration.  Each
+    ``TerrainSpec.depth_grad`` call per chunk iteration.  Each
     profile keeps its own stopping rule: it stops after the iteration in
     which its own max |step| < 1e-12, or after 25 iterations, and only the
     rays of profiles still iterating are updated.  The arithmetic per ray and
@@ -322,8 +325,8 @@ def synth_scan(truth: Trajectory, terrain: TerrainSpec, scanner: ScannerSpec, se
             oa, da, sa = o[active], d[active], s[active]
             x = oa[:, 0] + sa * da[:, 0]
             y = oa[:, 1] + sa * da[:, 1]
-            f = oa[:, 2] + sa * da[:, 2] - terrain.depth(x, y)
-            gx, gy = terrain.depth_grad(x, y)
+            depth, gx, gy = terrain.depth_grad(x, y)
+            f = oa[:, 2] + sa * da[:, 2] - depth
             fp = da[:, 2] - gx * da[:, 0] - gy * da[:, 1]
             fp = np.where(np.abs(fp) < 1e-6, 1e-6, fp)
             step = f / fp

@@ -4,13 +4,14 @@ None of this runs in the pipeline.  It holds the sparse assembly of the whole
 least-squares problem (the oracle of the structured Schur step and of the
 dense solver check), the continuous-time WNOA error kinematics with their
 closed-form transition matrix and the process noise as one 12 x 12 matrix,
-and the se(3) hat/vee maps.
+the se(3) hat/vee maps, the terrain gradient on its own pass over the bumps,
+and the world-frame crop that masks the whole cloud.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
-from lcsmooth import lie, solver, wnoa
+from lcsmooth import frontend, lie, solver, wnoa
 
 # ---------------------------------------------------------------------------
 # se(3) hat/vee
@@ -142,3 +143,29 @@ def assemble(graph: solver.FactorGraph, robust_weights=None):
         row += d * m
     gamma = _coo_matrix(gamma_parts, (row, 12 * graph.num_nodes))
     return np.concatenate(err_parts), gamma, _coo_matrix(w_parts, (row, row))
+
+
+# ---------------------------------------------------------------------------
+# Terrain gradient and world-frame crop, each as a separate full pass
+
+
+def terrain_grad(terrain, x, y):
+    """``(d depth / dx, d depth / dy)`` of a ``sim.TerrainSpec``, without the depth."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    gx = np.zeros(np.broadcast_shapes(x.shape, y.shape))
+    gy = np.zeros_like(gx)
+    for bx, by, amp, sig in terrain.bumps:
+        e = amp * np.exp(-((x - bx) ** 2 + (y - by) ** 2) / (2.0 * sig**2))
+        gx = gx + e * (x - bx) / sig**2
+        gy = gy + e * (y - by) / sig**2
+    return gx, gy
+
+
+def crop_world(cloud, center_xy, radius, t_center=None, window=None):
+    """World-frame crop by one mask over every point of the cloud."""
+    center_xy = np.asarray(center_xy, dtype=float)
+    mask = np.linalg.norm(cloud.points[:, :2] - center_xy, axis=1) <= radius
+    if t_center is not None and window is not None:
+        mask &= np.abs(cloud.times - t_center) <= window
+    return frontend.PointCloud(cloud.points[mask], cloud.times[mask])

@@ -166,6 +166,24 @@ class TestCloseloops:
         prior = dataio.read_trajectory(d / "prior.csv")
         assert dataio.read_loop_closures(d / "loopclosures.csv", prior.times) == []
 
+    def test_profile_order_in_file_does_not_matter(self, dataset, tmp_path):
+        d, cfg = dataset
+        import shutil
+
+        d2 = tmp_path / "d_swapped"
+        shutil.copytree(d, d2)
+        prior = dataio.read_trajectory(d / "prior.csv")
+        t_l1 = np.loadtxt(d / "loopclosures.csv", delimiter=",", skiprows=1, ndmin=2)[0, 0]
+        profiles = dataio.read_profiles(d / "profiles.csv")
+        # two profiles inside the first closure's crop window change places
+        i = int(np.argmin([abs(p.timestamp - t_l1) for p in profiles]))
+        profiles[i], profiles[i + 3] = profiles[i + 3], profiles[i]
+        dataio.write_profiles(d2 / "profiles.csv", profiles)
+        assert (d2 / "profiles.csv").read_bytes() != (d / "profiles.csv").read_bytes()
+        assert cli.main(["closeloops", "--dataset", str(d2), "--config", cfg]) == 0
+        assert len(dataio.read_loop_closures(d2 / "loopclosures.csv", prior.times)) == 2
+        assert (d2 / "loopclosures.csv").read_bytes() == (d / "loopclosures.csv").read_bytes()
+
     def test_outlier_injection_flag(self, dataset, tmp_path):
         d, cfg = dataset
         import shutil

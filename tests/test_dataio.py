@@ -104,6 +104,60 @@ class TestTrajectoryCsv:
         assert info.value.index == 4
 
 
+def savetxt_bytes(path, header, data):
+    """The reference writer: what every CSV of the package is byte for byte."""
+    np.savetxt(path, data, fmt="%.17g", delimiter=",", header=header, comments="")
+    return path.read_bytes()
+
+
+# values whose text is easy to get wrong: signed zero, the smallest
+# subnormal, the near-overflow range, integral floats, survey-epoch stamps
+AWKWARD = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308, 3.0, -42.0,
+           1e16, 0.1, 1.0 / 3.0, 1.7e9, 1.7e9 + 0.05, 1700000000.1234567]
+
+
+class TestWritersMatchSavetxt:
+    def test_profiles(self, rng, tmp_path):
+        values = np.array(AWKWARD)
+        profiles = [frontend.LaserProfile(t, rng.choice(values, size=(k, 3)))
+                    for t, k in ((-0.0, 1), (5e-324, 2), (3.0, 1), (1.7e9, 4),
+                                 (1.7e9 + 0.05, 1), (1e308, 3))]
+        profiles.append(frontend.LaserProfile(1700000000.1234567, rng.normal(size=(50, 3)) * 1e3))
+        stamped = np.vstack([np.column_stack([np.full(len(p.points), p.timestamp), p.points])
+                             for p in profiles])
+        dataio.write_profiles(tmp_path / "p.csv", profiles)
+        expect = savetxt_bytes(tmp_path / "ref.csv", "t,x,y,z", stamped)
+        assert (tmp_path / "p.csv").read_bytes() == expect
+
+    def test_no_profiles(self, tmp_path):
+        dataio.write_profiles(tmp_path / "p.csv", [])
+        expect = savetxt_bytes(tmp_path / "ref.csv", "t,x,y,z", np.zeros((0, 4)))
+        assert (tmp_path / "p.csv").read_bytes() == expect == b"t,x,y,z\n"
+
+    @pytest.mark.parametrize("shape", [(0, 5), (1, 5), (7, 8), (0,), (1,), (9,)])
+    def test_rows(self, rng, tmp_path, shape):
+        data = rng.choice(np.array(AWKWARD), size=shape)
+        dataio.write_rows(tmp_path / "r.csv", "a,b", data)
+        assert (tmp_path / "r.csv").read_bytes() == savetxt_bytes(tmp_path / "ref.csv", "a,b", data)
+
+    def test_trajectory_and_closures(self, rng, tmp_path):
+        times = 1.7e9 + np.arange(12) * 0.1
+        poses = np.stack([random_pose(rng, trans_scale=1e4) for _ in range(12)])
+        dataio.write_trajectory(tmp_path / "traj.csv", Trajectory(times, poses))
+        q = lie.quat_from_rotation(poses[:, :3, :3])
+        expect = savetxt_bytes(tmp_path / "ref.csv", "t,rx,ry,rz,qw,qx,qy,qz",
+                               np.hstack([times[:, None], poses[:, :3, 3], q]))
+        assert (tmp_path / "traj.csv").read_bytes() == expect
+
+        meas = [LoopClosureMeasurement(2, 9, poses[3], np.diag([1e-300, 1e-8, 1.0, 3.0, 0.25, 1e300]))]
+        dataio.write_loop_closures(tmp_path / "lc.csv", meas, times)
+        row = np.concatenate([times[[2, 9]], poses[3, :3, :3].ravel(), poses[3, :3, 3],
+                              [1e-300, 1e-8, 1.0, 3.0, 0.25, 1e300]])
+        header = (tmp_path / "lc.csv").read_text().splitlines()[0]
+        expect = savetxt_bytes(tmp_path / "ref.csv", header, row[None])
+        assert (tmp_path / "lc.csv").read_bytes() == expect
+
+
 class TestProfilesCsv:
     def test_roundtrip(self, rng, tmp_path):
         profiles = [

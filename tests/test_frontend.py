@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcsmooth import frontend, lie
 from lcsmooth.trajectory import Trajectory
 
 from conftest import random_pose
+from oracles import crop_world as crop_world_full_mask
 
 
 def brute_force_crossings(trajectory, delta_r_star, min_time_separation):
@@ -104,6 +107,20 @@ class TestRegisterProfiles:
         assert rejected == 2
         assert len(cloud) == 1
 
+    def test_profiles_taken_in_stable_timestamp_order(self, rng):
+        poses = np.stack([random_pose(rng) for _ in range(4)])
+        traj = Trajectory(times=np.arange(4.0), poses=poses)
+        profs = [
+            frontend.LaserProfile(t, rng.normal(size=(k, 3)))
+            for t, k in ((0.5, 2), (2.5, 1), (1.5, 3), (2.5, 2), (0.5, 1))
+        ]
+        cloud, _ = frontend.register_profiles(profs, traj)
+        in_order = [profs[i] for i in (0, 4, 2, 1, 3)]
+        expect, _ = frontend.register_profiles(in_order, traj)
+        assert np.array_equal(cloud.times, [0.5, 0.5, 0.5, 1.5, 1.5, 1.5, 2.5, 2.5, 2.5])
+        assert np.array_equal(cloud.points, expect.points)
+        assert np.array_equal(cloud.times, expect.times)
+
     def test_exactly_invertible(self, rng):
         n = 10
         poses = np.stack([random_pose(rng) for _ in range(n)])
@@ -154,7 +171,7 @@ class TestExtractSubmap:
         anchor = np.eye(4)
         anchor[:3, 3] = [5.0, 6.0, 7.0]
         pts = np.tile(anchor[:3, 3], (150, 1))
-        cloud = frontend.PointCloud(pts)
+        cloud = frontend.PointCloud(pts, np.zeros(150))
         sm = frontend.extract_submap(cloud, anchor, 5.0, min_points=100)
         assert len(sm) == 150
         assert np.abs(sm.points).max() < 1e-12
@@ -163,14 +180,16 @@ class TestExtractSubmap:
         anchor = np.eye(4)
         inside = np.array([[4.999, 0.0, 3.0]])
         outside = np.array([[5.001, 0.0, 3.0]])
-        cloud = frontend.PointCloud(np.vstack([np.zeros((100, 3)), inside, outside]))
+        cloud = frontend.PointCloud(
+            np.vstack([np.zeros((100, 3)), inside, outside]), np.arange(102.0)
+        )
         sm = frontend.extract_submap(cloud, anchor, 5.0, min_points=1)
         assert len(sm) == 101
 
     def test_membership_matches_brute_force(self, rng):
         pts = rng.uniform(-10, 10, size=(500, 3))
         anchor = random_pose(rng)
-        cloud = frontend.PointCloud(pts)
+        cloud = frontend.PointCloud(pts, np.zeros(500))
         sm = frontend.extract_submap(cloud, anchor, 4.0, min_points=1)
         expect = np.sum(
             np.linalg.norm(pts[:, :2] - anchor[:2, 3], axis=1) <= 4.0
@@ -178,7 +197,7 @@ class TestExtractSubmap:
         assert len(sm) == expect
 
     def test_insufficient_overlap(self):
-        cloud = frontend.PointCloud(np.zeros((10, 3)))
+        cloud = frontend.PointCloud(np.zeros((10, 3)), np.zeros(10))
         with pytest.raises(frontend.InsufficientOverlapError):
             frontend.extract_submap(cloud, np.eye(4), 5.0, min_points=100)
 
@@ -190,6 +209,59 @@ class TestExtractSubmap:
             cloud, np.eye(4), 5.0, anchor_time=100.0, time_window=10.0, min_points=10
         )
         assert len(sm) == 80
+
+
+def _nudge(x, ulps):
+    for _ in range(abs(ulps)):
+        x = np.nextafter(x, np.copysign(np.inf, ulps))
+    return float(x)
+
+
+@st.composite
+def gated_crops(draw):
+    """A time-ordered cloud, profile by profile, and a crop whose time gate
+    lands on, or within a few ulps of, its stamps."""
+    offset = draw(st.floats(-1e9, 1e9))
+    steps = draw(st.lists(
+        st.sampled_from([0.0, 5e-324, 1e-7, 0.05, 0.1]) | st.floats(0.0, 50.0),
+        min_size=1, max_size=40,
+    ))
+    stamps = offset + np.cumsum(steps)
+    times = np.repeat(stamps, draw(st.lists(
+        st.integers(1, 4), min_size=len(stamps), max_size=len(stamps))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = rng.uniform(-3.0, 3.0, size=(len(times), 3))
+    t_center = _nudge(draw(st.sampled_from(stamps)), draw(st.integers(-3, 3)))
+    gap = abs(draw(st.sampled_from(stamps)) - t_center)
+    window = draw(
+        st.integers(-3, 3).map(lambda k: _nudge(gap, k)) | st.floats(0.0, 100.0)
+    )
+    radius = draw(st.floats(0.0, 5.0))
+    return frontend.PointCloud(points, times), t_center, window, radius
+
+
+class TestCropWorld:
+    @settings(max_examples=400, deadline=None)
+    @given(gated_crops())
+    def test_time_slice_equals_full_mask(self, crop):
+        cloud, t_center, window, radius = crop
+        center = np.array([0.5, -0.25])
+        got = frontend.crop_world(cloud, center, radius, t_center, window)
+        ref = crop_world_full_mask(cloud, center, radius, t_center, window)
+        assert np.array_equal(got.points, ref.points)
+        assert np.array_equal(got.times, ref.times)
+
+    def test_without_time_gate_keeps_every_time(self, rng):
+        cloud = frontend.PointCloud(rng.uniform(-3, 3, (300, 3)), np.sort(rng.uniform(0, 9, 300)))
+        got = frontend.crop_world(cloud, [0.0, 0.0], 2.0)
+        ref = crop_world_full_mask(cloud, [0.0, 0.0], 2.0)
+        assert np.array_equal(got.points, ref.points)
+        assert np.array_equal(got.times, ref.times)
+
+    @pytest.mark.parametrize("times", [[0.0, 2.0, 1.0], [0.0, np.nan, 1.0], [0.0, 1.0, np.inf]])
+    def test_unordered_or_non_finite_times_rejected(self, times):
+        with pytest.raises(ValueError, match="nondecreasing"):
+            frontend.PointCloud(np.zeros((3, 3)), times)
 
 
 class TestVoxelDownsample:

@@ -7,6 +7,8 @@ from lcsmooth import frontend, lie, sim
 from lcsmooth.frontend import LaserProfile
 from lcsmooth.trajectory import Trajectory
 
+from oracles import terrain_grad
+
 
 def synth_scan_per_profile(truth, terrain, scanner, seed=0):
     """Reference ray caster: Newton on one profile at a time."""
@@ -34,7 +36,7 @@ def synth_scan_per_profile(truth, terrain, scanner, seed=0):
             x = o[0] + s * d_ok[:, 0]
             y = o[1] + s * d_ok[:, 1]
             f = o[2] + s * dz_ok - terrain.depth(x, y)
-            gx, gy = terrain.depth_grad(x, y)
+            gx, gy = terrain.depth_grad(x, y)[1:]
             fp = dz_ok - gx * d_ok[:, 0] - gy * d_ok[:, 1]
             fp = np.where(np.abs(fp) < 1e-6, 1e-6, fp)
             step = f / fp
@@ -153,6 +155,26 @@ class TestDegrade:
         e = lie.se3_log(lie.se3_inv(truth.poses) @ prior.poses)
         assert np.abs(e[:, :2]).max() < 1e-6  # roll/pitch
         assert np.abs(prior.positions[:, 2] - truth.positions[:, 2]).max() < 1e-6
+
+
+class TestTerrain:
+    def test_fused_pass_equals_separate_passes_bit_for_bit(self, cfg, rng):
+        terrain = cfg.terrain
+        bumps = np.array(terrain.bumps)
+        # random points, and the bump centres, where one x - bx is exactly 0
+        x = np.concatenate([rng.uniform(-40.0, 40.0, 5000), bumps[:, 0]])
+        y = np.concatenate([rng.uniform(-20.0, 70.0, 5000), bumps[:, 1]])
+        depth, gx, gy = terrain.depth_grad(x, y)
+        assert np.array_equal(depth, terrain.depth(x, y))
+        ref_gx, ref_gy = terrain_grad(terrain, x, y)
+        assert np.array_equal(gx, ref_gx) and np.array_equal(gy, ref_gy)
+
+    @pytest.mark.parametrize("y", [2.0, np.array([2.0, 3.0])])
+    def test_broadcasts_like_depth(self, cfg, y):
+        depth, gx, gy = cfg.terrain.depth_grad(1.0, y)
+        assert np.shape(depth) == np.shape(gx) == np.shape(gy) == np.shape(y)
+        assert np.array_equal(depth, cfg.terrain.depth(1.0, y))
+        assert np.array_equal([gx, gy], terrain_grad(cfg.terrain, 1.0, y))
 
 
 class TestSynthScan:
