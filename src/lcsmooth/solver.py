@@ -14,9 +14,9 @@ The normal equations exploit the structure in node order: the chain part is
 block-tridiagonal, and each loop closure adds a PSD rank-6 term on its two
 nodes.  The step eliminates every node that no closure touches with one
 banded Cholesky factorization and one forward triangular sweep, leaving a
-block-tridiagonal Schur complement over the m <= 2L closure nodes, to which
-the closure terms are added through a Woodbury update.  That costs O(n)
-banded work plus work in m and L only, and stores nothing of size n x L.
+block-tridiagonal Schur complement over the m <= 2L closure nodes, solved
+with the closure terms by one sparse factorization under a minimum-degree
+order: O(n) banded work plus sparse work over the closure graph only.
 Levenberg-Marquardt damping wraps the Gauss-Newton step so the objective is
 non-increasing across accepted iterations; a step that cannot be computed
 (NotPositiveDefiniteError) raises the damping.
@@ -28,6 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.linalg
 
 from . import factors, lie
 from .factors import LoopClosureMeasurement, NonFiniteInputError, PriorBelief, require_spd
@@ -414,6 +415,36 @@ def _diagonal_blocks(cb, nodes):
     return out
 
 
+def _solve_closure_nodes(Sd, So, pos, V, r_K):
+    """Solve (S_K + sum_l u_l u_l^T) d_K = r_K with one sparse factorization.
+
+    The matrix holds S_K's 12 x 12 blocks (``Sd`` diagonal, ``So`` upper) and
+    each closure's 6 x 6 pose blocks V[l, s] V[l, t]^T at (pos[l, s], pos[l, t]),
+    duplicates summed.  SuperLU factors it under a minimum-degree order and
+    takes every nonzero diagonal pivot (threshold 0), the pivots of a Cholesky
+    factorization in that order: the matrix is positive definite exactly when
+    all pivots are diagonal and positive.
+    """
+    k, what = np.arange(len(Sd)), "closure-node Schur complement"
+    VVt = V[:, :, None] @ np.swapaxes(V, -1, -2)[:, None]
+    coo = []
+    for b, bi, bj in ((Sd, k, k), (So, k[:-1], k[1:]), (np.swapaxes(So, -1, -2), k[1:], k[:-1]),
+                      (VVt, pos[..., None], pos[:, None])):
+        i = np.arange(b.shape[-1])
+        coo.append(np.broadcast_arrays(b, 12 * bi[..., None, None] + i[:, None],
+                                       12 * bj[..., None, None] + i))
+    data, rows, cols = (np.concatenate([c[t].ravel() for c in coo]) for t in range(3))
+    A = scipy.sparse.csc_matrix((data, (rows, cols)), shape=(12 * len(Sd),) * 2)
+    try:
+        lu = scipy.sparse.linalg.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                                      options=dict(SymmetricMode=True))
+    except RuntimeError as exc:  # SuperLU's only error for an exactly singular factor
+        raise NotPositiveDefiniteError(what, f"{what} singular: {exc}") from exc
+    if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0)):
+        raise NotPositiveDefiniteError(what, f"{what} not positive definite")
+    return lu.solve(r_K.ravel()).reshape(r_K.shape)
+
+
 def update_states(graph: FactorGraph, delta_x) -> FactorGraph:
     """Apply the stacked correction: T <- T exp(-dxi^), varpi <- varpi + dvarpi."""
     delta_x = np.asarray(delta_x, dtype=float)
@@ -441,21 +472,21 @@ def _solve_normal(Hdiag, Hoff, loop_idx, V, g, lam):
     all: within segment s, F_s^T F_s holds the (f, f) block and the coupling
     of f to A_II^-1 r_I.  L^-1 keeps a column block on the last node l where
     it is, so the (l, l) terms come from R = L_ll^-1 A_lK alone, and the
-    (f, l) coupling from F at l and R.  S_K is block-tridiagonal, a second
-    banded Cholesky over m blocks.  The closure terms enter S_K through the
-    Woodbury identity, with the (6L x 6L) capacitance gathered from the
-    closures' rows of S_K^-1 U_K.  One more single-RHS solve back-substitutes
-    the interior.  The cost is O(n) banded work plus work in m and L only;
-    nothing of size n x L is formed.  Raises NotPositiveDefiniteError when
-    A_II or S_K is not positive definite, which happens exactly when A is
-    not, or when the solution is not finite.
+    (f, l) coupling from F at l and R.  The closure terms touch only rows of
+    K, so S_K + sum_l u_l u_l^T is the exact Schur complement onto K: one
+    sparse factorization under a minimum-degree order solves it for d_K, and
+    one single-RHS banded solve back-substitutes the interior.  The cost is
+    O(n) banded work plus sparse work over the closure graph; nothing of
+    size n x L is formed.  Raises NotPositiveDefiniteError when A_II or the
+    closure-node system is not positive definite, which happens exactly when
+    the damped normal matrix is not, or when the solution is not finite.
     """
     Hd = Hdiag + lam * np.eye(12)
     r = -g.reshape(-1, 12)
     N = len(Hd)
     K, pos = np.unique(loop_idx, return_inverse=True)
     pos = pos.reshape(loop_idx.shape)
-    m, L = len(K), len(V)
+    m = len(K)
 
     # interior matrix A_II: identity on K, chain couplings at K cut
     isK = np.ones(N + 2, dtype=bool)  # node k at k + 1; padded at both ends
@@ -499,18 +530,7 @@ def _solve_normal(Hdiag, Hoff, loop_idx, V, g, lam):
         adjacent = (K[1:] == K[:-1] + 1)[:, None, None]
         F_end = np.swapaxes(F[K[1:] - 1, :, 1:], -1, -2)
         So = np.where(adjacent, next_c[:-1], 0.0) - F_end @ R[1:]
-        cs = _cholesky_banded(Sd, So, "closure-node Schur complement")
-
-        # Woodbury over the closure terms; U_K holds V[l, s] in the pose rows
-        # of K node pos[l, s] and in columns 6l..6l+5
-        rhs = np.zeros((m, 12, 1 + 6 * L))
-        rhs[:, :, 0] = r_K
-        cols = 1 + np.arange(6 * L).reshape(L, 1, 1, 6)
-        np.add.at(rhs, (pos[..., None, None], np.arange(6)[:, None], cols), V)
-        Z = _cho_solve(cs, rhs)
-        UtZ = np.einsum("lsij,lsik->ljk", V, Z[pos, :6]).reshape(6 * L, -1)
-        cap = np.eye(6 * L) + UtZ[:, 1:]
-        d_K = Z[:, :, 0] - Z[:, :, 1:] @ np.linalg.solve(cap, UtZ[:, 0])
+        d_K = _solve_closure_nodes(Sd, So, pos, V, r_K)
 
         # interior back-substitution: A_II d_I = r_I - A_IK d_K
         r_I[first] -= (next_t[left] @ d_K[left, :, None])[..., 0]
@@ -523,6 +543,13 @@ def _solve_normal(Hdiag, Hoff, loop_idx, V, g, lam):
             "normal-equation solution", "non-finite normal-equation solution"
         )
     return delta
+
+
+def _moved(graph, xy):
+    """A copy of the graph with every pose moved by ``xy`` in plane."""
+    G = lie.make_pose(np.eye(3), [*xy, 0.0])
+    return replace(graph.copy(), poses=G @ graph.poses, prior_poses=G @ graph.prior_poses,
+                   prior=replace(graph.prior, pose=G @ graph.prior.pose))
 
 
 def solve(graph: FactorGraph, config: SolverConfig | None = None):
@@ -541,7 +568,10 @@ def solve(graph: FactorGraph, config: SolverConfig | None = None):
     if config is None:
         config = SolverConfig()
     graph.validate()
-    cur = graph.copy()
+    # relative-pose factors cancel position terms as large as the coordinates:
+    # solve near node 0, at a multiple of 1,024 m, so that moving back is exact
+    origin = 1024.0 * np.round(graph.poses[0, :2, 3] / 1024.0)
+    cur = _moved(graph, -origin)
     lam = config.damping
     iterations = 0
     converged = False
@@ -609,6 +639,7 @@ def solve(graph: FactorGraph, config: SolverConfig | None = None):
         message=message,
         step_objectives=step_objectives,
     )
+    cur = _moved(cur, origin)
     if failure:
         raise SolverFailureError(failure, cur, report)
     return cur, report

@@ -272,6 +272,37 @@ class TestSmooth:
         assert len(posterior) == len(pruned) + 1
         assert np.any(np.isclose(posterior.times, t1))
 
+    def test_survey_coordinates(self, dataset, tmp_path):
+        # the survey logged at UTM magnitudes; profiles.csv is in the sensor
+        # frame, so only the trajectories move
+        import shutil
+
+        d, cfg = dataset
+        runs = {}
+        for name, offset in (("origin", np.zeros(2)), ("utm", np.array([5e5, 5e6]))):
+            d2 = tmp_path / name
+            shutil.copytree(d, d2)
+            for csv in ("prior.csv", "truth.csv"):
+                trajectory = dataio.read_trajectory(d2 / csv)
+                trajectory.poses[:, :2, 3] += offset
+                dataio.write_trajectory(d2 / csv, trajectory)
+            assert cli.main(["closeloops", "--dataset", str(d2), "--config", cfg]) == 0
+            assert cli.main(["smooth", "--dataset", str(d2), "--config", cfg]) == 0
+            report = json.loads((d2 / "smooth_report.json").read_text())
+            posterior = dataio.read_trajectory(d2 / "posterior.csv").poses
+            posterior[:, :2, 3] -= offset
+            closures = np.loadtxt(d2 / "loopclosures.csv", delimiter=",", skiprows=1)
+            runs[name] = report, posterior, closures
+        (report, posterior, closures), (report_u, posterior_u, closures_u) = runs.values()
+        assert report["converged"] and report_u["converged"]
+        assert report_u["iterations"] == report["iterations"]
+        # the front end registers the profiles at the survey's coordinates,
+        # which moves its closures by a few 1e-10
+        assert closures_u.shape == closures.shape
+        assert np.abs(closures_u - closures).max() <= 1e-8
+        assert np.abs(posterior_u - posterior).max() <= 1e-7
+        assert np.abs(np.subtract(report_u["loop_weights"], report["loop_weights"])).max() <= 1e-9
+
     @pytest.mark.parametrize("orthonormal", [True, False], ids=["exact", "off_so3"])
     def test_flipped_closure_rejected(self, tmp_path, orthonormal):
         times, poses, closures = flipped_closure_line(orthonormal)

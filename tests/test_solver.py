@@ -155,12 +155,25 @@ class TestAssemble:
 
 
 @st.composite
-def closure_layouts(draw):
-    """(n, closure node pairs): 2 to 30 nodes and 0 to 6 closures."""
+def closure_layouts(draw, dense=False):
+    """(n, closure node pairs): 2 to 30 nodes and 0 to 6 closures, or up to
+    3n closures if ``dense``."""
     n = draw(st.integers(2, 30))
     node = st.integers(0, n - 1)
-    pairs = draw(st.lists(st.tuples(node, node).filter(lambda p: p[0] != p[1]), max_size=6))
+    pairs = draw(
+        st.lists(
+            st.tuples(node, node).filter(lambda p: p[0] != p[1]),
+            max_size=3 * n if dense else 6,
+        )
+    )
     return n, tuple((min(p), max(p)) for p in pairs)
+
+
+def random_pairs(n, count, seed):
+    """``count`` closure node pairs drawn uniformly on n nodes."""
+    rng = np.random.default_rng(seed)
+    return tuple(tuple(int(k) for k in np.sort(rng.choice(n, 2, replace=False)))
+                 for _ in range(count))
 
 
 class TestSchurStep:
@@ -213,6 +226,40 @@ class TestSchurStep:
         ref = self.sparse_step(g, w, lam)
         assert np.linalg.norm(delta - ref) <= 1e-9 * np.linalg.norm(ref)
 
+    def check_layout(self, rng, n, loops, lam):
+        g = small_graph(rng, n=n, loops=loops, perturb=0.02)
+        w = rng.uniform(0.3, 1.0, size=len(loops))
+        normal = solver._normal_equations(robust_terms(g, w), g.num_nodes)
+        delta = solver._solve_normal(*normal, lam)
+        ref = self.sparse_step(g, w, lam)
+        assert np.linalg.norm(delta - ref) <= 1e-9 * np.linalg.norm(ref)
+
+    # closure graphs whose closure-node system is no longer block-tridiagonal,
+    # so that its factorization depends on the fill-reducing order
+    @pytest.mark.parametrize(
+        "n, loops",
+        [
+            (30, tuple((min(5, k), max(5, k))
+                       for k in (0, 2, 3, 8, 11, 14, 17, 20, 23, 26, 28, 29))),
+            (12, ((0, 6), (1, 7), (2, 8), (3, 9), (4, 10), (5, 11))),
+            (12, ((0, 1), (3, 4), (4, 5), (8, 9), (10, 11))),
+            (40, random_pairs(40, 40, seed=7)),
+        ],
+        ids=["star", "no_interior", "adjacent_only", "random40"],
+    )
+    def test_matches_sparse_solve_on_closure_graphs(self, rng, n, loops):
+        self.check_layout(rng, n, loops, 0.0)
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(
+        layout=closure_layouts(dense=True),
+        lam=st.one_of(st.just(0.0), st.floats(1e-6, 10.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_sparse_solve_on_dense_layouts(self, layout, lam, seed):
+        n, loops = layout
+        self.check_layout(np.random.default_rng(seed), n, loops, lam)
+
 
 # relative-pose factors this stiff put the rounding error of the normal
 # equations far above the damping cap
@@ -226,6 +273,18 @@ def unanchored_graph(rng, loops):
     g.prior = factors.PriorBelief(g.prior.pose, g.prior.varpi, 1e300 * np.eye(12))
     g.r_rel = STIFF_R_REL
     return g
+
+
+def nudged_flipped_line():
+    """``flipped_closure_line`` with its consistent closure moved by about
+    one sigma, so that the posterior moves away from the prior."""
+    times, poses, closures = flipped_closure_line(orthonormal=True)
+    good = closures[0]
+    nudge = lie.se3_exp(np.array([0.002, -0.001, 0.003, 0.02, -0.01, 0.015]))
+    closures[0] = factors.LoopClosureMeasurement(
+        good.idx_l1, good.idx_l2, good.xi_meas @ nudge, good.cov
+    )
+    return times, poses, closures
 
 
 class TestSolverFailure:
@@ -243,6 +302,33 @@ class TestSolverFailure:
             with pytest.raises(solver.NotPositiveDefiniteError) as info:
                 solver._solve_normal(*normal, lam)
             assert info.value.matrix == singular
+
+    def test_zero_closure_node_system_raises(self):
+        # interior blocks I, closure-node blocks 0, no chain couplings and no
+        # closure terms: the closure-node system is exactly zero, which
+        # SuperLU reports as an exactly singular factor
+        n = 6
+        hdiag = np.tile(np.eye(12), (n, 1, 1))
+        hdiag[[1, 4]] = 0.0
+        hoff = np.zeros((n - 1, 12, 12))
+        v = np.zeros((1, 2, 6, 6))
+        with pytest.raises(solver.NotPositiveDefiniteError) as info:
+            solver._solve_normal(hdiag, hoff, np.array([[1, 4]]), v, np.ones(12 * n), 0.0)
+        assert info.value.matrix == "closure-node Schur complement"
+        assert type(info.value.__cause__) is RuntimeError
+
+    def test_singular_closure_graph_raises(self, rng):
+        # eleven closures over all twelve nodes: the minimum-degree order of
+        # the closure-node system differs from node order, and the free gauge
+        # still shows as a non-positive pivot
+        loops = ((0, 5), (1, 9), (2, 6), (3, 10), (4, 8), (0, 11), (2, 7), (5, 9),
+                 (1, 4), (6, 10), (3, 8))
+        g = unanchored_graph(rng, loops)
+        normal = solver._normal_equations(robust_terms(g, np.ones(len(loops))), g.num_nodes)
+        for lam in (0.0, solver.MAX_DAMPING):
+            with pytest.raises(solver.NotPositiveDefiniteError) as info:
+                solver._solve_normal(*normal, lam)
+            assert info.value.matrix == "closure-node Schur complement"
 
     def test_non_finite_solution_raises(self, rng):
         g = small_graph(rng, n=12, loops=((2, 9),), perturb=0.02)
@@ -412,14 +498,7 @@ class TestSolve:
         # leaves every factor unchanged (the roll/pitch/depth factor fixes the
         # rest of the gauge), so the posterior is left-composed with G; the
         # closures are relative and stay as they are
-        times, poses, closures = flipped_closure_line(orthonormal=True)
-        # the consistent closure moved by about one sigma, so that the
-        # posterior moves away from the prior
-        good = closures[0]
-        nudge = lie.se3_exp(np.array([0.002, -0.001, 0.003, 0.02, -0.01, 0.015]))
-        closures[0] = factors.LoopClosureMeasurement(
-            good.idx_l1, good.idx_l2, good.xi_meas @ nudge, good.cov
-        )
+        times, poses, closures = nudged_flipped_line()
         G = lie.make_pose(lie.so3_exp(np.array([0.0, 0.0, psi])), [x, y, 0.0])
         post, report = solver.solve(
             solver.build_graph(times, poses, closures, PSD, R_REL, R_OBS)
@@ -431,6 +510,35 @@ class TestSolve:
         assert report_g.iterations == report.iterations
         assert np.abs(report_g.loop_weights - report.loop_weights).max() <= 1e-9
         assert np.abs(post_g.poses - G @ post.poses).max() <= 1e-9
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(x=st.floats(-1e6, 1e6), y=st.floats(-1e7, 1e7))
+    # offsets at which the solve stopped unconverged while it ran at the
+    # input's coordinates
+    @example(x=3e5, y=2.1e5)
+    @example(x=5e5, y=5e6)
+    def test_survey_coordinates(self, x, y):
+        # at UTM magnitudes the posterior is the one at the origin moved by
+        # (x, y), to eight ulps of the offset; the solver works within 512 m
+        # of its own origin, so the bound never falls below eight ulps at
+        # 1,024 m
+        times, poses, closures = nudged_flipped_line()
+        offset = np.array([x, y])
+        moved = poses.copy()
+        moved[:, :2, 3] += offset
+        post, report = solver.solve(
+            solver.build_graph(times, poses, closures, PSD, R_REL, R_OBS)
+        )
+        post_m, report_m = solver.solve(
+            solver.build_graph(times, moved, closures, PSD, R_REL, R_OBS)
+        )
+        assert report.converged and report_m.converged
+        assert report_m.iterations == report.iterations
+        expected = post.poses.copy()
+        expected[:, :2, 3] += offset
+        bound = 8 * np.spacing(max(abs(x), abs(y), 1024.0))
+        assert np.abs(post_m.poses - expected).max() <= bound
+        assert np.abs(report_m.loop_weights - report.loop_weights).max() <= 1e-9
 
     @settings(max_examples=25, deadline=None, database=None)
     @given(seed=st.integers(0, 2**32 - 1), order=st.permutations(range(5)))
