@@ -153,11 +153,23 @@ class PipelineConfig:
             "robust_sigma_rho_out",
             "frontend_delta_r_star",
             "frontend_voxel_cell",
+            "frontend_normal_neighbors",
+            "frontend_icp_max_iterations",
+            "frontend_min_inlier_fraction",
+            "sim_passes",
+            "sim_pass_length",
+            "sim_lane_spacing",
+            "sim_tie_margin",
+            "sim_turn_radius",
             "sim_node_rate",
             "sim_speed",
+            "sim_scan_rate",
+            "sim_scan_beams",
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"configuration key '{self._key(name)}' must be positive")
+        if self.frontend_min_inlier_fraction > 1:
+            raise ValueError("configuration key 'frontend.min_inlier_fraction' must be at most 1")
         return self
 
     # derived objects -------------------------------------------------
@@ -234,7 +246,7 @@ class PipelineConfig:
         return cfg
 
 
-def load_config(path=None, seed=None):
+def load_config(path, seed):
     cfg = (
         PipelineConfig.from_flat(dataio.read_config(path))
         if path

@@ -80,7 +80,7 @@ def require_spd(M, name):
     return M
 
 
-def prior(pose, varpi, prior_pose, prior_varpi, jacobians=True):
+def prior(pose, varpi, prior_pose, prior_varpi, jacobians):
     """Prior factor; error [log(T^-1 Y)^v; varpi - psi]."""
     e_xi = lie.se3_log(lie.se3_inv(pose) @ prior_pose)
     e = np.concatenate([e_xi, varpi - prior_varpi], axis=-1)
@@ -92,7 +92,7 @@ def prior(pose, varpi, prior_pose, prior_varpi, jacobians=True):
     return e, J, None
 
 
-def wnoa(pose_a, varpi_a, pose_b, varpi_b, dt, jacobians=True):
+def wnoa(pose_a, varpi_a, pose_b, varpi_b, dt, jacobians):
     """Constant-velocity process factor from node a to node b, dt seconds later."""
     tv = np.asarray(dt)[..., None] * varpi_a
     e_xi = lie.se3_log(lie.se3_inv(pose_b) @ (pose_a @ lie.se3_exp(tv)))
@@ -110,7 +110,7 @@ def wnoa(pose_a, varpi_a, pose_b, varpi_b, dt, jacobians=True):
     return e, J_a, J_b
 
 
-def relative_pose(pose_a, pose_b, xi, jacobians=True):
+def relative_pose(pose_a, pose_b, xi, jacobians):
     """Relative-pose factor; error log(T_b^-1 T_a Xi)^v, 6x6 pose blocks.
 
     Serves both the loop closures and the consecutive relative-pose factors
@@ -123,7 +123,7 @@ def relative_pose(pose_a, pose_b, xi, jacobians=True):
     return e, J_a, lie.left_jacobian_inv(e)
 
 
-def observable(pose, prior_pose, jacobians=True):
+def observable(pose, prior_pose, jacobians):
     """Roll/pitch/depth factor tying a node to its black-box prior pose.
 
     The error is D E log(T^-1 Tcheck)^v with E mapping the body-frame

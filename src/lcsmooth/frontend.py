@@ -85,28 +85,24 @@ class Crossing:
     idx2: int
     t1: float
     t2: float
-    distance: float
 
 
 @dataclass
 class IcpParams:
-    voxel_cell: float = 0.05
-    normal_neighbors: int = 40
-    variation_threshold: float = 3e-2
-    max_iterations: int = 20
-    rot_tol: float = 1e-2
-    trans_tol: float = 1e-3
-    frmsd_lambda: float = 0.95
-    min_inlier_fraction: float = 0.2
+    voxel_cell: float
+    normal_neighbors: int
+    variation_threshold: float
+    max_iterations: int
+    rot_tol: float
+    trans_tol: float
+    frmsd_lambda: float
+    min_inlier_fraction: float
 
 
 @dataclass
 class IcpReport:
     iterations: int
     converged: bool
-    inlier_fraction: float
-    rmsd: float
-    num_correspondences: int
     # per iteration: fixed-correspondence objective (before, after) the update
     step_objectives: list = field(default_factory=list)
 
@@ -133,7 +129,7 @@ def register_profiles(profiles, trajectory: Trajectory):
     return PointCloud(np.vstack(pts), np.concatenate(times)), rejected
 
 
-def detect_crossings(trajectory: Trajectory, delta_r_star=5.0, min_time_separation=30.0):
+def detect_crossings(trajectory: Trajectory, delta_r_star, min_time_separation):
     """Path self-crossings: node pairs within a planar radius but far in time.
 
     Candidate pairs come from a KD-tree radius search on (x, y); one pair per
@@ -153,7 +149,6 @@ def detect_crossings(trajectory: Trajectory, delta_r_star=5.0, min_time_separati
     dist = np.linalg.norm(xy[pairs[:, 0]] - xy[pairs[:, 1]], axis=1)
     order = np.lexsort((t[pairs[:, 1]], t[pairs[:, 0]], dist))
     pairs = pairs[order]
-    dist = dist[order]
     t1 = t[pairs[:, 0]]
     t2 = t[pairs[:, 1]]
     crossings = []
@@ -161,9 +156,7 @@ def detect_crossings(trajectory: Trajectory, delta_r_star=5.0, min_time_separati
     for i in range(len(pairs)):
         if not alive[i]:
             continue
-        crossings.append(
-            Crossing(int(pairs[i, 0]), int(pairs[i, 1]), t1[i], t2[i], float(dist[i]))
-        )
+        crossings.append(Crossing(int(pairs[i, 0]), int(pairs[i, 1]), t1[i], t2[i]))
         same_event = (np.abs(t1 - t1[i]) <= min_time_separation) & (
             np.abs(t2 - t2[i]) <= min_time_separation
         )
@@ -175,17 +168,16 @@ def detect_crossings(trajectory: Trajectory, delta_r_star=5.0, min_time_separati
 def extract_submap(
     cloud: PointCloud,
     anchor_pose,
-    delta_r_star=5.0,
-    anchor_index=-1,
-    anchor_time=None,
-    time_window=None,
-    min_points=100,
+    delta_r_star,
+    anchor_index,
+    anchor_time,
+    time_window,
+    min_points,
 ):
     """Body-frame submap of the points within a planar radius of the anchor.
 
-    When ``anchor_time``/``time_window`` are given, only points captured
-    within the window are kept, so revisited terrain yields one submap per
-    pass rather than a mixture.
+    Only points captured within ``time_window`` of ``anchor_time`` are kept,
+    so revisited terrain yields one submap per pass rather than a mixture.
     """
     anchor_pose = np.asarray(anchor_pose, dtype=float)
     crop = crop_world(cloud, anchor_pose[:2, 3], delta_r_star, anchor_time, time_window)
@@ -214,7 +206,7 @@ def voxel_downsample(points, cell):
     return sums / counts[:, None]
 
 
-def estimate_normals_and_variation(pts, k=40):
+def estimate_normals_and_variation(pts, k):
     """Neighborhood-PCA ``(normals, variation, valid)`` for each point.
 
     The normal is the smallest-eigenvalue direction of the k-nearest-neighbor
@@ -241,7 +233,10 @@ def estimate_normals_and_variation(pts, k=40):
 
 
 def _frmsd_select(distances, params):
-    """FRMSD inlier selection: minimize rmsd(f) / f^lambda over the fraction grid."""
+    """FRMSD inlier selection: minimize rmsd(f) / f^lambda over the fraction grid.
+
+    Returns the indices of the best fraction's smallest distances, and its score.
+    """
     n = len(distances)
     order = np.argsort(distances, kind="stable")
     d_sorted = distances[order]
@@ -253,9 +248,9 @@ def _frmsd_select(distances, params):
         rmsd = np.sqrt(cum[m - 1] / m)
         score = rmsd / f**params.frmsd_lambda
         if best is None or score < best[0]:
-            best = (score, f, m, rmsd)
-    score, f, m, rmsd = best
-    return order[:m], f, rmsd, score
+            best = (score, m)
+    score, m = best
+    return order[:m], score
 
 
 def _icp_cost(src, tgt, nrm, use_plane, sigma, jacobians=True):
@@ -292,7 +287,7 @@ def _icp_cost(src, tgt, nrm, use_plane, sigma, jacobians=True):
     return 0.5 * obj, H, b
 
 
-def icp_align(source: Submap, target: Submap, init=None, params: IcpParams | None = None):
+def icp_align(source: Submap, target: Submap, init, params: IcpParams):
     """Align the source submap onto the target with mixed-error ICP.
 
     Per iteration: single nearest-neighbor association, FRMSD inlier
@@ -306,23 +301,21 @@ def icp_align(source: Submap, target: Submap, init=None, params: IcpParams | Non
     point-to-plane along ``target.normals`` where ``target.planar`` is set
     (see ``preprocess_submap``), point-to-point elsewhere.
     """
-    if params is None:
-        params = IcpParams()
     if target.normals is None or target.planar is None:
         raise ValueError("target submap needs normals and a plane mask")
     if len(source) < 6 or len(target) < 6:
         raise AlignmentFailureError("too few points to align")
-    T = np.eye(4) if init is None else np.asarray(init, dtype=float).copy()
+    T = np.asarray(init, dtype=float).copy()
     tree = cKDTree(target.points)
     sigma = params.voxel_cell / 2.0  # point position sigma: half a voxel
-    report = IcpReport(0, False, 0.0, np.inf, 0)
+    report = IcpReport(0, False)
     prev_score = np.inf
     diverging = 0
 
     for it in range(params.max_iterations):
         src = source.points @ T[:3, :3].T + T[:3, 3]
         dist, nn = tree.query(src)
-        inliers, frac, rmsd, score = _frmsd_select(dist, params)
+        inliers, score = _frmsd_select(dist, params)
         if len(inliers) < 6:
             raise AlignmentFailureError(
                 f"inlier set collapsed to {len(inliers)} correspondences"
@@ -352,9 +345,6 @@ def icp_align(source: Submap, target: Submap, init=None, params: IcpParams | Non
             delta = 0.5 * delta
         T = lie.se3_exp(delta) @ T
         report.iterations = it + 1
-        report.inlier_fraction = float(frac)
-        report.rmsd = float(rmsd)
-        report.num_correspondences = int(len(inliers))
         report.step_objectives.append((float(obj0), float(obj1)))
         if (
             np.linalg.norm(delta[:3]) < params.rot_tol
@@ -382,12 +372,12 @@ def make_loop_closure(
     trajectory: Trajectory,
     cloud: PointCloud,
     crossing: Crossing,
-    params: IcpParams | None = None,
-    delta_r_star=5.0,
-    time_window=20.0,
-    sigma_phi=np.deg2rad(0.2),
-    sigma_rho=0.02,
-    min_points=100,
+    params: IcpParams,
+    delta_r_star,
+    time_window,
+    sigma_phi,
+    sigma_rho,
+    min_points,
 ):
     """Loop-closure measurement from one crossing: submaps, ICP, covariance.
 
@@ -395,8 +385,6 @@ def make_loop_closure(
     revisit's; ICP is initialized from the trajectory's relative pose and its
     result is the measured relative pose between the two anchor bodies.
     """
-    if params is None:
-        params = IcpParams()
     window = min(time_window, 0.45 * (crossing.t2 - crossing.t1))
     pose1 = trajectory.poses[crossing.idx1]
     pose2 = trajectory.poses[crossing.idx2]
@@ -417,20 +405,19 @@ def make_loop_closure(
     )
 
 
-def crop_world(cloud: PointCloud, center_xy, radius, t_center=None, window=None):
-    """World-frame crop by planar radius and, optionally, capture time.
+def crop_world(cloud: PointCloud, center_xy, radius, t_center, window):
+    """World-frame crop by planar radius and capture time, within ``window``
+    of ``t_center``.
 
     Only the ``searchsorted`` slice of the time-ordered cloud that the time
     gate can keep, widened by a few ulps, is masked: the same points, in the
     same order, as masking the whole cloud.
     """
-    gated = t_center is not None and window is not None
     lo, hi = 0, len(cloud)
-    if gated and hi and np.isfinite(t_center):
+    if hi and np.isfinite(t_center):
         reach = window + 8.0 * np.spacing(max(abs(t_center), *np.abs(cloud.times[[0, -1]])))
         lo, hi = np.searchsorted(cloud.times, [t_center - reach, t_center + reach])
     points, times = cloud.points[lo:hi], cloud.times[lo:hi]
     mask = np.linalg.norm(points[:, :2] - np.asarray(center_xy, float), axis=1) <= radius
-    if gated:
-        mask &= np.abs(times - t_center) <= window
+    mask &= np.abs(times - t_center) <= window
     return PointCloud(points[mask], times[mask])

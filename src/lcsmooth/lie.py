@@ -21,19 +21,6 @@ from __future__ import annotations
 
 import numpy as np
 
-# Below this rotation angle the trigonometric coefficient functions switch
-# to truncated even-power series.  The closed forms suffer catastrophic
-# cancellation well before the angle becomes "small" (the worst, the fifth
-# order coefficient of the Jacobian coupling block, is unusable below about
-# 0.3 rad), so each coefficient switches at its own threshold chosen to keep
-# the relative error near 1e-12 on both sides.
-SMALL_ANGLE = 1e-6
-
-
-class JacobianSingularityError(ValueError):
-    """Jacobian inverse requested at a singular rotation angle."""
-
-
 def _eye(n, shape):
     out = np.zeros(shape + (n, n))
     out[...] = np.eye(n)
@@ -57,6 +44,12 @@ def _angle(phi):
     return np.linalg.norm(phi, axis=-1)
 
 
+# Below a threshold angle the trigonometric coefficient functions switch to
+# truncated even-power series.  The closed forms suffer catastrophic
+# cancellation well before the angle becomes "small" (the worst, the fifth
+# order coefficient of the Jacobian coupling block, is unusable below about
+# 0.3 rad), so each coefficient switches at its own threshold chosen to keep
+# the relative error near 1e-12 on both sides.
 def _series_or(t, threshold, coeffs, exact_fn):
     """Even-power series below the threshold, closed form above."""
     small = t < threshold
@@ -229,10 +222,10 @@ def so3_left_jacobian(phi):
 
 
 def so3_left_jacobian_inv(phi):
+    """Inverse of :func:`so3_left_jacobian` at a principal log (angle at most
+    pi, as ``so3_log`` returns); it is singular at 2 pi."""
     phi = np.asarray(phi, dtype=float)
     t = _angle(phi)
-    if np.any(t > 2.0 * np.pi - SMALL_ANGLE):
-        raise JacobianSingularityError("left Jacobian inverse singular near 2*pi")
     d = _coef_jinv(t)
     P = skew(phi)
     return (

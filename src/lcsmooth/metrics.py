@@ -25,7 +25,6 @@ class RelativePoseErrors:
     times: np.ndarray
     attitude_deg: np.ndarray  # (N, 3) per-axis magnitudes
     displacement: np.ndarray  # (N,) planar norm
-    error_vectors: np.ndarray  # (N, 6) log of the relative pose error
 
 
 def relative_pose_errors(estimate: Trajectory, truth: Trajectory, anchor: int):
@@ -49,7 +48,6 @@ def relative_pose_errors(estimate: Trajectory, truth: Trajectory, anchor: int):
         times=truth.times.copy(),
         attitude_deg=np.rad2deg(np.abs(vecs[:, :3])),
         displacement=displacement,
-        error_vectors=vecs,
     )
 
 

@@ -108,19 +108,8 @@ class SimConfig:
     lc_sigma_phi: float = np.deg2rad(0.2)
     lc_sigma_rho: float = 0.02
 
-    def __post_init__(self):
-        if min(
-            self.passes,
-            self.pass_length,
-            self.lane_spacing,
-            self.turn_radius,
-            self.speed,
-            self.node_rate,
-        ) <= 0:
-            raise ValueError("simulation dimensions and rates must be positive")
 
-
-def default_config(seed=0):
+def default_config(seed):
     """Standard eight-pass survey with bump features along the tie-line corridor."""
     cfg = SimConfig(seed=seed)
     bumps = []
@@ -213,7 +202,6 @@ def generate_truth(cfg: SimConfig) -> Trajectory:
     )
 
     poses = [pose]
-    varpis = []
     for length, yaw_rate in raw_legs:
         if length <= 0:
             continue
@@ -226,15 +214,8 @@ def generate_truth(cfg: SimConfig) -> Trajectory:
             w = np.array([0.0, 0.0, angle / (steps * dt), cfg.speed, 0.0, 0.0])
         step = lie.se3_exp(dt * w)
         for _ in range(steps):
-            varpis.append(w)
             poses.append(poses[-1] @ step)
-    varpis.append(varpis[-1])
-    n = len(poses)
-    return Trajectory(
-        times=np.arange(n) * dt,
-        poses=np.stack(poses),
-        varpis=np.stack(varpis),
-    )
+    return Trajectory(times=np.arange(len(poses)) * dt, poses=np.stack(poses))
 
 
 def degrade(truth: Trajectory, cfg: SimConfig) -> Trajectory:
@@ -282,7 +263,7 @@ def degrade(truth: Trajectory, cfg: SimConfig) -> Trajectory:
 _CHUNK_PROFILES = 256
 
 
-def synth_scan(truth: Trajectory, terrain: TerrainSpec, scanner: ScannerSpec, seed=0):
+def synth_scan(truth: Trajectory, terrain: TerrainSpec, scanner: ScannerSpec, seed):
     """Line-scanner profiles along the trajectory by ray/terrain intersection.
 
     Rays fan across-track in the sensor frame; each is intersected with the
@@ -357,7 +338,7 @@ def synth_scan(truth: Trajectory, terrain: TerrainSpec, scanner: ScannerSpec, se
 # Loop-closure synthesis and corruption
 
 
-def synth_loop_closures(truth: Trajectory, crossings, sigma_phi, sigma_rho, seed=0):
+def synth_loop_closures(truth: Trajectory, crossings, sigma_phi, sigma_rho, seed):
     """Truth-consistent loop closures with isotropic Gaussian noise.
 
     ``crossings`` is a list of objects with idx1/idx2 node indices (as
@@ -378,7 +359,7 @@ def synth_loop_closures(truth: Trajectory, crossings, sigma_phi, sigma_rho, seed
     return out
 
 
-def inject_outliers(measurements, count, seed=0):
+def inject_outliers(measurements, count, seed):
     """Replace `count` randomly chosen loop closures with uniform outliers.
 
     Outlier positions are sampled uniformly on the 5 m planar search disc

@@ -56,11 +56,10 @@ class SolverFailureError(RuntimeError):
     """Normal equations remained indefinite/singular after damping escalation.
 
     ``graph`` is the best iterate reached before the failure and ``report``
-    its :class:`SolveReport` (``converged`` false, ``message`` the reason);
-    both are None when the failure has no iterate to offer.
+    its :class:`SolveReport` (``converged`` false, ``message`` the reason).
     """
 
-    def __init__(self, message, graph=None, report=None):
+    def __init__(self, message, graph, report):
         super().__init__(message)
         self.graph = graph
         self.report = report
@@ -179,14 +178,12 @@ def build_graph(
     psd: WnoaPsd,
     r_rel,
     r_obs,
-    prior_cov=None,
+    prior_cov,
 ) -> FactorGraph:
     """Assemble the smoothing graph, initialized at the prior trajectory."""
     times = np.asarray(times, dtype=float)
     prior_poses = np.asarray(prior_poses, dtype=float)
     varpis = initial_velocities(times, prior_poses)
-    if prior_cov is None:
-        prior_cov = np.diag([1e-6] * 3 + [1e-4] * 3 + [1e-4] * 3 + [1e-2] * 3)
     prior = PriorBelief(prior_poses[0], varpis[0], prior_cov)
     rel_xi = (
         lie.se3_inv(prior_poses[:-1]) @ prior_poses[1:]
@@ -552,7 +549,7 @@ def _moved(graph, xy):
                    prior=replace(graph.prior, pose=G @ graph.prior.pose))
 
 
-def solve(graph: FactorGraph, config: SolverConfig | None = None):
+def solve(graph: FactorGraph, config: SolverConfig):
     """Iterate linearize/step/update until the step norm falls below tolerance.
 
     Weights (process-noise discretization, measurement folds, robust
@@ -565,8 +562,6 @@ def solve(graph: FactorGraph, config: SolverConfig | None = None):
     equations stay unsolvable up to the cap, SolverFailureError is raised
     carrying the best iterate and its report.
     """
-    if config is None:
-        config = SolverConfig()
     graph.validate()
     # relative-pose factors cancel position terms as large as the coordinates:
     # solve near node 0, at a multiple of 1,024 m, so that moving back is exact

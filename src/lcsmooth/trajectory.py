@@ -11,17 +11,14 @@ from . import lie
 
 @dataclass
 class Trajectory:
-    """Poses over time, with optional generalized body velocities."""
+    """Poses over time."""
 
     times: np.ndarray
     poses: np.ndarray
-    varpis: np.ndarray | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         self.poses = np.asarray(self.poses, dtype=float)
-        if self.varpis is not None:
-            self.varpis = np.asarray(self.varpis, dtype=float)
         if self.poses.shape != (len(self.times), 4, 4):
             raise ValueError("poses must be (N, 4, 4) matching times")
         if np.any(np.diff(self.times) <= 0):

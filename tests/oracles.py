@@ -4,8 +4,9 @@ None of this runs in the pipeline.  It holds the sparse assembly of the whole
 least-squares problem (the oracle of the structured Schur step and of the
 dense solver check), the continuous-time WNOA error kinematics with their
 closed-form transition matrix and the process noise as one 12 x 12 matrix,
-the se(3) hat/vee maps, the terrain gradient on its own pass over the bumps,
-and the world-frame crop that masks the whole cloud.
+the se(3) hat/vee maps, the log of each relative pose error, the terrain
+gradient on its own pass over the bumps, and the world-frame crop that masks
+the whole cloud.
 """
 
 import numpy as np
@@ -162,10 +163,17 @@ def terrain_grad(terrain, x, y):
     return gx, gy
 
 
-def crop_world(cloud, center_xy, radius, t_center=None, window=None):
+def relative_error_vectors(estimate, truth, anchor):
+    """(N, 6) log of each anchored relative pose error, the twist whose
+    attitude part ``metrics.relative_pose_errors`` reports."""
+    d_truth = lie.se3_inv(truth.poses[anchor]) @ truth.poses
+    d_est = lie.se3_inv(estimate.poses[anchor]) @ estimate.poses
+    return lie.se3_log(lie.se3_inv(d_truth) @ d_est)
+
+
+def crop_world(cloud, center_xy, radius, t_center, window):
     """World-frame crop by one mask over every point of the cloud."""
     center_xy = np.asarray(center_xy, dtype=float)
     mask = np.linalg.norm(cloud.points[:, :2] - center_xy, axis=1) <= radius
-    if t_center is not None and window is not None:
-        mask &= np.abs(cloud.times - t_center) <= window
+    mask &= np.abs(cloud.times - t_center) <= window
     return frontend.PointCloud(cloud.points[mask], cloud.times[mask])

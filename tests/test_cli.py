@@ -134,6 +134,25 @@ class TestSimulate:
         cfg = cli.PipelineConfig.from_flat({"robust.enabled": raw})
         assert cfg.robust_enabled is (raw.lower() in ("true", "1", "yes", "on"))
 
+    @pytest.mark.parametrize(
+        "key, raw",
+        [
+            ("sim.scan_rate", "0"),
+            ("sim.turn_radius", "0"),
+            ("sim.passes", "0"),
+            ("frontend.normal_neighbors", "0"),
+            ("frontend.min_inlier_fraction", "0"),
+            ("frontend.min_inlier_fraction", "1.5"),
+            ("frontend.icp_max_iterations", "0"),
+        ],
+    )
+    def test_out_of_range_value_names_key(self, tmp_path, capsys, key, raw):
+        cfg = write_cfg(tmp_path, {key: raw})
+        code = cli.main(["simulate", "--out", str(tmp_path / "d"), "--config", cfg])
+        assert code == cli.EXIT_VALIDATION
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {"wnoa.bogus": "1.0"})
         code = cli.main(["simulate", "--out", str(tmp_path / "d"), "--config", cfg])
@@ -159,7 +178,7 @@ class TestCloseloops:
         traj = Trajectory(times=np.arange(n) * 0.1, poses=poses)
         dataio.write_trajectory(d / "prior.csv", traj)
         terrain = sim.TerrainSpec()
-        profiles = sim.synth_scan(traj, terrain, sim.ScannerSpec(beams=4))
+        profiles = sim.synth_scan(traj, terrain, sim.ScannerSpec(beams=4), seed=0)
         dataio.write_profiles(d / "profiles.csv", profiles)
         assert cli.main(["closeloops", "--dataset", str(d)]) == 0
         assert "no path crossings" in capsys.readouterr().err

@@ -1,13 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from lcsmooth import frontend, lie
 from lcsmooth.trajectory import Trajectory
 
-from conftest import random_pose
+from conftest import CFG, close_loop, random_pose
 from oracles import crop_world as crop_world_full_mask
+
+ICP = CFG.icp_params()
 
 
 def brute_force_crossings(trajectory, delta_r_star, min_time_separation):
@@ -60,10 +65,12 @@ def bumpy_surface(rng, n=4000, extent=8.0):
     return np.column_stack([xy, z])
 
 
-def as_target(points, k=40, variation_threshold=3e-2):
+def as_target(points):
     """Alignment target on the given points, without downsampling them."""
-    normals, variation, valid = frontend.estimate_normals_and_variation(points, k)
-    return frontend.Submap(points, normals, (variation < variation_threshold) & valid)
+    normals, variation, valid = frontend.estimate_normals_and_variation(
+        points, ICP.normal_neighbors
+    )
+    return frontend.Submap(points, normals, (variation < ICP.variation_threshold) & valid)
 
 
 class TestRegisterProfiles:
@@ -172,7 +179,7 @@ class TestExtractSubmap:
         anchor[:3, 3] = [5.0, 6.0, 7.0]
         pts = np.tile(anchor[:3, 3], (150, 1))
         cloud = frontend.PointCloud(pts, np.zeros(150))
-        sm = frontend.extract_submap(cloud, anchor, 5.0, min_points=100)
+        sm = frontend.extract_submap(cloud, anchor, 5.0, 0, 0.0, 20.0, min_points=100)
         assert len(sm) == 150
         assert np.abs(sm.points).max() < 1e-12
 
@@ -183,14 +190,14 @@ class TestExtractSubmap:
         cloud = frontend.PointCloud(
             np.vstack([np.zeros((100, 3)), inside, outside]), np.arange(102.0)
         )
-        sm = frontend.extract_submap(cloud, anchor, 5.0, min_points=1)
+        sm = frontend.extract_submap(cloud, anchor, 5.0, 0, 51.0, 51.0, min_points=1)
         assert len(sm) == 101
 
     def test_membership_matches_brute_force(self, rng):
         pts = rng.uniform(-10, 10, size=(500, 3))
         anchor = random_pose(rng)
         cloud = frontend.PointCloud(pts, np.zeros(500))
-        sm = frontend.extract_submap(cloud, anchor, 4.0, min_points=1)
+        sm = frontend.extract_submap(cloud, anchor, 4.0, 0, 0.0, 20.0, min_points=1)
         expect = np.sum(
             np.linalg.norm(pts[:, :2] - anchor[:2, 3], axis=1) <= 4.0
         )
@@ -199,14 +206,14 @@ class TestExtractSubmap:
     def test_insufficient_overlap(self):
         cloud = frontend.PointCloud(np.zeros((10, 3)), np.zeros(10))
         with pytest.raises(frontend.InsufficientOverlapError):
-            frontend.extract_submap(cloud, np.eye(4), 5.0, min_points=100)
+            frontend.extract_submap(cloud, np.eye(4), 5.0, 0, 0.0, 20.0, min_points=100)
 
     def test_time_gating(self):
         pts = np.zeros((200, 3))
         times = np.concatenate([np.zeros(120), np.full(80, 100.0)])
         cloud = frontend.PointCloud(pts, times)
         sm = frontend.extract_submap(
-            cloud, np.eye(4), 5.0, anchor_time=100.0, time_window=10.0, min_points=10
+            cloud, np.eye(4), 5.0, 0, anchor_time=100.0, time_window=10.0, min_points=10
         )
         assert len(sm) == 80
 
@@ -248,13 +255,6 @@ class TestCropWorld:
         center = np.array([0.5, -0.25])
         got = frontend.crop_world(cloud, center, radius, t_center, window)
         ref = crop_world_full_mask(cloud, center, radius, t_center, window)
-        assert np.array_equal(got.points, ref.points)
-        assert np.array_equal(got.times, ref.times)
-
-    def test_without_time_gate_keeps_every_time(self, rng):
-        cloud = frontend.PointCloud(rng.uniform(-3, 3, (300, 3)), np.sort(rng.uniform(0, 9, 300)))
-        got = frontend.crop_world(cloud, [0.0, 0.0], 2.0)
-        ref = crop_world_full_mask(cloud, [0.0, 0.0], 2.0)
         assert np.array_equal(got.points, ref.points)
         assert np.array_equal(got.times, ref.times)
 
@@ -329,15 +329,16 @@ class TestNormals:
     def test_target_plane_mask(self, rng):
         pts = self.corner(rng)
         raw = frontend.Submap(pts)
-        params = frontend.IcpParams()
-        target = frontend.preprocess_submap(raw, params, with_normals=True)
-        down = frontend.voxel_downsample(pts, params.voxel_cell)
-        normals, variation, valid = frontend.estimate_normals_and_variation(down)
+        target = frontend.preprocess_submap(raw, ICP, with_normals=True)
+        down = frontend.voxel_downsample(pts, ICP.voxel_cell)
+        normals, variation, valid = frontend.estimate_normals_and_variation(
+            down, ICP.normal_neighbors
+        )
         assert np.array_equal(target.points, down)
         assert np.array_equal(target.normals, normals)
-        assert np.array_equal(target.planar, (variation < 3e-2) & valid)
+        assert np.array_equal(target.planar, (variation < ICP.variation_threshold) & valid)
         assert 0 < target.planar.sum() < len(target)
-        source = frontend.preprocess_submap(raw, params, with_normals=False)
+        source = frontend.preprocess_submap(raw, ICP, with_normals=False)
         assert source.normals is None and source.planar is None
 
 
@@ -401,14 +402,12 @@ class TestIcpCost:
 class TestIcp:
     def prepared_target(self, rng, pts=None):
         pts = bumpy_surface(rng) if pts is None else pts
-        return frontend.preprocess_submap(
-            frontend.Submap(pts), frontend.IcpParams(), with_normals=True
-        )
+        return frontend.preprocess_submap(frontend.Submap(pts), ICP, with_normals=True)
 
     def test_self_alignment_is_identity(self, rng):
         target = self.prepared_target(rng)
         source = frontend.Submap(points=target.points.copy())
-        T, report = frontend.icp_align(source, target)
+        T, report = frontend.icp_align(source, target, np.eye(4), ICP)
         assert report.converged
         assert report.iterations == 1
         xi = lie.se3_log(T)
@@ -422,7 +421,7 @@ class TestIcp:
         )
         src_pts = (target.points - true[:3, 3]) @ true[:3, :3]
         source = frontend.Submap(points=src_pts)
-        T, report = frontend.icp_align(source, target)
+        T, report = frontend.icp_align(source, target, np.eye(4), ICP)
         err = lie.se3_log(lie.se3_inv(true) @ T)
         assert report.converged
         assert np.linalg.norm(err[:3]) <= 1e-2
@@ -434,9 +433,11 @@ class TestIcp:
         src_region = pts[pts[:, 0] > -2.0]
         src = src_region + rng.normal(size=src_region.shape) * 0.01
         source = frontend.Submap(points=frontend.voxel_downsample(src, 0.05))
-        T, report = frontend.icp_align(source, target)
+        T, report = frontend.icp_align(source, target, np.eye(4), ICP)
         assert report.converged
-        assert 0.4 < report.inlier_fraction <= 1.0
+        dist, _ = cKDTree(target.points).query(source.points @ T[:3, :3].T + T[:3, 3])
+        inliers, _ = frontend._frmsd_select(dist, ICP)
+        assert 0.4 < len(inliers) / len(dist) <= 1.0
         xi = lie.se3_log(T)
         assert np.linalg.norm(xi[3:]) < 0.05
 
@@ -444,7 +445,7 @@ class TestIcp:
         target = self.prepared_target(rng)
         true = lie.se3_exp(np.array([0.05, 0.02, -0.1, 0.2, 0.3, -0.1]))
         source = frontend.Submap(points=(target.points - true[:3, 3]) @ true[:3, :3])
-        _, report = frontend.icp_align(source, target)
+        _, report = frontend.icp_align(source, target, np.eye(4), ICP)
         assert len(report.step_objectives) == report.iterations
         # each safeguarded update may not increase the fixed-correspondence cost
         for before, after in report.step_objectives:
@@ -455,22 +456,22 @@ class TestIcp:
         target = self.prepared_target(rng)
         true = lie.se3_exp(np.array([0.02, -0.03, 0.08, 0.2, -0.1, 0.15]))
         source = frontend.Submap(points=(target.points - true[:3, 3]) @ true[:3, :3])
-        T0, _ = frontend.icp_align(source, target)
+        T0, _ = frontend.icp_align(source, target, np.eye(4), ICP)
         G = lie.se3_exp(np.array([0.1, 0.2, -0.3, 1.0, -2.0, 0.5]))
         moved_pts = target.points @ G[:3, :3].T + G[:3, 3]
         moved = as_target(moved_pts)
-        T1, _ = frontend.icp_align(source, moved, init=G @ T0)
+        T1, _ = frontend.icp_align(source, moved, G @ T0, ICP)
         assert np.abs(T1 - G @ T0).max() <= 1e-6
 
     def test_failure_on_tiny_source(self, rng):
         target = self.prepared_target(rng)
         with pytest.raises(frontend.AlignmentFailureError):
-            frontend.icp_align(frontend.Submap(points=np.zeros((3, 3))), target)
+            frontend.icp_align(frontend.Submap(np.zeros((3, 3))), target, np.eye(4), ICP)
 
     def test_requires_target_normals(self, rng):
         raw = frontend.Submap(points=bumpy_surface(rng, 500))
         with pytest.raises(ValueError, match="normals"):
-            frontend.icp_align(raw, raw)
+            frontend.icp_align(raw, raw, np.eye(4), ICP)
 
 
 class TestMakeLoopClosure:
@@ -491,13 +492,13 @@ class TestMakeLoopClosure:
         poses = np.stack([pose1, pose2_est])
         traj = Trajectory(times=np.array([0.0, 100.0]), poses=poses)
         cloud = frontend.PointCloud(pts, times)
-        crossing = frontend.Crossing(0, 1, 0.0, 100.0, 0.5)
+        crossing = frontend.Crossing(0, 1, 0.0, 100.0)
         return traj, cloud, crossing, pose1, pose2
 
     def test_perfect_trajectory_recovers_relative_pose(self, rng):
         traj, cloud, crossing, p1, p2 = self.make_scene(rng)
-        m, report = frontend.make_loop_closure(
-            traj, cloud, crossing, time_window=30.0
+        m, report = close_loop(
+            traj, cloud, crossing, replace(CFG, frontend_submap_time_window=30.0)
         )
         expect = lie.se3_inv(p1) @ p2
         err = lie.se3_log(lie.se3_inv(expect) @ m.xi_meas)
@@ -507,7 +508,7 @@ class TestMakeLoopClosure:
     def test_injected_drift_is_measured(self, rng):
         drift_xi = np.array([0.0, 0.0, 0.02, 0.3, -0.2, 0.0])
         traj, cloud, crossing, p1, p2 = self.make_scene(rng, drift_xi)
-        m, _ = frontend.make_loop_closure(traj, cloud, crossing, time_window=30.0)
+        m, _ = close_loop(traj, cloud, crossing, replace(CFG, frontend_submap_time_window=30.0))
         # the measurement reflects the true relative pose, not the drifted one
         expect = lie.se3_inv(p1) @ p2
         err = lie.se3_log(lie.se3_inv(expect) @ m.xi_meas)
@@ -516,6 +517,4 @@ class TestMakeLoopClosure:
     def test_insufficient_overlap_raises(self, rng):
         traj, cloud, crossing, *_ = self.make_scene(rng)
         with pytest.raises(frontend.InsufficientOverlapError):
-            frontend.make_loop_closure(
-                traj, cloud, crossing, min_points=10**6
-            )
+            close_loop(traj, cloud, crossing, replace(CFG, frontend_min_submap_points=10**6))

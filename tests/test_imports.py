@@ -1,7 +1,8 @@
 """Every module of the package and of its tests uses each name it imports;
 everything the package defines is reached from the package or the
-benchmark, not only from the tests; and for each parameter with a default,
-some call in the package or the benchmark passes it."""
+benchmark, not only from the tests; for each parameter with a default, some
+call in the package or the benchmark passes it and some call omits it; and
+the package or the benchmark reads every field of each dataclass."""
 
 import ast
 from pathlib import Path
@@ -116,14 +117,10 @@ def test_every_definition_is_reached():
     assert unreached_definitions(modules, callers) == []
 
 
-def unpassed_parameters(modules, callers=()):
-    """(module, function, parameter) for each parameter with a default, of a
-    module-level function in ``modules``, that no call passes.
-
-    Calls in ``modules`` and ``callers`` count, by position or by keyword.
-    A call is matched by the function's name alone, and one that unpacks
-    ``*args`` or ``**kwargs`` passes every parameter of that kind.
-    """
+def _defaulted_parameters(modules):
+    """{(module, function): [(position or None, parameter)]} for the
+    parameters with a default of each module-level function in ``modules``;
+    a keyword-only parameter has no position."""
     defaults = {}
     for module, source in modules.items():
         for node in ast.parse(source).body:
@@ -138,23 +135,45 @@ def unpassed_parameters(modules, callers=()):
                     for p, d in zip(a.kwonlyargs, a.kw_defaults)
                     if d is not None
                 ]
-    passed = set()
-    for source in [*modules.values(), *callers]:
+    return defaults
+
+
+def _calls(sources):
+    """(name, leading, starred, keywords) of each call in ``sources``.
+
+    ``name`` is the called function's name, ``leading`` the number of
+    positional arguments before any ``*args``, ``starred`` whether one
+    follows, and ``keywords`` the names passed by keyword, with None for
+    ``**kwargs``.
+    """
+    for source in sources:
         for call in ast.walk(ast.parse(source)):
-            if not isinstance(call, ast.Call):
+            if isinstance(call, ast.Call):
+                name = getattr(call.func, "id", getattr(call.func, "attr", None))
+                starred = [isinstance(a, ast.Starred) for a in call.args]
+                leading = starred.index(True) if any(starred) else len(starred)
+                yield name, leading, any(starred), {k.arg for k in call.keywords}
+
+
+def unpassed_parameters(modules, callers=()):
+    """(module, function, parameter) for each parameter with a default, of a
+    module-level function in ``modules``, that no call passes.
+
+    Calls in ``modules`` and ``callers`` count, by position or by keyword.
+    A call is matched by the function's name alone, and one that unpacks
+    ``*args`` or ``**kwargs`` passes every parameter of that kind.
+    """
+    defaults = _defaulted_parameters(modules)
+    passed = set()
+    for name, leading, starred, keywords in _calls([*modules.values(), *callers]):
+        for (module, function), params in defaults.items():
+            if function != name:
                 continue
-            name = getattr(call.func, "id", getattr(call.func, "attr", None))
-            n_pos = len(call.args)
-            if any(isinstance(a, ast.Starred) for a in call.args):
-                n_pos = float("inf")
-            keywords = {k.arg for k in call.keywords}
-            unpacks = None in keywords
-            for (module, function), params in defaults.items():
-                if function != name:
-                    continue
-                for i, arg in params:
-                    if unpacks or arg in keywords or (i is not None and i < n_pos):
-                        passed.add((module, function, arg))
+            for i, arg in params:
+                if None in keywords or arg in keywords or (
+                    i is not None and (i < leading or starred)
+                ):
+                    passed.add((module, function, arg))
     return sorted(
         (module, function, arg)
         for (module, function), params in defaults.items()
@@ -181,3 +200,120 @@ def test_every_defaulted_parameter_is_passed():
     modules = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     callers = [p.read_text() for p in BENCH]
     assert unpassed_parameters(modules, callers) == []
+
+
+def unomitted_parameters(modules, callers=()):
+    """(module, function, parameter) for each parameter with a default, of a
+    module-level function in ``modules``, that every call passes.
+
+    Calls in ``modules`` and ``callers`` count, matched by the function's name
+    alone.  A call omits each parameter that it does not name: one it passes
+    neither by keyword nor among its positional arguments before any
+    ``*args``, so a call that unpacks ``*args`` or ``**kwargs`` omits all
+    the others.
+    """
+    defaults = _defaulted_parameters(modules)
+    omitted = set()
+    for name, leading, _, keywords in _calls([*modules.values(), *callers]):
+        for (module, function), params in defaults.items():
+            if function == name:
+                omitted.update(
+                    (module, function, arg)
+                    for i, arg in params
+                    if arg not in keywords and (i is None or i >= leading)
+                )
+    return sorted(
+        (module, function, arg)
+        for (module, function), params in defaults.items()
+        for _, arg in params
+        if (module, function, arg) not in omitted
+    )
+
+
+def test_guard_finds_an_unomitted_parameter():
+    modules = {
+        "a": "def f(x, y=1, *, z=2):\n    return x\nf(1, 2, z=3)\n"
+        "def g(p=0):\n    return p\n",
+        "b": "def h(u=1, v=2):\n    return u\ndef m(w=0):\n    return w\n"
+        "def k(s):\n    return h(*s, v=s) + m(**s)\n",
+    }
+    caller = "import lcsmooth.a\nlcsmooth.a.f(0)\n"
+    assert unomitted_parameters(modules, [caller]) == [("a", "g", "p"), ("b", "h", "v")]
+    assert unomitted_parameters(modules) == [
+        ("a", "f", "y"), ("a", "f", "z"), ("a", "g", "p"), ("b", "h", "v")
+    ]
+
+
+def test_every_default_is_used():
+    modules = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    callers = [p.read_text() for p in BENCH]
+    assert unomitted_parameters(modules, callers) == []
+
+
+def unread_fields(modules, callers=(), owners=None):
+    """(module, class, field) for each field of a dataclass in ``modules``
+    that no attribute load in ``modules`` or ``callers`` reads.
+
+    A load of ``x.name``, also as the receiver of a method call such as
+    ``x.name.append(...)``, reads the field ``name`` of every dataclass that
+    declares one.  The owner of a load is not resolved: where several
+    dataclasses declare the same name, ``owners`` maps it to the classes
+    whose field the loads of that name read.
+    """
+    owners = owners or {}
+    fields = []
+    for module, source in modules.items():
+        for node in ast.parse(source).body:
+            # a class decorated ``@dataclass`` or ``@dataclass(...)``
+            if isinstance(node, ast.ClassDef) and any(
+                getattr(getattr(d, "func", d), "id", None) == "dataclass"
+                for d in node.decorator_list
+            ):
+                fields += [
+                    (module, node.name, s.target.id)
+                    for s in node.body
+                    if isinstance(s, ast.AnnAssign)
+                ]
+    loaded = {
+        n.attr
+        for source in [*modules.values(), *callers]
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+    return sorted(
+        (module, cls, name)
+        for module, cls, name in fields
+        if name not in loaded or cls not in owners.get(name, {cls})
+    )
+
+
+def test_guard_finds_an_unread_field():
+    modules = {
+        "a": "from dataclasses import dataclass\n@dataclass\nclass P:\n"
+        "    x: int\n    y: int\n    log: list\n"
+        "@dataclass(frozen=True)\nclass Q:\n    x: int\n    z: int\n"
+        "class Plain:\n    w: int\n"
+        "def f(p):\n    p.y = p.x\n    p.log.append(1)\n",
+    }
+    caller = "import lcsmooth.a\nprint(lcsmooth.a.Q(1, 2).z)\n"
+    assert unread_fields(modules, [caller]) == [("a", "P", "y")]
+    assert unread_fields(modules, [caller], {"x": {"P"}}) == [
+        ("a", "P", "y"), ("a", "Q", "x")
+    ]
+    assert ("a", "Q", "z") in unread_fields(modules)
+
+
+# ``IcpReport`` and ``SolveReport`` both declare ``converged``, and every load
+# of it in the package and the benchmark is a SolveReport's
+SHARED_FIELD_OWNERS = {"converged": {"SolveReport"}}
+# The one field read only by the tests: ``IcpReport.converged``.  The ICP
+# tests check it, but ``cmd_closeloops`` discards the ICP report, and acting
+# on it (dropping an alignment that stopped at the iteration cap) would
+# change the loop closures the pipeline writes.
+UNREAD_FIELDS = [("frontend", "IcpReport", "converged")]
+
+
+def test_every_field_is_read():
+    modules = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    callers = [p.read_text() for p in BENCH]
+    assert unread_fields(modules, callers, SHARED_FIELD_OWNERS) == UNREAD_FIELDS

@@ -5,6 +5,7 @@ from lcsmooth import lie, metrics
 from lcsmooth.trajectory import Trajectory
 
 from conftest import random_pose, random_twist
+from oracles import relative_error_vectors
 
 
 def make_trajectory(rng, n=20, dt=0.5):
@@ -27,13 +28,15 @@ class TestRelativePoseErrors:
         est = Trajectory(times=truth.times, poses=est_poses)
         base = metrics.relative_pose_errors(est, truth, anchor=2)
         G = random_pose(rng)
-        shifted = metrics.relative_pose_errors(
+        moved = (
             Trajectory(times=truth.times, poses=G @ est.poses),
             Trajectory(times=truth.times, poses=G @ truth.poses),
-            anchor=2,
         )
+        shifted = metrics.relative_pose_errors(*moved, anchor=2)
         assert np.abs(base.displacement - shifted.displacement).max() < 1e-12
-        assert np.abs(base.error_vectors - shifted.error_vectors).max() < 1e-12
+        assert np.abs(base.attitude_deg - shifted.attitude_deg).max() < 1e-10
+        vectors = relative_error_vectors(est, truth, 2)
+        assert np.abs(vectors - relative_error_vectors(*moved, 2)).max() < 1e-12
 
     def test_global_offset_of_estimate_gives_zero(self, rng):
         # left-composing only the estimate is invisible to the relative metric

@@ -58,6 +58,26 @@ def synth_scan_per_profile(truth, terrain, scanner, seed=0):
     return profiles
 
 
+def assert_piecewise_constant_twist(truth, cfg):
+    """The truth's per-step twist log(T_k^-1 T_k+1) / dt is the set speed
+    along x and a yaw rate, every other axis zero; the yaw rate is constant
+    along each leg, zero on the straights and about speed / turn radius on
+    the quarter-circle arcs between them."""
+    dt = np.diff(truth.times)[:, None]
+    twist = lie.se3_log(lie.se3_inv(truth.poses[:-1]) @ truth.poses[1:]) / dt
+    assert np.abs(twist[:, [0, 1, 4, 5]]).max() <= 1e-9
+    assert np.abs(twist[:, 3] - cfg.speed).max() <= 1e-9
+    yaw = twist[:, 2]
+    legs = np.split(yaw, np.flatnonzero(np.abs(np.diff(yaw)) > 1e-9) + 1)
+    is_arc = [np.abs(leg).max() > 1e-9 for leg in legs]
+    n_arcs = sum(is_arc)
+    assert n_arcs > 0 and is_arc == [False, True] * n_arcs + [False]
+    for leg in (leg for leg, arc in zip(legs, is_arc) if arc):
+        assert np.ptp(leg) <= 1e-9
+        assert abs(abs(leg[0]) * cfg.turn_radius / cfg.speed - 1.0) < 0.05
+        assert abs(abs(leg.sum()) / cfg.node_rate - np.pi / 2) <= 1e-9
+
+
 @pytest.fixture(scope="module")
 def cfg():
     return sim.default_config(seed=4)
@@ -71,28 +91,14 @@ def truth(cfg):
 class TestGenerateTruth:
     def test_single_straight_pass(self):
         cfg = sim.SimConfig(passes=1, pass_length=30.0)
-        # a one-waypoint-pair path: build directly from the leg machinery
-        traj = sim.generate_truth(cfg)
-        # velocity consistency along the whole path
-        dts = np.diff(traj.times)
-        pred = traj.poses[:-1] @ lie.se3_exp(dts[:, None] * traj.varpis[:-1])
-        err = np.linalg.norm(
-            lie.se3_log(lie.se3_inv(traj.poses[1:]) @ pred), axis=1
-        )
-        assert err.max() <= 1e-3
+        assert_piecewise_constant_twist(sim.generate_truth(cfg), cfg)
 
     def test_standard_survey_has_eight_crossings(self, cfg, truth):
         crossings = frontend.detect_crossings(truth, 5.0, 30.0)
         assert len(crossings) == cfg.passes == 8
 
-    def test_velocity_consistency_on_straights(self, truth):
-        dts = np.diff(truth.times)
-        pred = truth.poses[:-1] @ lie.se3_exp(dts[:, None] * truth.varpis[:-1])
-        err = np.linalg.norm(
-            lie.se3_log(lie.se3_inv(truth.poses[1:]) @ pred), axis=1
-        )
-        straight = np.abs(truth.varpis[:-1, 2]) < 1e-12
-        assert err[straight].max() <= 1e-3
+    def test_velocity_consistency_on_straights(self, cfg, truth):
+        assert_piecewise_constant_twist(truth, cfg)
 
     def test_planar_and_constant_speed(self, cfg, truth):
         assert np.abs(truth.positions[:, 2]).max() < 1e-9
@@ -183,7 +189,7 @@ class TestSynthScan:
         cfg.terrain = sim.TerrainSpec(base_depth=10.0, bumps=[])
         cfg.scanner = sim.ScannerSpec(beams=5, noise_sigma=0.0)
         truth = sim.generate_truth(cfg)
-        profiles = sim.synth_scan(truth, cfg.terrain, cfg.scanner)
+        profiles = sim.synth_scan(truth, cfg.terrain, cfg.scanner, seed=0)
         half = np.deg2rad(cfg.scanner.fov_deg) / 2
         expect = 10.0 / np.cos(np.linspace(-half, half, 5))
         for p in profiles[:20]:
@@ -191,7 +197,7 @@ class TestSynthScan:
 
     def test_registered_profiles_reproduce_terrain(self, cfg, truth):
         scanner = sim.ScannerSpec(beams=16, noise_sigma=0.0)
-        profiles = sim.synth_scan(truth, cfg.terrain, scanner)
+        profiles = sim.synth_scan(truth, cfg.terrain, scanner, seed=0)
         cloud, _ = frontend.register_profiles(profiles[::50], truth)
         depth = cfg.terrain.depth(cloud.points[:, 0], cloud.points[:, 1])
         assert np.abs(cloud.points[:, 2] - depth).max() <= 1e-8
@@ -201,7 +207,7 @@ class TestSynthScan:
         cfg.terrain = sim.TerrainSpec(base_depth=10.0, bumps=[(-5.0, 0.0, 2.0, 1.0)])
         cfg.scanner = sim.ScannerSpec(beams=33, noise_sigma=0.0)
         truth = sim.generate_truth(cfg)
-        profiles = sim.synth_scan(truth, cfg.terrain, cfg.scanner)
+        profiles = sim.synth_scan(truth, cfg.terrain, cfg.scanner, seed=0)
         cloud, _ = frontend.register_profiles(profiles, truth)
         near = np.linalg.norm(cloud.points[:, :2] - [-5.0, 0.0], axis=1) < 0.3
         assert near.any()

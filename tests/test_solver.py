@@ -6,14 +6,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lcsmooth import factors, lie, solver, wnoa
-from lcsmooth.wnoa import WnoaPsd
 
-from conftest import flipped_closure_line, random_pose
+from conftest import CFG, flipped_closure_line, random_pose
 from oracles import assemble
 
-PSD = WnoaPsd(1e-2, 1e-4)
-R_REL = np.diag([1e-5**2] * 3 + [1e-3**2] * 3)
-R_OBS = np.diag([np.deg2rad(5.0) ** 2] * 2 + [0.25**2])
+PSD = CFG.wnoa_psd()
+R_REL = CFG.r_rel()
+R_OBS = CFG.r_obs()
+PRIOR_COV = CFG.prior_cov()
 LC_COV = np.diag([np.deg2rad(0.2) ** 2] * 3 + [0.02**2] * 3)
 
 
@@ -33,7 +33,7 @@ def small_graph(rng, n=4, loops=((0, 3),), perturb=0.0):
         )
         for a, b in loops
     ]
-    g = solver.build_graph(times, poses, meas, PSD, R_REL, R_OBS)
+    g = solver.build_graph(times, poses, meas, PSD, R_REL, R_OBS, PRIOR_COV)
     if perturb:
         g.poses = g.poses @ lie.se3_exp(rng.normal(size=(n, 6)) * perturb)
         g.varpis = g.varpis + rng.normal(size=(n, 6)) * perturb
@@ -79,30 +79,30 @@ class TestAssemble:
             nonlocal h_dense
             h_dense = h_dense + J.T @ weight @ J
 
-        result = factors.prior(P[:1], V[:1], g.prior.pose, g.prior.varpi)
+        result = factors.prior(P[:1], V[:1], g.prior.pose, g.prior.varpi, True)
         M0 = -np.eye(12)
         M0[:6, :6] = -lie.right_jacobian_inv(result[0][0, :6])
         add(result, [0], np.linalg.inv(M0 @ g.prior.cov @ M0.T))
         for k in range(1, n):
             dt = g.times[k] - g.times[k - 1]
             add(
-                factors.wnoa(P[k - 1 : k], V[k - 1 : k], P[k : k + 1], V[k : k + 1], dt),
+                factors.wnoa(P[k - 1 : k], V[k - 1 : k], P[k : k + 1], V[k : k + 1], dt, True),
                 [k - 1, k],
                 wnoa.process_weight(V[k - 1], PSD, dt),
             )
         for m in g.loop_closures:
             i, j = m.idx_l1, m.idx_l2
-            result = factors.relative_pose(P[i : i + 1], P[j : j + 1], m.xi_meas[None])
+            result = factors.relative_pose(P[i : i + 1], P[j : j + 1], m.xi_meas[None], True)
             M = -lie.right_jacobian_inv(result[0][0])
             add(result, [i, j], np.linalg.inv(M @ m.cov @ M.T))
         for k in range(1, n):
             add(
-                factors.relative_pose(P[k - 1 : k], P[k : k + 1], g.rel_xi[k - 1 : k]),
+                factors.relative_pose(P[k - 1 : k], P[k : k + 1], g.rel_xi[k - 1 : k], True),
                 [k - 1, k],
                 np.linalg.inv(g.r_rel),
             )
             add(
-                factors.observable(P[k : k + 1], g.prior_poses[k : k + 1]),
+                factors.observable(P[k : k + 1], g.prior_poses[k : k + 1], True),
                 [k],
                 np.linalg.inv(g.r_obs),
             )
@@ -348,7 +348,7 @@ class TestSolverFailure:
 
         monkeypatch.setattr(solver, "_solve_normal", faulty)
         with pytest.raises(RuntimeError, match="fault"):
-            solver.solve(small_graph(rng, perturb=0.02))
+            solver.solve(small_graph(rng, perturb=0.02), CFG.solver_config())
 
     def test_solve_escalates_damping_to_failure(self, rng):
         g = unanchored_graph(rng, ((2, 9),))
@@ -435,7 +435,7 @@ class TestStepAndUpdate:
 
     def test_single_node_prior_restored_in_one_step(self, rng):
         pose = random_pose(rng)
-        g = solver.build_graph(np.array([0.0]), pose[None], [], PSD, R_REL, R_OBS)
+        g = solver.build_graph(np.array([0.0]), pose[None], [], PSD, R_REL, R_OBS, PRIOR_COV)
         g.poses = g.poses @ lie.se3_exp(rng.normal(size=(1, 6)) * 1e-3)
         g.varpis = g.varpis + 1e-3
         post, report = solver.solve(g, solver.SolverConfig())
@@ -474,7 +474,7 @@ class TestSolve:
     @pytest.mark.parametrize("orthonormal", [True, False], ids=["exact", "off_so3"])
     def test_flipped_closure_rejected(self, orthonormal):
         times, poses, closures = flipped_closure_line(orthonormal)
-        g = solver.build_graph(times, poses, closures, PSD, R_REL, R_OBS)
+        g = solver.build_graph(times, poses, closures, PSD, R_REL, R_OBS, PRIOR_COV)
         _, report = solver.solve(g, solver.SolverConfig())
         assert report.converged
         assert report.loop_weights[1] < 0.01
@@ -501,10 +501,12 @@ class TestSolve:
         times, poses, closures = nudged_flipped_line()
         G = lie.make_pose(lie.so3_exp(np.array([0.0, 0.0, psi])), [x, y, 0.0])
         post, report = solver.solve(
-            solver.build_graph(times, poses, closures, PSD, R_REL, R_OBS)
+            solver.build_graph(times, poses, closures, PSD, R_REL, R_OBS, PRIOR_COV),
+            CFG.solver_config(),
         )
         post_g, report_g = solver.solve(
-            solver.build_graph(times, G @ poses, closures, PSD, R_REL, R_OBS)
+            solver.build_graph(times, G @ poses, closures, PSD, R_REL, R_OBS, PRIOR_COV),
+            CFG.solver_config(),
         )
         assert report.converged and report_g.converged
         assert report_g.iterations == report.iterations
@@ -527,10 +529,12 @@ class TestSolve:
         moved = poses.copy()
         moved[:, :2, 3] += offset
         post, report = solver.solve(
-            solver.build_graph(times, poses, closures, PSD, R_REL, R_OBS)
+            solver.build_graph(times, poses, closures, PSD, R_REL, R_OBS, PRIOR_COV),
+            CFG.solver_config(),
         )
         post_m, report_m = solver.solve(
-            solver.build_graph(times, moved, closures, PSD, R_REL, R_OBS)
+            solver.build_graph(times, moved, closures, PSD, R_REL, R_OBS, PRIOR_COV),
+            CFG.solver_config(),
         )
         assert report.converged and report_m.converged
         assert report_m.iterations == report.iterations
