@@ -141,30 +141,15 @@ class PipelineConfig:
 
     def validate(self):
         for name in (
-            "wnoa_q_omega",
-            "wnoa_q_nu",
-            "rel_sigma_phi",
-            "rel_sigma_rho",
-            "obs_sigma_rp",
-            "obs_sigma_z",
-            "prior_sigma_phi",
-            "prior_sigma_rho",
-            "robust_sigma_phi_out",
-            "robust_sigma_rho_out",
-            "frontend_delta_r_star",
-            "frontend_voxel_cell",
-            "frontend_normal_neighbors",
-            "frontend_icp_max_iterations",
-            "frontend_min_inlier_fraction",
-            "sim_passes",
-            "sim_pass_length",
-            "sim_lane_spacing",
-            "sim_tie_margin",
-            "sim_turn_radius",
-            "sim_node_rate",
-            "sim_speed",
-            "sim_scan_rate",
-            "sim_scan_beams",
+            "wnoa_q_omega", "wnoa_q_nu", "rel_sigma_phi", "rel_sigma_rho",
+            "obs_sigma_rp", "obs_sigma_z", "prior_sigma_phi", "prior_sigma_rho",
+            "prior_sigma_omega", "prior_sigma_nu", "robust_sigma_phi_out",
+            "robust_sigma_rho_out", "solver_max_iterations", "solver_step_tolerance",
+            "frontend_delta_r_star", "frontend_voxel_cell", "frontend_normal_neighbors",
+            "frontend_icp_max_iterations", "frontend_icp_rot_tol", "frontend_icp_trans_tol",
+            "frontend_min_inlier_fraction", "sim_passes", "sim_pass_length",
+            "sim_lane_spacing", "sim_tie_margin", "sim_turn_radius", "sim_node_rate",
+            "sim_speed", "sim_scan_rate", "sim_scan_beams",
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"configuration key '{self._key(name)}' must be positive")
@@ -396,6 +381,7 @@ def cmd_smooth(args):
         "damping_final": float(report.damping_final),
         "loop_weights": list(map(float, report.loop_weights)),
         "message": report.message,
+        "stop_reason": report.stop_reason,
     }
     if failure is not None:
         report_doc["failure"] = failure

@@ -4,9 +4,8 @@ One pure function per factor form, batched over a leading axis of stacked
 states: poses (m, 4, 4), generalized velocities (m, 6).  Each returns
 ``(e, J_a, J_b)``: the errors (m, d) and the Jacobian blocks (m, d, c) with
 respect to the states of its first and second node (``J_b`` is None for a
-unary factor).  With ``jacobians=False`` only the errors are computed and
-both Jacobians are None.  Pose errors are left-invariant, so Jacobians are
-taken with respect to the perturbation ``T = T_bar @ exp(-delta_xi^)``,
+unary factor).  Pose errors are left-invariant, so Jacobians are taken with
+respect to the perturbation ``T = T_bar @ exp(-delta_xi^)``,
 ``varpi = varpi_bar + delta_varpi``.
 
 Pose/velocity factors (prior, constant-velocity process) carry 12-column
@@ -80,50 +79,54 @@ def require_spd(M, name):
     return M
 
 
-def prior(pose, varpi, prior_pose, prior_varpi, jacobians):
+def prior(pose, varpi, prior_pose, prior_varpi):
     """Prior factor; error [log(T^-1 Y)^v; varpi - psi]."""
     e_xi = lie.se3_log(lie.se3_inv(pose) @ prior_pose)
     e = np.concatenate([e_xi, varpi - prior_varpi], axis=-1)
-    if not jacobians:
-        return e, None, None
     J = np.zeros(e.shape + (12,))
     J[..., :6, :6] = lie.left_jacobian_inv(e_xi)
     J[..., 6:, 6:] = np.eye(6)
     return e, J, None
 
 
-def wnoa(pose_a, varpi_a, pose_b, varpi_b, dt, jacobians):
-    """Constant-velocity process factor from node a to node b, dt seconds later."""
-    tv = np.asarray(dt)[..., None] * varpi_a
-    e_xi = lie.se3_log(lie.se3_inv(pose_b) @ (pose_a @ lie.se3_exp(tv)))
+def wnoa(pose_a, varpi_a, pose_b, varpi_b, dt):
+    """Constant-velocity process factor from node a to node b, dt seconds later.
+
+    With M = J_l^-1(e) Ad(T_b^-1 T_a), node a's pose block is -M and its
+    velocity block dt M J_l(dt varpi_a); see :func:`relative_pose`.
+    """
+    dt = np.asarray(dt)
+    tv = dt[..., None] * varpi_a
+    T_ba = lie.se3_inv(pose_b) @ pose_a
+    e_xi = lie.se3_log(T_ba @ lie.se3_exp(tv))
     e = np.concatenate([e_xi, varpi_b - varpi_a], axis=-1)
-    if not jacobians:
-        return e, None, None
-    Jr_inv = lie.right_jacobian_inv(e_xi)
+    Jl_inv = lie.left_jacobian_inv(e_xi)
+    M = Jl_inv @ lie.adjoint(T_ba)
     J_a = np.zeros(e.shape + (12,))
-    J_a[..., :6, :6] = -Jr_inv @ lie.adjoint(lie.se3_exp(-tv))
-    J_a[..., :6, 6:] = np.asarray(dt)[..., None, None] * (Jr_inv @ lie.right_jacobian(tv))
+    J_a[..., :6, :6] = -M
+    J_a[..., :6, 6:] = dt[..., None, None] * (M @ lie.left_jacobian(tv))
     J_a[..., 6:, 6:] = -np.eye(6)
     J_b = np.zeros(e.shape + (12,))
-    J_b[..., :6, :6] = lie.left_jacobian_inv(e_xi)
+    J_b[..., :6, :6] = Jl_inv
     J_b[..., 6:, 6:] = np.eye(6)
     return e, J_a, J_b
 
 
-def relative_pose(pose_a, pose_b, xi, jacobians):
+def relative_pose(pose_a, pose_b, xi):
     """Relative-pose factor; error log(T_b^-1 T_a Xi)^v, 6x6 pose blocks.
 
     Serves both the loop closures and the consecutive relative-pose factors
-    captured from the initializing trajectory.
+    captured from the initializing trajectory.  Node a's block is
+    -J_r^-1(e) Ad(Xi^-1), taken through J_r^-1(e) = J_l^-1(e) Ad(exp e)
+    (Barfoot 2017, ch. 7) and exp e = T_b^-1 T_a Xi: -J_l^-1(e) Ad(T_b^-1 T_a).
     """
-    e = lie.se3_log(lie.se3_inv(pose_b) @ pose_a @ xi)
-    if not jacobians:
-        return e, None, None
-    J_a = -lie.right_jacobian_inv(e) @ lie.adjoint(lie.se3_inv(xi))
-    return e, J_a, lie.left_jacobian_inv(e)
+    T_ba = lie.se3_inv(pose_b) @ pose_a
+    e = lie.se3_log(T_ba @ xi)
+    Jl_inv = lie.left_jacobian_inv(e)
+    return e, -Jl_inv @ lie.adjoint(T_ba), Jl_inv
 
 
-def observable(pose, prior_pose, jacobians):
+def observable(pose, prior_pose):
     """Roll/pitch/depth factor tying a node to its black-box prior pose.
 
     The error is D E log(T^-1 Tcheck)^v with E mapping the body-frame
@@ -138,8 +141,6 @@ def observable(pose, prior_pose, jacobians):
     Jphi = lie.so3_left_jacobian(e_xi[..., :3])
     world_rho = (pose[..., :3, :3] @ Jphi @ e_xi[..., 3:, None])[..., 0]
     e = np.stack([e_xi[..., 0], e_xi[..., 1], world_rho[..., 2]], axis=-1)
-    if not jacobians:
-        return e, None, None
     J = np.zeros(e.shape + (6,))
     J[..., :2, :3] = lie.so3_left_jacobian_inv(e_xi[..., :3])[..., :2, :]
     J[..., 2, 3:] = pose[..., 2, :3]

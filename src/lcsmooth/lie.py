@@ -340,11 +340,6 @@ def left_jacobian_inv(xi):
     return out
 
 
-def right_jacobian(xi):
-    """SE(3) right Jacobian; equals the left Jacobian at the negated twist."""
-    return left_jacobian(-np.asarray(xi, dtype=float))
-
-
 def right_jacobian_inv(xi):
     return left_jacobian_inv(-np.asarray(xi, dtype=float))
 

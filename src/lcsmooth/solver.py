@@ -7,8 +7,9 @@ and one factor per loop-closure measurement.  Each factor type is evaluated
 in one call to its batched function in :mod:`lcsmooth.factors`; the solver
 attaches the weights (process noise, measurement-noise folds, robust
 loop-closure weights) and keeps one uniform record per type, from which the
-objective and the normal equations are built.  The trial objective of a step
-evaluates errors only.
+objective and the normal equations are built.  Each trial step is
+linearized once, and an accepted trial's terms, with its robust weights,
+are the next step's.
 
 The normal equations exploit the structure in node order: the chain part is
 block-tridiagonal, and each loop closure adds a PSD rank-6 term on its two
@@ -90,6 +91,10 @@ class SolveReport:
     step, the (before, after) values under the weights the step was
     computed with, which the solver guarantees to be non-increasing, up to
     rounding on a final undamped step below the step tolerance.
+    ``stop_reason`` says why the iteration ended: "converged",
+    "max_iterations", "damping_limit" (no damping up to the cap decreased
+    the objective) or "singular" (the normal equations stayed unsolvable up
+    to the cap, reported by SolverFailureError); ``message`` says it in words.
     """
 
     iterations: int
@@ -99,6 +104,7 @@ class SolveReport:
     loop_weights: np.ndarray
     damping_final: float
     message: str
+    stop_reason: str
     step_objectives: list[tuple[float, float]]
 
 
@@ -234,12 +240,12 @@ class _Factors:
     ``e`` holds the errors (m, d) and ``idx`` the nodes (m, s), one column
     per node slot: one for unary factors, two for pairwise ones.  ``J_a``
     and ``J_b`` are the (m, d, c) Jacobians of the slots, acting on the
-    first c columns of the node's 12-wide block, and ``W`` the (m, d, d)
-    weights; all three are None after an errors-only evaluation.
+    first c columns of the node's 12-wide block (``J_b`` is None for a unary
+    factor), and ``W`` the (m, d, d) weights.
     """
 
     e: np.ndarray
-    J_a: np.ndarray | None
+    J_a: np.ndarray
     J_b: np.ndarray | None
     idx: np.ndarray
     W: np.ndarray | None = None
@@ -249,11 +255,10 @@ class _Factors:
         return zip((self.J_a, self.J_b), self.idx.T)
 
 
-def _linearize(graph, jacobians=True) -> dict[str, _Factors]:
+def _linearize(graph) -> dict[str, _Factors]:
     """Every factor of the graph, keyed by type in block-row order.
 
-    The types are prior, wnoa, loop, rel and obs.  With ``jacobians=False``
-    only the errors are evaluated.
+    The types are prior, wnoa, loop, rel and obs.
     """
     P, V = graph.poses, graph.varpis
     k = graph.num_nodes - 1
@@ -267,23 +272,20 @@ def _linearize(graph, jacobians=True) -> dict[str, _Factors]:
     terms = {}
     p = graph.prior
     terms["prior"] = _Factors(
-        *factors.prior(P[:1], V[:1], p.pose, p.varpi, jacobians), nodes[:1, None]
+        *factors.prior(P[:1], V[:1], p.pose, p.varpi), nodes[:1, None]
     )
     terms["wnoa"] = _Factors(
-        *factors.wnoa(P[:-1], V[:-1], P[1:], V[1:], dts, jacobians), chain
+        *factors.wnoa(P[:-1], V[:-1], P[1:], V[1:], dts), chain
     )
     terms["loop"] = _Factors(
-        *factors.relative_pose(P[loop_idx[:, 0]], P[loop_idx[:, 1]], loop_xi, jacobians),
-        loop_idx,
+        *factors.relative_pose(P[loop_idx[:, 0]], P[loop_idx[:, 1]], loop_xi), loop_idx
     )
     terms["rel"] = _Factors(
-        *factors.relative_pose(P[:-1], P[1:], graph.rel_xi, jacobians), chain
+        *factors.relative_pose(P[:-1], P[1:], graph.rel_xi), chain
     )
     terms["obs"] = _Factors(
-        *factors.observable(P[1:], graph.prior_poses[1:], jacobians), nodes[1:, None]
+        *factors.observable(P[1:], graph.prior_poses[1:]), nodes[1:, None]
     )
-    if not jacobians:
-        return terms
 
     # Prior-noise Jacobian folded into the weight: R0 = M0 S0 M0^T.
     M0 = np.zeros((12, 12))
@@ -308,9 +310,9 @@ def _with_loop_weights(terms, robust_weights):
     return {**terms, "loop": replace(loop, W=loop.W * w)}
 
 
-def _linearize_robust(graph, config):
-    """Linearized terms with robust loop weights applied, and those weights."""
-    terms = _linearize(graph)
+def _reweight(terms, config):
+    """The linearized terms with robust loop weights from their own loop
+    errors applied, and those weights."""
     e = terms["loop"].e
     if config.robust_cost:
         w = robust_weight(e, config.sigma_phi_out, config.sigma_rho_out)
@@ -347,17 +349,18 @@ def _normal_equations(terms, n):
     g = np.zeros((n, 12))
     loop = terms["loop"]
     for f in terms.values():
-        if f is loop:
+        if f is loop or not len(f.e):
             continue
-        # chain factors: the nodes of a slot never repeat, and a pair
-        # factor's second node follows its first
+        # chain factors: the nodes of a slot are consecutive, so each adds
+        # into a slice, and a pair factor's second node follows its first
         c = f.J_a.shape[-1]
         JtW = [np.swapaxes(J, -1, -2) @ f.W for J, _ in f.slots()]
         for (J, nodes), JtW_s in zip(f.slots(), JtW):
-            Hdiag[nodes, :c, :c] += JtW_s @ J
-            g[nodes, :c] += (JtW_s @ f.e[..., None])[..., 0]
+            s = slice(nodes[0], nodes[0] + len(nodes))
+            Hdiag[s, :c, :c] += JtW_s @ J
+            g[s, :c] += (JtW_s @ f.e[..., None])[..., 0]
         if f.J_b is not None:
-            Hoff[f.idx[:, 0], :c, :c] += JtW[0] @ f.J_b
+            Hoff[f.idx[0, 0] : f.idx[0, 0] + len(f.e), :c, :c] += JtW[0] @ f.J_b
 
     Ht = np.stack([loop.J_a, loop.J_b], axis=1).swapaxes(-1, -2)
     V = Ht @ np.linalg.cholesky(loop.W)[:, None]
@@ -556,11 +559,11 @@ def solve(graph: FactorGraph, config: SolverConfig):
     loop-closure weights) are refreshed at each iteration's linearization
     point and held fixed while the step is evaluated.  A trial step is
     accepted only if the fixed-weight objective does not increase, or if it
-    is an undamped step below the step tolerance; otherwise
-    the damping factor escalates by 10x up to the cap, after which the best
-    iterate so far is returned with ``converged=False``.  If the normal
-    equations stay unsolvable up to the cap, SolverFailureError is raised
-    carrying the best iterate and its report.
+    is an undamped step below the step tolerance; otherwise the damping
+    factor escalates by 10x up to the cap, after which the best iterate so
+    far is returned with ``converged=False`` and ``stop_reason``
+    "damping_limit".  If the normal equations stay unsolvable up to the cap,
+    SolverFailureError is raised carrying the best iterate and its report.
     """
     graph.validate()
     # relative-pose factors cancel position terms as large as the coordinates:
@@ -569,12 +572,11 @@ def solve(graph: FactorGraph, config: SolverConfig):
     cur = _moved(graph, -origin)
     lam = config.damping
     iterations = 0
-    converged = False
-    message = "max iterations reached"
+    stop, message = "max_iterations", "max iterations reached"
     failure = None
     trace = []
     step_objectives = []
-    terms, w_cur = _linearize_robust(cur, config)
+    terms, w_cur = _reweight(_linearize(cur), config)
 
     for _ in range(config.max_iterations):
         j_base = _quadratic(terms)
@@ -588,7 +590,8 @@ def solve(graph: FactorGraph, config: SolverConfig):
                 delta = None
             if delta is not None:
                 trial = update_states(cur, delta)
-                j_trial = _quadratic(terms, _linearize(trial, jacobians=False))
+                trial_terms = _linearize(trial)
+                j_trial = _quadratic(terms, trial_terms)
                 # an undamped step below the tolerance is taken even where the
                 # objective's rounding noise (it grows with the distance from
                 # the origin) hides its decrease: the iterate is already
@@ -608,6 +611,7 @@ def solve(graph: FactorGraph, config: SolverConfig):
                     )
                 break
         if not accepted:
+            stop = "singular" if failure else "damping_limit"
             message = failure or "damping limit reached without objective decrease"
             break
         step_objectives.append((float(j_base), float(j_trial)))
@@ -616,22 +620,22 @@ def solve(graph: FactorGraph, config: SolverConfig):
         lam = lam / 10.0
         if lam < 1e-12:
             lam = 0.0
-        terms, w_cur = _linearize_robust(cur, config)
+        terms, w_cur = _reweight(trial_terms, config)
         if np.max(np.abs(delta)) < config.step_tolerance:
-            converged = True
-            message = "converged"
+            stop = message = "converged"
             break
 
     j_final = _quadratic(terms)
     trace.append(float(j_final))
     report = SolveReport(
         iterations=iterations,
-        converged=converged,
+        converged=stop == "converged",
         objective=float(j_final),
         objective_trace=trace,
         loop_weights=w_cur,
         damping_final=lam,
         message=message,
+        stop_reason=stop,
         step_objectives=step_objectives,
     )
     cur = _moved(cur, origin)

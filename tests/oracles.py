@@ -4,7 +4,7 @@ None of this runs in the pipeline.  It holds the sparse assembly of the whole
 least-squares problem (the oracle of the structured Schur step and of the
 dense solver check), the continuous-time WNOA error kinematics with their
 closed-form transition matrix and the process noise as one 12 x 12 matrix,
-the se(3) hat/vee maps, the log of each relative pose error, the terrain
+the se(3) hat/vee maps, the SE(3) right Jacobian, the log of each relative pose error, the terrain
 gradient on its own pass over the bumps, and the world-frame crop that masks
 the whole cloud.
 """
@@ -45,6 +45,11 @@ def se3_vee(X):
     return np.concatenate([unskew(X[..., :3, :3]), X[..., :3, 3]], axis=-1)
 
 
+def right_jacobian(xi):
+    """SE(3) right Jacobian; equals the left Jacobian at the negated twist."""
+    return lie.left_jacobian(-np.asarray(xi, dtype=float))
+
+
 def is_rotation(C, tol=1e-9):
     C = np.asarray(C, dtype=float)
     ortho = np.abs(C @ np.swapaxes(C, -1, -2) - np.eye(3)).max() <= tol
@@ -76,7 +81,7 @@ def transition_matrix(varpi_bar, dt):
     shape = tv.shape[:-1]
     out = np.zeros(shape + (12, 12))
     out[..., :6, :6] = lie.adjoint(lie.se3_exp(-tv))
-    out[..., :6, 6:] = -dt[..., None, None] * lie.right_jacobian(tv)
+    out[..., :6, 6:] = -dt[..., None, None] * right_jacobian(tv)
     out[..., 6:, 6:] = np.eye(6)
     return out
 

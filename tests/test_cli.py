@@ -144,6 +144,12 @@ class TestSimulate:
             ("frontend.min_inlier_fraction", "0"),
             ("frontend.min_inlier_fraction", "1.5"),
             ("frontend.icp_max_iterations", "0"),
+            ("solver.max_iterations", "0"),
+            ("solver.step_tolerance", "0"),
+            ("prior.sigma_omega", "0"),
+            ("prior.sigma_nu", "0"),
+            ("frontend.icp_rot_tol", "0"),
+            ("frontend.icp_trans_tol", "0"),
         ],
     )
     def test_out_of_range_value_names_key(self, tmp_path, capsys, key, raw):
@@ -228,6 +234,7 @@ class TestSmooth:
         assert (d / "posterior.csv").exists()
         report = json.loads((d / "smooth_report.json").read_text())
         assert report["converged"]
+        assert report["stop_reason"] == "converged"
         assert report["loop_closures"] == 2
         trace = report["objective_trace"]
         assert len(trace) >= 2
@@ -359,6 +366,24 @@ class TestSmooth:
         assert not (tmp_path / "posterior.csv").exists()
         assert not (tmp_path / "smooth_report.json").exists()
 
+    def test_unconverged_solve_exits_zero(self, dataset, tmp_path):
+        # a solve that stops short of convergence without failing is a
+        # result: exit 0, the last iterate written, the reason in the report
+        import shutil
+
+        d, _ = dataset
+        d2 = tmp_path / "d_short"
+        shutil.copytree(d, d2)
+        (d2 / "posterior.csv").unlink(missing_ok=True)
+        cfg = write_cfg(tmp_path, {"solver.max_iterations": "1"}, name="short.cfg")
+        assert cli.main(["smooth", "--dataset", str(d2), "--config", cfg]) == cli.EXIT_OK
+        report = json.loads((d2 / "smooth_report.json").read_text())
+        assert report["failed"] is False and report["converged"] is False
+        assert report["stop_reason"] == "max_iterations"
+        assert report["message"] == "max iterations reached"
+        assert report["iterations"] == 1
+        assert (d2 / "posterior.csv").exists()
+
     def test_solver_failure_writes_best_iterate(self, dataset, tmp_path):
         import shutil
 
@@ -381,6 +406,7 @@ class TestSmooth:
         assert report["failed"] is True
         assert "singular" in report["failure"]
         assert report["converged"] is False
+        assert report["stop_reason"] == "singular"
         assert report["iterations"] == 0
         # no step was accepted, so the best iterate is the initialization
         posterior = dataio.read_trajectory(d2 / "posterior.csv")

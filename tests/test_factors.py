@@ -25,6 +25,14 @@ def one(*arrays):
     return [np.asarray(a)[None] for a in arrays]
 
 
+def off_so3(rng, pose, size):
+    """``pose`` with its rotation block moved off SO(3) by about ``size``, as
+    the products in ``sim.degrade`` leave dead-reckoned poses (up to 4e-10)."""
+    out = pose.copy()
+    out[:3, :3] += rng.normal(size=(3, 3)) * size
+    return out
+
+
 def graph_of(states, psd, loops=(), prior_cov=CFG.prior_cov(), dt=0.1):
     """A graph at the given (pose, varpi) states, its prior on node 0 at them."""
     poses, varpis = stack_samples(states)
@@ -40,7 +48,7 @@ def graph_of(states, psd, loops=(), prior_cov=CFG.prior_cov(), dt=0.1):
 class TestPriorFactor:
     def test_zero_at_prior(self, rng):
         pose, varpi = moderate_state(rng)
-        e, J, J_b = factors.prior(*one(pose, varpi, pose, varpi), True)
+        e, J, J_b = factors.prior(*one(pose, varpi, pose, varpi))
         assert np.array_equal(e, np.zeros((1, 12)))
         assert np.array_equal(J[0], np.eye(12))
         assert J_b is None
@@ -48,7 +56,7 @@ class TestPriorFactor:
     def test_velocity_offset(self, rng):
         pose, varpi = moderate_state(rng)
         offset = np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0])
-        e, _, _ = factors.prior(*one(pose, varpi, pose, varpi - offset), True)
+        e, _, _ = factors.prior(*one(pose, varpi, pose, varpi - offset))
         assert np.array_equal(e[0, 6:], offset)
 
     def test_jacobian_vs_finite_differences(self, rng):
@@ -57,9 +65,9 @@ class TestPriorFactor:
             return (*moderate_state(rng, base=prior_pose), prior_pose, rng.normal(size=6))
 
         pose, varpi, prior_pose, prior_varpi = stack_samples(draw() for _ in range(N_FD))
-        _, J, _ = factors.prior(pose, varpi, prior_pose, prior_varpi, True)
+        _, J, _ = factors.prior(pose, varpi, prior_pose, prior_varpi)
         J_fd = fd_jacobian(
-            lambda d: factors.prior(*perturb(pose, varpi, d), prior_pose, prior_varpi, False)[0],
+            lambda d: factors.prior(*perturb(pose, varpi, d), prior_pose, prior_varpi)[0],
             N_FD,
         )
         assert np.abs(J - J_fd).max() <= 1e-6
@@ -82,7 +90,7 @@ class TestWnoaFactor:
         dt = 0.1
         p0 = random_pose(rng)
         p1 = p0 @ lie.se3_exp(dt * varpi)
-        e, _, _ = factors.wnoa(*one(p0, varpi, p1, varpi, dt), True)
+        e, _, _ = factors.wnoa(*one(p0, varpi, p1, varpi, dt))
         assert np.abs(e).max() < 1e-12
 
     def test_jacobian_at_zero_error_is_negative_transition(self, rng):
@@ -90,43 +98,58 @@ class TestWnoaFactor:
         dt = 0.1
         p0 = random_pose(rng)
         p1 = p0 @ lie.se3_exp(dt * varpi)
-        _, J_a, _ = factors.wnoa(*one(p0, varpi, p1, varpi, dt), True)
+        _, J_a, _ = factors.wnoa(*one(p0, varpi, p1, varpi, dt))
         assert np.abs(J_a[0] + transition_matrix(varpi, dt)).max() < 1e-12
 
     def test_zero_velocity_identical_poses(self, rng):
         p = random_pose(rng)
-        e, J_a, _ = factors.wnoa(*one(p, np.zeros(6), p, np.zeros(6), 0.5), True)
+        e, J_a, _ = factors.wnoa(*one(p, np.zeros(6), p, np.zeros(6), 0.5))
         assert np.abs(e).max() == 0.0
         assert np.allclose(J_a[0, :6, 6:], 0.5 * np.eye(6))
 
     def test_jacobians_vs_finite_differences(self, rng):
-        def draw():
-            s0 = moderate_state(rng)
-            return (*s0, *moderate_state(rng, base=s0[0]), rng.uniform(0.05, 0.5))
+        assert wnoa_fd_error(rng, 0.0) <= 1e-6
 
-        p0, v0, p1, v1, dt = stack_samples(draw() for _ in range(N_FD))
-        _, J_a, J_b = factors.wnoa(p0, v0, p1, v1, dt, True)
-        J0 = fd_jacobian(lambda d: factors.wnoa(*perturb(p0, v0, d), p1, v1, dt, False)[0], N_FD)
-        J1 = fd_jacobian(lambda d: factors.wnoa(p0, v0, *perturb(p1, v1, d), dt, False)[0], N_FD)
-        assert max(np.abs(J_a - J0).max(), np.abs(J_b - J1).max()) <= 1e-6
+    def test_jacobians_vs_finite_differences_off_so3(self, rng):
+        # the pose blocks of node a take exp(e) as T_b^-1 T_a exp(dt varpi_a),
+        # which holds only to the drift of the rotations off SO(3): the error
+        # grows to about six times the drift, and the bound allows 100 times
+        assert wnoa_fd_error(rng, 1e-9) <= 1e-7
 
 
-def relative_pose_fd_error(rng, noise):
-    """Worst Jacobian error over N_FD samples of a noisy relative pose."""
+def wnoa_fd_error(rng, off):
+    """Worst Jacobian error over N_FD samples, the poses ``off`` SO(3)."""
+
+    def draw():
+        s0 = moderate_state(rng)
+        s1 = moderate_state(rng, base=s0[0])
+        return (off_so3(rng, s0[0], off), s0[1], off_so3(rng, s1[0], off), s1[1],
+                rng.uniform(0.05, 0.5))
+
+    p0, v0, p1, v1, dt = stack_samples(draw() for _ in range(N_FD))
+    _, J_a, J_b = factors.wnoa(p0, v0, p1, v1, dt)
+    J0 = fd_jacobian(lambda d: factors.wnoa(*perturb(p0, v0, d), p1, v1, dt)[0], N_FD)
+    J1 = fd_jacobian(lambda d: factors.wnoa(p0, v0, *perturb(p1, v1, d), dt)[0], N_FD)
+    return max(np.abs(J_a - J0).max(), np.abs(J_b - J1).max())
+
+
+def relative_pose_fd_error(rng, noise, off=0.0):
+    """Worst Jacobian error over N_FD samples of a noisy relative pose, the
+    poses ``off`` SO(3)."""
 
     def draw():
         s0 = moderate_state(rng)
         s1 = moderate_state(rng, base=s0[0])
         xi = lie.se3_inv(s0[0]) @ s1[0] @ lie.se3_exp(rng.normal(size=6) * noise)
-        return (*s0, *s1, xi)
+        return (off_so3(rng, s0[0], off), s0[1], off_so3(rng, s1[0], off), s1[1], xi)
 
     p0, v0, p1, v1, xi = stack_samples(draw() for _ in range(N_FD))
-    _, J_a, J_b = factors.relative_pose(p0, p1, xi, True)
+    _, J_a, J_b = factors.relative_pose(p0, p1, xi)
     J0 = fd_jacobian(
-        lambda d: factors.relative_pose(perturb(p0, v0, d)[0], p1, xi, False)[0], N_FD
+        lambda d: factors.relative_pose(perturb(p0, v0, d)[0], p1, xi)[0], N_FD
     )[..., :6]
     J1 = fd_jacobian(
-        lambda d: factors.relative_pose(p0, perturb(p1, v1, d)[0], xi, False)[0], N_FD
+        lambda d: factors.relative_pose(p0, perturb(p1, v1, d)[0], xi)[0], N_FD
     )[..., :6]
     return max(np.abs(J_a - J0).max(), np.abs(J_b - J1).max())
 
@@ -135,13 +158,13 @@ class TestLoopClosureFactor:
     def test_zero_on_consistent_measurement(self, rng):
         p1, _ = moderate_state(rng)
         p2, _ = moderate_state(rng)
-        e, _, J_b = factors.relative_pose(*one(p1, p2, lie.se3_inv(p1) @ p2), True)
+        e, _, J_b = factors.relative_pose(*one(p1, p2, lie.se3_inv(p1) @ p2))
         assert np.abs(e).max() < 1e-12
         assert np.abs(J_b[0] - np.eye(6)).max() < 1e-9
 
     def test_identity_states_measure_is_error(self, rng):
         xi = rng.normal(size=6) * 0.3
-        e, _, _ = factors.relative_pose(*one(np.eye(4), np.eye(4), lie.se3_exp(xi)), True)
+        e, _, _ = factors.relative_pose(*one(np.eye(4), np.eye(4), lie.se3_exp(xi)))
         assert np.abs(e[0] - xi).max() < 1e-12
 
     def test_jacobians_vs_finite_differences(self, rng):
@@ -168,34 +191,37 @@ class TestRelativePoseFactor:
     def test_zero_on_prior_trajectory(self, rng):
         p0, _ = moderate_state(rng)
         p1, _ = moderate_state(rng, base=p0)
-        e, _, _ = factors.relative_pose(*one(p0, p1, lie.se3_inv(p0) @ p1), True)
+        e, _, _ = factors.relative_pose(*one(p0, p1, lie.se3_inv(p0) @ p1))
         assert np.abs(e).max() < 1e-12
 
     def test_identity_everything(self):
-        e, _, _ = factors.relative_pose(*one(np.eye(4), np.eye(4), np.eye(4)), True)
+        e, _, _ = factors.relative_pose(*one(np.eye(4), np.eye(4), np.eye(4)))
         assert np.array_equal(e, np.zeros((1, 6)))
 
     def test_jacobians_vs_finite_differences(self, rng):
         assert relative_pose_fd_error(rng, 0.05) <= 1e-6
 
+    def test_jacobians_vs_finite_differences_off_so3(self, rng):
+        assert relative_pose_fd_error(rng, 0.05, off=1e-9) <= 1e-7
+
 
 class TestObservableFactor:
     def test_zero_at_prior_pose(self, rng):
         pose = random_pose(rng)
-        e, _, _ = factors.observable(*one(pose, pose), True)
+        e, _, _ = factors.observable(*one(pose, pose))
         assert np.abs(e).max() == 0.0
 
     def test_pure_yaw_offset_gives_zero(self, rng):
         base = random_pose(rng)
         yaw = lie.se3_exp(np.array([0.0, 0.0, 0.4, 0.0, 0.0, 0.0]))
-        e, _, _ = factors.observable(*one(base @ yaw, base), True)
+        e, _, _ = factors.observable(*one(base @ yaw, base))
         assert np.abs(e).max() < 1e-15
 
     def test_depth_row_measures_world_down_offset(self, rng):
         base = random_pose(rng)
         prior_pose = base.copy()
         prior_pose[2, 3] += 0.7
-        e, _, _ = factors.observable(*one(base, prior_pose), True)
+        e, _, _ = factors.observable(*one(base, prior_pose))
         assert abs(e[0, 2] - 0.7) < 1e-12
         assert np.abs(e[0, :2]).max() < 1e-15
 
@@ -207,29 +233,11 @@ class TestObservableFactor:
             return base @ lie.se3_exp(-d), rng.normal(size=6), base
 
         pose, varpi, base = stack_samples(draw() for _ in range(N_FD))
-        _, J, _ = factors.observable(pose, base, True)
+        _, J, _ = factors.observable(pose, base)
         J_fd = fd_jacobian(
-            lambda d: factors.observable(perturb(pose, varpi, d)[0], base, False)[0], N_FD
+            lambda d: factors.observable(perturb(pose, varpi, d)[0], base)[0], N_FD
         )[..., :6]
         assert np.abs(J - J_fd).max() <= 1e-4
-
-
-class TestErrorsOnly:
-    def test_same_errors_without_jacobians(self, rng):
-        s0 = moderate_state(rng)
-        s1 = moderate_state(rng, base=s0[0])
-        xi = lie.se3_inv(s0[0]) @ s1[0] @ lie.se3_exp(rng.normal(size=6) * 0.1)
-        calls = [
-            (factors.prior, one(*s0, *s1)),
-            (factors.wnoa, one(*s0, *s1, 0.2)),
-            (factors.relative_pose, one(s0[0], s1[0], xi)),
-            (factors.observable, one(s0[0], s1[0])),
-        ]
-        for fn, args in calls:
-            full = fn(*args, True)
-            e, J_a, J_b = fn(*args, jacobians=False)
-            assert np.array_equal(e, full[0])
-            assert J_a is None and J_b is None
 
 
 class TestWeightProperties:

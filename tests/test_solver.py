@@ -79,30 +79,30 @@ class TestAssemble:
             nonlocal h_dense
             h_dense = h_dense + J.T @ weight @ J
 
-        result = factors.prior(P[:1], V[:1], g.prior.pose, g.prior.varpi, True)
+        result = factors.prior(P[:1], V[:1], g.prior.pose, g.prior.varpi)
         M0 = -np.eye(12)
         M0[:6, :6] = -lie.right_jacobian_inv(result[0][0, :6])
         add(result, [0], np.linalg.inv(M0 @ g.prior.cov @ M0.T))
         for k in range(1, n):
             dt = g.times[k] - g.times[k - 1]
             add(
-                factors.wnoa(P[k - 1 : k], V[k - 1 : k], P[k : k + 1], V[k : k + 1], dt, True),
+                factors.wnoa(P[k - 1 : k], V[k - 1 : k], P[k : k + 1], V[k : k + 1], dt),
                 [k - 1, k],
                 wnoa.process_weight(V[k - 1], PSD, dt),
             )
         for m in g.loop_closures:
             i, j = m.idx_l1, m.idx_l2
-            result = factors.relative_pose(P[i : i + 1], P[j : j + 1], m.xi_meas[None], True)
+            result = factors.relative_pose(P[i : i + 1], P[j : j + 1], m.xi_meas[None])
             M = -lie.right_jacobian_inv(result[0][0])
             add(result, [i, j], np.linalg.inv(M @ m.cov @ M.T))
         for k in range(1, n):
             add(
-                factors.relative_pose(P[k - 1 : k], P[k : k + 1], g.rel_xi[k - 1 : k], True),
+                factors.relative_pose(P[k - 1 : k], P[k : k + 1], g.rel_xi[k - 1 : k]),
                 [k - 1, k],
                 np.linalg.inv(g.r_rel),
             )
             add(
-                factors.observable(P[k : k + 1], g.prior_poses[k : k + 1], True),
+                factors.observable(P[k : k + 1], g.prior_poses[k : k + 1]),
                 [k],
                 np.linalg.inv(g.r_obs),
             )
@@ -287,6 +287,69 @@ def nudged_flipped_line():
     return times, poses, closures
 
 
+def deep_nudged_line():
+    """``nudged_flipped_line`` moved 1e9 m down."""
+    times, poses, closures = nudged_flipped_line()
+    poses[:, 2, 3] += 1e9
+    return times, poses, closures
+
+
+def spy(monkeypatch, name):
+    """Wrap ``solver.<name>`` so each call is recorded as (args, result)."""
+    calls, original = [], getattr(solver, name)
+
+    def wrapper(*args):
+        result = original(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(solver, name, wrapper)
+    return calls
+
+
+class TestLinearizeOnce:
+    """A solve linearizes each trial step once, and an accepted trial's terms
+    are the next step's."""
+
+    def test_one_linearization_per_trial(self, rng, monkeypatch):
+        linearized = spy(monkeypatch, "_linearize")
+        trials = spy(monkeypatch, "update_states")
+        g = small_graph(rng, n=8, loops=((0, 7), (2, 5)), perturb=0.02)
+        _, report = solver.solve(g, solver.SolverConfig())
+        assert report.converged and report.iterations >= 2
+        assert len(linearized) == 1 + len(trials)
+
+    def test_one_linearization_per_rejected_trial(self, monkeypatch):
+        linearized = spy(monkeypatch, "_linearize")
+        trials = spy(monkeypatch, "update_states")
+        times, poses, closures = deep_nudged_line()
+        g = solver.build_graph(times, poses, closures, PSD, R_REL, R_OBS, PRIOR_COV)
+        _, report = solver.solve(g, solver.SolverConfig())
+        assert report.stop_reason == "damping_limit"
+        assert len(trials) > report.iterations
+        assert len(linearized) == 1 + len(trials)
+
+    def test_next_step_terms_are_a_fresh_linearization(self, rng, monkeypatch):
+        steps = spy(monkeypatch, "_normal_equations")
+        trials = spy(monkeypatch, "update_states")
+        g = small_graph(rng, n=12, loops=((0, 11), (2, 9), (4, 7)), perturb=0.02)
+        # an outlier, so that the robust weights move between steps
+        bad = lie.se3_exp(np.array([0.5, 0.2, -0.3, 3.0, 1.0, 2.0]))
+        g.loop_closures[2] = factors.LoopClosureMeasurement(4, 7, bad, LC_COV.copy())
+        cfg = solver.SolverConfig()
+        _, report = solver.solve(g, cfg)
+        # every trial accepted: trial k is the iterate of step k + 1
+        assert len(trials) == report.iterations >= 3
+        for ((terms, _), _), (_, trial) in zip(steps[1:], trials):
+            fresh, _ = solver._reweight(solver._linearize(trial), cfg)
+            assert terms.keys() == fresh.keys()
+            for name, f in fresh.items():
+                for field in ("e", "J_a", "J_b", "idx", "W"):
+                    assert np.array_equal(getattr(terms[name], field), getattr(f, field))
+        _, w = solver._reweight(solver._linearize(trials[-1][1]), cfg)
+        assert np.array_equal(report.loop_weights, w)
+
+
 class TestSolverFailure:
     @pytest.mark.parametrize(
         "loops, singular",
@@ -357,6 +420,7 @@ class TestSolverFailure:
             solver.solve(g, cfg)
         best, report = info.value.graph, info.value.report
         assert report.iterations == 0 and not report.converged
+        assert report.stop_reason == "singular"
         assert report.damping_final > solver.MAX_DAMPING
         assert report.message == str(info.value)
         assert np.array_equal(best.poses, g.poses)
@@ -447,9 +511,29 @@ class TestSolve:
     def test_truth_init_converges_immediately(self, rng):
         g = small_graph(rng, n=10, loops=((0, 9),))
         post, report = solver.solve(g, solver.SolverConfig())
-        assert report.converged
+        assert report.converged and report.stop_reason == "converged"
         assert report.iterations <= 2
         assert report.objective <= 1e-12
+
+    def test_max_iterations_reason(self, rng):
+        g = small_graph(rng, n=8, loops=((0, 7), (2, 5)), perturb=0.02)
+        _, report = solver.solve(g, solver.SolverConfig(max_iterations=1))
+        assert report.iterations == 1 and not report.converged
+        assert report.stop_reason == "max_iterations"
+        assert report.message == "max iterations reached"
+
+    def test_damping_limit_reason(self):
+        # 1e9 m down, an ulp of depth (1.2e-7 m) is more than the objective's
+        # decrease can show, so no damping up to the cap is accepted; the
+        # last iterate is returned, not raised (every depth from 1.2e8 m to
+        # 1e10 m in a scan of 34 stopped this way)
+        times, poses, closures = deep_nudged_line()
+        g = solver.build_graph(times, poses, closures, PSD, R_REL, R_OBS, PRIOR_COV)
+        _, report = solver.solve(g, solver.SolverConfig())
+        assert not report.converged
+        assert report.stop_reason == "damping_limit"
+        assert report.message == "damping limit reached without objective decrease"
+        assert report.damping_final > solver.MAX_DAMPING
 
     def test_step_objectives_non_increasing(self, rng):
         g = small_graph(rng, n=8, loops=((0, 7), (2, 5)), perturb=0.02)
