@@ -278,23 +278,33 @@ def cmd_closeloops(args):
     cfg = load_config(args.config, args.seed)
     dataset = Path(args.dataset)
     prior = dataio.read_trajectory(dataset / "prior.csv")
-    profiles = dataio.read_profiles(dataset / "profiles.csv")
+    inputs = {"prior.csv": dataio.sha256_file(dataset / "prior.csv")}
+    profiles = dataio.read_profiles(dataset / "profiles.csv", inputs)
     cloud, rejected = frontend.register_profiles(profiles, prior)
     if rejected:
         print(f"warning: {rejected} profiles outside the trajectory span", file=sys.stderr)
     crossings = frontend.detect_crossings(
         prior, cfg.frontend_delta_r_star, cfg.frontend_min_time_separation
     )
+    report_doc = {
+        "config_hash": dataio.config_hash(cfg.to_flat()),
+        "inputs": inputs,
+        "outliers_injected": 0,
+        "crossings": [],
+    }
     if not crossings:
         dataio.write_loop_closures(dataset / "loopclosures.csv", [], prior.times)
+        dataio.write_manifest(dataset / "closeloops_report.json", report_doc)
         print("warning: no path crossings found; wrote empty loopclosures.csv",
               file=sys.stderr)
         return EXIT_OK
     measurements = []
     params = cfg.icp_params()
     for c in crossings:
+        entry = {"t1": c.t1, "t2": c.t2}
+        report_doc["crossings"].append(entry)
         try:
-            m, report = frontend.make_loop_closure(
+            m, icp = frontend.make_loop_closure(
                 prior,
                 cloud,
                 c,
@@ -306,18 +316,32 @@ def cmd_closeloops(args):
                 min_points=cfg.frontend_min_submap_points,
             )
         except (frontend.InsufficientOverlapError, frontend.AlignmentFailureError) as exc:
+            overlap = isinstance(exc, frontend.InsufficientOverlapError)
+            entry.update(
+                outcome="insufficient_overlap" if overlap else "alignment_failure",
+                message=str(exc), icp=None,
+            )
             print(
                 f"dropped crossing ({c.t1:.1f}s, {c.t2:.1f}s): {exc}", file=sys.stderr
             )
             continue
+        stop = "converged" if icp.converged else "stopped at the iteration cap"
+        entry.update(
+            outcome="closure",
+            message=f"ICP {stop} after {icp.iterations} iterations",
+            icp={"iterations": icp.iterations, "converged": icp.converged,
+                 "step_objectives": [list(step) for step in icp.step_objectives]},
+        )
         measurements.append(m)
     if args.outliers:
         measurements = sim.inject_outliers(
             measurements, args.outliers, seed=cfg.sim_seed + 2
         )
+        report_doc["outliers_injected"] = args.outliers
     dataio.write_loop_closures(
         dataset / "loopclosures.csv", measurements, prior.times
     )
+    dataio.write_manifest(dataset / "closeloops_report.json", report_doc)
     print(f"wrote {len(measurements)} loop closures "
           f"({len(crossings) - len(measurements)} dropped)")
     return EXIT_OK
@@ -349,6 +373,10 @@ def cmd_smooth(args):
     except dataio.UnresolvedClosureTimeError as exc:
         prior = insert_interpolated_nodes(prior, exc.times)
         measurements = dataio.read_loop_closures(lc_path, prior.times)
+    inputs = {
+        "prior.csv": dataio.sha256_file(dataset / "prior.csv"),
+        lc_path.name: dataio.sha256_file(lc_path),
+    }
     if args.loop_closures is not None:
         measurements = measurements[: args.loop_closures]
     graph = solver.build_graph(
@@ -370,6 +398,8 @@ def cmd_smooth(args):
     out_traj = Trajectory(times=posterior.times, poses=posterior.poses)
     dataio.write_trajectory(dataset / "posterior.csv", out_traj)
     report_doc = {
+        "config_hash": dataio.config_hash(cfg.to_flat()),
+        "inputs": inputs,
         "loop_closures": len(measurements),
         "robust": bool(scfg.robust_cost),
         "failed": failure is not None,

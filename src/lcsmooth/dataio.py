@@ -8,12 +8,19 @@ through its quaternion to rounding (about 1e-16).
 
 CSV rows are formatted one ``%`` per block, a profile's timestamp once per
 profile: the bytes of ``np.savetxt(..., fmt="%.17g", delimiter=",")``.
+
+The profile CSV is the file of record.  Beside it, ``<csv>.npz`` caches its
+parsed rows under the sha256 of its bytes, so a dataset's point cloud is
+parsed as text once; a copy that does not match is ignored and replaced.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import zipfile
+from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +31,16 @@ from .frontend import LaserProfile
 from .trajectory import Trajectory
 
 _FMT = "%.17g"
+_CHUNK = 1 << 20  # bytes per read while hashing a file
+
+
+def sha256_file(path):
+    """Hex sha256 of a file's bytes, read in fixed-size chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        while chunk := f.read(_CHUNK):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _write_block(f, prefix, data):
@@ -64,10 +81,66 @@ def read_trajectory(path) -> Trajectory:
 
 
 def write_profiles(path, profiles):
+    """The CSV, then the binary copy of its rows beside it (see ``read_profiles``)."""
+    rows = np.empty((sum(len(p.points) for p in profiles), 4))
+    start = 0
     with open(path, "w") as f:
         f.write("t,x,y,z\n")
         for p in profiles:
             _write_block(f, _FMT % p.timestamp + ",", p.points)
+            stop = start + len(p.points)
+            rows[start:stop, 0] = p.timestamp
+            rows[start:stop, 1:] = p.points
+            start = stop
+    if len(rows):
+        _write_copy(path, sha256_file(path), rows)
+
+
+def _copy_path(path):
+    return Path(f"{path}.npz")
+
+
+def _read_copy(path, digest):
+    """The rows that the copy beside the CSV ``path`` holds for the CSV bytes
+    whose sha256 is ``digest``, or None.
+
+    A copy that is missing, stale or unreadable, or that is not what
+    ``_write_copy`` writes (keys, shape, dtype, layout, finite values), is a
+    miss and never an error.
+    """
+    try:
+        # np.load leaves a file it opened open when it is no zip archive
+        with open(_copy_path(path), "rb") as f:
+            copy = np.load(f, allow_pickle=False)
+            if (not isinstance(copy, np.lib.npyio.NpzFile)  # a bare .npy array
+                    or sorted(copy.files) != ["rows", "sha256"]
+                    or str(copy["sha256"]) != digest):
+                return None
+            rows = copy["rows"]
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile):
+        return None
+    if (rows.dtype != np.float64 or rows.ndim != 2 or rows.shape[1] != 4
+            or not rows.flags.c_contiguous or not np.all(np.isfinite(rows))):
+        return None
+    return rows
+
+
+def _write_copy(path, digest, rows):
+    """Store ``rows`` under ``digest`` beside the CSV ``path``.
+
+    The copy goes to a temporary file that is then renamed over the old one,
+    so no reader sees a partial copy.  A copy that cannot be written (a
+    read-only directory, say) is skipped: the CSV stays the file of record.
+    """
+    target = _copy_path(path)
+    tmp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            np.savez(f, sha256=digest, rows=rows)
+        os.replace(tmp, target)
+    except OSError:
+        with suppress(OSError):
+            tmp.unlink(missing_ok=True)
 
 
 def _load_csv(path, what):
@@ -94,12 +167,26 @@ def _load_csv(path, what):
     return data
 
 
-def read_profiles(path):
-    data = _load_csv(path, "profile")
-    if data.size == 0:
-        return []
-    if data.shape[1] != 4:
-        raise ValueError(f"{path}: expected 4 columns, found {data.shape[1]}")
+def read_profiles(path, digests=None):
+    """The profiles of a ``t, x, y, z`` CSV, one per run of equal stamps.
+
+    The rows come from the binary copy beside the CSV when it holds them for
+    the CSV's current bytes; otherwise the CSV is parsed and the copy
+    written.  The copy is a cache: the profiles, and every error, are those
+    of the CSV.  With ``digests``, the CSV's sha256 is stored in it under
+    the file's name.
+    """
+    digest = sha256_file(path)
+    if digests is not None:
+        digests[Path(path).name] = digest
+    data = _read_copy(path, digest)
+    if data is None:
+        data = _load_csv(path, "profile")
+        if data.size == 0:
+            return []
+        if data.shape[1] != 4:
+            raise ValueError(f"{path}: expected 4 columns, found {data.shape[1]}")
+        _write_copy(path, digest, data)
     profiles = []
     # consecutive rows with the same stamp form one profile
     boundaries = np.flatnonzero(np.diff(data[:, 0]) != 0) + 1

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tempfile
 from pathlib import Path
@@ -24,6 +25,10 @@ SMALL_SIM = {
     # standard one, so shrink the event-suppression window accordingly
     "frontend.min_time_separation": "20.0",
 }
+
+
+def sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def write_cfg(tmp_path, extra=None, name="pipeline.cfg"):
@@ -190,6 +195,9 @@ class TestCloseloops:
         assert "no path crossings" in capsys.readouterr().err
         prior = dataio.read_trajectory(d / "prior.csv")
         assert dataio.read_loop_closures(d / "loopclosures.csv", prior.times) == []
+        report = json.loads((d / "closeloops_report.json").read_text())
+        assert report["crossings"] == []
+        assert set(report["inputs"]) == {"prior.csv", "profiles.csv"}
 
     def test_profile_order_in_file_does_not_matter(self, dataset, tmp_path):
         d, cfg = dataset
@@ -205,9 +213,15 @@ class TestCloseloops:
         profiles[i], profiles[i + 3] = profiles[i + 3], profiles[i]
         dataio.write_profiles(d2 / "profiles.csv", profiles)
         assert (d2 / "profiles.csv").read_bytes() != (d / "profiles.csv").read_bytes()
+        # the binary copy of the old order stays beside the new file: stale
+        shutil.copyfile(d / "profiles.csv.npz", d2 / "profiles.csv.npz")
         assert cli.main(["closeloops", "--dataset", str(d2), "--config", cfg]) == 0
         assert len(dataio.read_loop_closures(d2 / "loopclosures.csv", prior.times)) == 2
         assert (d2 / "loopclosures.csv").read_bytes() == (d / "loopclosures.csv").read_bytes()
+        with np.load(d2 / "profiles.csv.npz") as copy:
+            assert str(copy["sha256"]) == sha256(d2 / "profiles.csv")
+            assert np.array_equal(copy["rows"], np.loadtxt(
+                d2 / "profiles.csv", delimiter=",", skiprows=1, ndmin=2))
 
     def test_outlier_injection_flag(self, dataset, tmp_path):
         d, cfg = dataset
@@ -225,6 +239,70 @@ class TestCloseloops:
             not np.allclose(a.xi_meas, b.xi_meas) for a, b in zip(clean, dirty)
         )
         assert different == 1
+        report = json.loads((d2 / "closeloops_report.json").read_text())
+        assert report["outliers_injected"] == 1
+
+    def test_report(self, dataset):
+        d, cfg = dataset
+        report = json.loads((d / "closeloops_report.json").read_text())
+        assert report["inputs"] == {
+            "prior.csv": sha256(d / "prior.csv"), "profiles.csv": sha256(d / "profiles.csv")
+        }
+        assert report["config_hash"] == dataio.config_hash(cli.load_config(cfg, None).to_flat())
+        assert report["outliers_injected"] == 0
+        closures = np.loadtxt(d / "loopclosures.csv", delimiter=",", skiprows=1, ndmin=2)
+        crossings = report["crossings"]
+        assert [[c["t1"], c["t2"]] for c in crossings] == closures[:, :2].tolist()
+        for c in crossings:
+            icp = c["icp"]
+            assert c["outcome"] == "closure"
+            assert icp["converged"] is True
+            assert c["message"] == f"ICP converged after {icp['iterations']} iterations"
+            assert 1 <= icp["iterations"] == len(icp["step_objectives"])
+            for before, after in icp["step_objectives"]:
+                assert after <= before * (1 + 1e-12) + 1e-15
+
+    def test_report_keeps_unconverged_icp(self, dataset, tmp_path):
+        # an alignment that stops at the iteration cap still yields a closure,
+        # and the report says so
+        import shutil
+
+        d, _ = dataset
+        d2 = tmp_path / "d_cap"
+        shutil.copytree(d, d2)
+        cfg = write_cfg(tmp_path, {"frontend.icp_max_iterations": "2"}, name="cap.cfg")
+        assert cli.main(["closeloops", "--dataset", str(d2), "--config", cfg]) == 0
+        report = json.loads((d2 / "closeloops_report.json").read_text())
+        assert [c["outcome"] for c in report["crossings"]] == ["closure"] * 2
+        for c in report["crossings"]:
+            assert c["icp"]["converged"] is False and c["icp"]["iterations"] == 2
+            assert "iteration cap" in c["message"]
+
+    @pytest.mark.parametrize(
+        "extra, outcome, message",
+        [
+            ({"frontend.min_submap_points": "100000"}, "insufficient_overlap",
+             "(minimum 100000)"),
+            ({"frontend.voxel_cell": "5.0", "frontend.normal_neighbors": "2"},
+             "alignment_failure", "too few points to align"),
+        ],
+        ids=["insufficient_overlap", "alignment_failure"],
+    )
+    def test_report_gives_drop_reasons(self, dataset, tmp_path, capsys, extra, outcome, message):
+        import shutil
+
+        d, _ = dataset
+        d2 = tmp_path / "d_drop"
+        shutil.copytree(d, d2)
+        cfg = write_cfg(tmp_path, extra, name="drop.cfg")
+        assert cli.main(["closeloops", "--dataset", str(d2), "--config", cfg]) == 0
+        err = capsys.readouterr().err
+        crossings = json.loads((d2 / "closeloops_report.json").read_text())["crossings"]
+        assert len(crossings) == 2
+        for c in crossings:
+            assert c["outcome"] == outcome and c["icp"] is None
+            assert c["message"].endswith(message)
+            assert f"dropped crossing ({c['t1']:.1f}s, {c['t2']:.1f}s): {c['message']}\n" in err
 
 
 class TestSmooth:
@@ -244,6 +322,11 @@ class TestSmooth:
         for before, after in steps:
             assert after <= before * (1 + 1e-12) + 1e-15
         assert report["damping_final"] >= 0.0
+        assert report["inputs"] == {
+            "prior.csv": sha256(d / "prior.csv"),
+            "loopclosures.csv": sha256(d / "loopclosures.csv"),
+        }
+        assert report["config_hash"] == dataio.config_hash(cli.load_config(cfg, None).to_flat())
 
     def test_keep_first_k(self, dataset):
         d, cfg = dataset

@@ -1,3 +1,4 @@
+import hashlib
 import re
 import warnings
 
@@ -116,13 +117,19 @@ AWKWARD = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308, 3.0, -42.
            1e16, 0.1, 1.0 / 3.0, 1.7e9, 1.7e9 + 0.05, 1700000000.1234567]
 
 
+def awkward_profiles(rng):
+    """Profiles whose stamps and points are AWKWARD values."""
+    values = np.array(AWKWARD)
+    profiles = [frontend.LaserProfile(t, rng.choice(values, size=(k, 3)))
+                for t, k in ((-0.0, 1), (5e-324, 2), (3.0, 1), (1.7e9, 4),
+                             (1.7e9 + 0.05, 1), (1e308, 3))]
+    profiles.append(frontend.LaserProfile(1700000000.1234567, rng.normal(size=(50, 3)) * 1e3))
+    return profiles
+
+
 class TestWritersMatchSavetxt:
     def test_profiles(self, rng, tmp_path):
-        values = np.array(AWKWARD)
-        profiles = [frontend.LaserProfile(t, rng.choice(values, size=(k, 3)))
-                    for t, k in ((-0.0, 1), (5e-324, 2), (3.0, 1), (1.7e9, 4),
-                                 (1.7e9 + 0.05, 1), (1e308, 3))]
-        profiles.append(frontend.LaserProfile(1700000000.1234567, rng.normal(size=(50, 3)) * 1e3))
+        profiles = awkward_profiles(rng)
         stamped = np.vstack([np.column_stack([np.full(len(p.points), p.timestamp), p.points])
                              for p in profiles])
         dataio.write_profiles(tmp_path / "p.csv", profiles)
@@ -186,6 +193,156 @@ class TestProfilesCsv:
             expect = f"{re.escape(str(path))}: malformed profile CSV"
             with pytest.raises(ValueError, match=expect):
                 dataio.read_profiles(path)
+
+
+def stored(path):
+    """(sha256, rows) of the binary copy beside the CSV ``path``."""
+    with np.load(f"{path}.npz") as copy:
+        return str(copy["sha256"]), copy["rows"]
+
+
+def assert_same_profiles(a, b):
+    assert len(a) == len(b)
+    for p, q in zip(a, b):
+        assert np.float64(p.timestamp).tobytes() == np.float64(q.timestamp).tobytes()
+        assert p.points.tobytes() == q.points.tobytes()
+
+
+class TestProfilesCopy:
+    """The binary copy beside ``profiles.csv``: a cache keyed by the CSV's
+    sha256, which changes no result and no error."""
+
+    def test_rows_equal_loadtxt_bit_for_bit(self, rng, tmp_path):
+        path = tmp_path / "profiles.csv"
+        dataio.write_profiles(path, awkward_profiles(rng))
+        digest, rows = stored(path)
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+        expect = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        assert rows.dtype == expect.dtype and rows.shape == expect.shape
+        assert rows.tobytes() == expect.tobytes()  # -0.0 and 5e-324 included
+
+    def test_hit_equals_miss(self, rng, tmp_path):
+        path = tmp_path / "profiles.csv"
+        dataio.write_profiles(path, awkward_profiles(rng))
+        hit = dataio.read_profiles(path)
+        copy = path.with_name("profiles.csv.npz")
+        copy.unlink()
+        miss = dataio.read_profiles(path)
+        assert_same_profiles(hit, miss)
+        # the miss wrote the copy again, and the next read is a hit on it
+        assert stored(path)[0] == dataio.sha256_file(path)
+        assert_same_profiles(dataio.read_profiles(path), miss)
+
+    def test_hit_reads_the_copy(self, rng, tmp_path):
+        # a copy under the CSV's digest is what the read returns: the CSV is
+        # not parsed again
+        path = tmp_path / "profiles.csv"
+        dataio.write_profiles(path, awkward_profiles(rng)[-1:])
+        digest, rows = stored(path)
+        np.savez(f"{path}.npz", sha256=digest, rows=rows + [0.0, 1.0, 0.0, 0.0])
+        (back,) = dataio.read_profiles(path)
+        assert np.array_equal(back.points[:, 0], rows[:, 1] + 1.0)
+
+    @pytest.mark.parametrize("edit", ["one_byte", "reordered"])
+    def test_stale_copy_ignored_and_replaced(self, rng, tmp_path, edit):
+        path = tmp_path / "profiles.csv"
+        profiles = [frontend.LaserProfile(0.1 * k, rng.normal(size=(3, 3))) for k in range(6)]
+        dataio.write_profiles(path, profiles)
+        old_copy = path.with_name("profiles.csv.npz").read_bytes()
+        if edit == "one_byte":
+            text = path.read_bytes()
+            i = text.index(b"1", len(b"t,x,y,z\n"))
+            path.write_bytes(text[:i] + b"2" + text[i + 1:])
+        else:
+            profiles[1], profiles[4] = profiles[4], profiles[1]
+            dataio.write_profiles(path, profiles)
+            path.with_name("profiles.csv.npz").write_bytes(old_copy)
+        back = dataio.read_profiles(path)
+        digest, rows = stored(path)
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+        expect = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        assert rows.tobytes() == expect.tobytes()
+        assert np.array_equal(np.concatenate([p.points for p in back]), expect[:, 1:])
+        assert [p.timestamp for p in back] == list(dict.fromkeys(expect[:, 0]))
+
+    @pytest.mark.parametrize(
+        "kind",
+        ["truncated", "not_zip", "bare_npy", "extra_key", "wrong_shape", "wrong_dtype",
+         "big_endian", "fortran_order", "non_finite", "digest_array"],
+    )
+    def test_bad_copy_is_a_miss(self, rng, tmp_path, kind):
+        path = tmp_path / "profiles.csv"
+        dataio.write_profiles(path, awkward_profiles(rng))
+        miss_copy = path.with_name("profiles.csv.npz").read_bytes()
+        expect = dataio.read_profiles(path)
+        digest, rows = stored(path)
+        copy = path.with_name("profiles.csv.npz")
+        bad = {
+            "wrong_shape": {"rows": rows[:, :3]},
+            "wrong_dtype": {"rows": rows.view(np.int64)},
+            "big_endian": {"rows": rows.astype(">f8")},
+            "fortran_order": {"rows": np.asfortranarray(rows)},
+            "non_finite": {"rows": np.where(rows == 3.0, np.nan, rows)},
+            "extra_key": {"rows": rows, "more": rows},
+            "digest_array": {"rows": rows, "sha256": np.array([digest])},
+        }
+        if kind == "truncated":
+            copy.write_bytes(miss_copy[: len(miss_copy) // 2])
+        elif kind == "not_zip":
+            copy.write_bytes(b"t,x,y,z\n0,1,2,3\n")
+        elif kind == "bare_npy":
+            with open(copy, "wb") as f:
+                np.save(f, rows)
+        else:
+            with open(copy, "wb") as f:
+                np.savez(f, **{"sha256": digest, **bad[kind]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_same_profiles(dataio.read_profiles(path), expect)
+        assert copy.read_bytes() == miss_copy
+
+    def test_unwritable_copy_is_skipped(self, rng, tmp_path):
+        path = tmp_path / "profiles.csv"
+        (tmp_path / "profiles.csv.npz").mkdir()
+        profiles = awkward_profiles(rng)
+        dataio.write_profiles(path, profiles)
+        assert_same_profiles(dataio.read_profiles(path), profiles)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["profiles.csv", "profiles.csv.npz"]
+        assert (tmp_path / "profiles.csv.npz").is_dir()
+
+    @pytest.mark.parametrize(
+        "body, error, match",
+        [
+            ("0.0,1.0,nope,3.0\n", ValueError, "malformed profile CSV"),
+            ("0.0,1.0,2.0,3.0\n0.0,1.0,2.0\n", ValueError, "malformed profile CSV"),
+            ("0.0,1.0,2.0\n", ValueError, "expected 4 columns, found 3"),
+            ("0.0,1.0,2.0,3.0\n0.1,inf,2.0,3.0\n", NonFiniteInputError, "data row 2 holds"),
+        ],
+    )
+    def test_csv_errors_unchanged_beside_an_old_copy(self, rng, tmp_path, body, error, match):
+        path = tmp_path / "profiles.csv"
+        dataio.write_profiles(path, awkward_profiles(rng))
+        path.write_text("t,x,y,z\n" + body)
+        with pytest.raises(error, match=f"{re.escape(str(path))}: {match}"):
+            dataio.read_profiles(path)
+
+    def test_header_only_writes_no_copy(self, tmp_path):
+        path = tmp_path / "profiles.csv"
+        dataio.write_profiles(path, [])
+        assert dataio.read_profiles(path) == []
+        assert [p.name for p in tmp_path.iterdir()] == ["profiles.csv"]
+
+    def test_digest_reported_and_chunked(self, rng, tmp_path):
+        path = tmp_path / "profiles.csv"
+        dataio.write_profiles(path, [frontend.LaserProfile(0.0, rng.normal(size=(40_000, 3)))])
+        assert path.stat().st_size > 2 * (1 << 20)  # more than two chunks
+        expect = hashlib.sha256(path.read_bytes()).hexdigest()
+        for _ in range(2):  # a miss, then a hit
+            digests = {"prior.csv": "kept"}
+            dataio.read_profiles(path, digests)
+            assert digests == {"prior.csv": "kept", "profiles.csv": expect}
+        (tmp_path / "empty").write_bytes(b"")
+        assert dataio.sha256_file(tmp_path / "empty") == hashlib.sha256(b"").hexdigest()
 
 
 class TestLoopClosureCsv:
