@@ -347,38 +347,19 @@ def cmd_closeloops(args):
     return EXIT_OK
 
 
-def insert_interpolated_nodes(trajectory: Trajectory, times_needed):
-    """Insert interpolated nodes so every requested time matches a node."""
-    times = list(trajectory.times)
-    poses = list(trajectory.poses)
-    half = 0.5 * float(np.median(np.diff(trajectory.times)))
-    for t in sorted(times_needed):
-        i = int(np.argmin(np.abs(np.asarray(times) - t)))
-        if abs(times[i] - t) <= half + 1e-12:
-            continue
-        pose = trajectory.pose_at(t)
-        j = int(np.searchsorted(times, t))
-        times.insert(j, float(t))
-        poses.insert(j, pose)
-    return Trajectory(times=np.array(times), poses=np.stack(poses))
-
-
 def cmd_smooth(args):
     cfg = load_config(args.config, args.seed)
     dataset = Path(args.dataset)
     prior = dataio.read_trajectory(dataset / "prior.csv")
     lc_path = Path(args.loopclosures) if args.loopclosures else dataset / "loopclosures.csv"
-    try:
-        measurements = dataio.read_loop_closures(lc_path, prior.times)
-    except dataio.UnresolvedClosureTimeError as exc:
-        prior = insert_interpolated_nodes(prior, exc.times)
-        measurements = dataio.read_loop_closures(lc_path, prior.times)
+    # the closures that --loop-closures cuts get no node
+    rows = dataio.read_loop_closures(lc_path)[: args.loop_closures]
+    prior = dataio.insert_closure_nodes(lc_path, rows, prior)
+    measurements = dataio.place_loop_closures(lc_path, rows, prior)
     inputs = {
         "prior.csv": dataio.sha256_file(dataset / "prior.csv"),
         lc_path.name: dataio.sha256_file(lc_path),
     }
-    if args.loop_closures is not None:
-        measurements = measurements[: args.loop_closures]
     graph = solver.build_graph(
         prior.times,
         prior.poses,
@@ -435,7 +416,8 @@ def cmd_evaluate(args):
 
     closures = None
     if args.loopclosures and Path(args.loopclosures).exists():
-        closures = dataio.read_loop_closures(args.loopclosures, estimate.times)
+        rows = dataio.read_loop_closures(args.loopclosures)
+        closures = dataio.place_loop_closures(args.loopclosures, rows, estimate)
 
     if args.truth:
         truth = dataio.read_trajectory(args.truth)

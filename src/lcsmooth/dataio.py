@@ -71,6 +71,9 @@ def read_trajectory(path) -> Trajectory:
     data = _load_csv(path, "trajectory")
     if data.shape[1] != 8:
         raise ValueError(f"{path}: expected 8 columns, found {data.shape[1]}")
+    # a stored rotation has a unit quaternion; one near zero has no direction
+    _reject_rows(path, np.linalg.norm(data[:, 4:8], axis=1) < 1e-6,
+                 "holds a quaternion of norm below 1e-6")
     C = lie.rotation_from_quat(data[:, 4:8])
     poses = lie.make_pose(C, data[:, 1:4])
     return Trajectory(times=data[:, 0], poses=poses)
@@ -141,6 +144,21 @@ def _write_copy(path, digest, rows):
     except OSError:
         with suppress(OSError):
             tmp.unlink(missing_ok=True)
+
+
+class InputRowError(ValueError):
+    """A data row of an input CSV that the pipeline cannot use; ``row``
+    counts from 1 below the header, as the message does."""
+
+    def __init__(self, path, row, problem):
+        super().__init__(f"{path}: data row {row} {problem}")
+        self.row = row
+
+
+def _reject_rows(path, bad, problem):
+    """Raise InputRowError for the first data row that ``bad`` flags."""
+    if np.any(bad):
+        raise InputRowError(path, int(np.argmax(bad)) + 1, problem)
 
 
 def _load_csv(path, what):
@@ -215,42 +233,49 @@ def write_loop_closures(path, measurements, times):
     write_rows(path, header, np.reshape(rows, (-1, 20)))
 
 
-class UnresolvedClosureTimeError(ValueError):
-    """Loop-closure timestamps that land on no node; ``times`` holds them all."""
-
-    def __init__(self, path, times):
-        self.times = np.asarray(times, dtype=float)
-        super().__init__(
-            f"{path}: loop-closure times {self.times.tolist()} are not within half "
-            "a sample period of any node"
-        )
-
-
-def read_loop_closures(path, times):
-    """Read loop closures, resolving timestamps to node indices.
-
-    A timestamp must land within half a sample period of a node; otherwise
-    an UnresolvedClosureTimeError carries every such timestamp, so the
-    caller can insert interpolated nodes at them.
-    """
+def read_loop_closures(path):
+    """The rows of a loop-closure CSV, as an (L, 20) array."""
     data = _load_csv(path, "loop-closure")
-    if data.size == 0:
-        return []
-    if data.shape[1] != 20:
+    if data.size and data.shape[1] != 20:
         raise ValueError(f"{path}: expected 20 columns, found {data.shape[1]}")
-    times = np.asarray(times, dtype=float)
-    half_period = 0.5 * np.median(np.diff(times)) if len(times) > 1 else 0.0
-    stamps = data[:, :2]
-    idx = np.array([[np.argmin(np.abs(times - t)) for t in pair] for pair in stamps])
-    unresolved = np.abs(times[idx] - stamps) > half_period + 1e-12
-    if np.any(unresolved):
-        raise UnresolvedClosureTimeError(path, stamps[unresolved])
+    return data.reshape(-1, 20)
+
+
+def insert_closure_nodes(path, rows, trajectory):
+    """``trajectory`` with an interpolated node at each closure time of
+    ``rows`` that lands on no node; taken in increasing order, a time within
+    ``snap_tolerance()`` of a node inserted before it shares that node."""
+    stamps = rows[:, :2]
+    _, on_node = trajectory.nearest_nodes(stamps)
+    outside = (stamps < trajectory.times[0]) | (stamps > trajectory.times[-1])
+    _reject_rows(path, np.any(outside & ~on_node, axis=1),
+                 "holds a closure time outside the trajectory's time span")
+    tolerance = trajectory.snap_tolerance()
+    new = []
+    for t in np.unique(stamps[~on_node]):
+        if not new or t - new[-1] > tolerance:
+            new.append(t)
+    at = np.searchsorted(trajectory.times, new)
+    return Trajectory(
+        times=np.insert(trajectory.times, at, new),
+        poses=np.insert(trajectory.poses, at, trajectory.pose_at(new), axis=0),
+    )
+
+
+def place_loop_closures(path, rows, trajectory):
+    """The loop closures of ``rows`` on the nodes of ``trajectory``, on
+    which each of their times must land, t_l1 on an earlier node than t_l2."""
+    idx, on_node = trajectory.nearest_nodes(rows[:, :2])
+    _reject_rows(path, ~np.all(on_node, axis=1),
+                 "holds a closure time more than half a sample period from every node")
+    _reject_rows(path, idx[:, 0] >= idx[:, 1],
+                 "holds a t_l1 that does not land on an earlier node than its t_l2")
     return [
         LoopClosureMeasurement(
             int(i1), int(i2), lie.make_pose(row[2:11].reshape(3, 3), row[11:14]),
             np.diag(row[14:20]),
         )
-        for (i1, i2), row in zip(idx, data)
+        for (i1, i2), row in zip(idx, rows)
     ]
 
 

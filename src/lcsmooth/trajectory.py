@@ -37,16 +37,29 @@ class Trajectory:
         Raises ValueError for queries outside the trajectory time span.
         """
         t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        tq = np.atleast_1d(t)
-        if np.any(tq < self.times[0]) or np.any(tq > self.times[-1]):
+        if np.any(t < self.times[0]) or np.any(t > self.times[-1]):
             raise ValueError("query time outside trajectory span")
-        hi = np.clip(np.searchsorted(self.times, tq, side="right"), 1, len(self) - 1)
+        hi = np.clip(np.searchsorted(self.times, t, side="right"), 1, len(self) - 1)
         lo = hi - 1
         span = self.times[hi] - self.times[lo]
-        alpha = (tq - self.times[lo]) / span
-        out = lie.interpolate(self.poses[lo], self.poses[hi], alpha)
-        return out[0] if scalar else out
+        alpha = (t - self.times[lo]) / span
+        return lie.interpolate(self.poses[lo], self.poses[hi], alpha)
+
+    def snap_tolerance(self):
+        """How far a time may lie from a node and still land on it: half the
+        median sample period, plus 1e-12 s for rounding."""
+        half = 0.5 * float(np.median(np.diff(self.times))) if len(self) > 1 else 0.0
+        return half + 1e-12
+
+    def nearest_nodes(self, t):
+        """For each time of ``t``, the index of the nearest node (the earlier
+        one on a tie) and whether the time lands on it."""
+        t = np.asarray(t, dtype=float)
+        after = np.minimum(np.searchsorted(self.times, t), len(self) - 1)
+        before = np.maximum(after - 1, 0)
+        nearer = np.abs(self.times[before] - t) <= np.abs(self.times[after] - t)
+        idx = np.where(nearer, before, after)
+        return idx, np.abs(self.times[idx] - t) <= self.snap_tolerance()
 
     def planar_length(self):
         """Cumulative (x, y) path length in meters."""

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import tempfile
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcsmooth import cli, dataio, lie
+from lcsmooth import cli, dataio, lie, sim, solver
 from lcsmooth.factors import LoopClosureMeasurement
 from lcsmooth.trajectory import Trajectory
 
@@ -73,6 +74,53 @@ def smooth_flipped_line(directory, offset=0.0):
 @pytest.fixture(scope="module")
 def flipped_line_posterior(tmp_path_factory):
     return smooth_flipped_line(tmp_path_factory.mktemp("flipped"))
+
+
+def write_flipped_line(directory):
+    """``flipped_closure_line`` as ``prior.csv`` and ``loopclosures.csv``:
+    50 nodes 0.1 s apart, closures at (0.5 s, 4.5 s) and (1.0 s, 4.0 s)."""
+    times, poses, closures = flipped_closure_line(orthonormal=True)
+    dataio.write_trajectory(directory / "prior.csv", Trajectory(times, poses))
+    dataio.write_loop_closures(directory / "loopclosures.csv", closures, times)
+
+
+def set_fields(path, row, values):
+    """Overwrite fields of data row ``row`` of the CSV ``path``: {column: text}."""
+    lines = Path(path).read_text().splitlines()
+    fields = lines[row].split(",")
+    for column, text in values.items():
+        fields[column] = text
+    lines[row] = ",".join(fields)
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def prune_prior(d, row):
+    """Drop the nodes of ``d``/prior.csv within 0.25 s of the t_l1 of data row
+    ``row`` of its loopclosures.csv; the pruned trajectory and that t_l1."""
+    prior = dataio.read_trajectory(d / "prior.csv")
+    t1 = dataio.read_loop_closures(d / "loopclosures.csv")[row - 1, 0]
+    keep = np.abs(prior.times - t1) > 0.25
+    pruned = Trajectory(times=prior.times[keep], poses=prior.poses[keep])
+    dataio.write_trajectory(d / "prior.csv", pruned)
+    return pruned, t1
+
+
+def assert_same_fields(a, b, name):
+    """``a`` and ``b`` equal field by field, nested dataclasses and arrays too."""
+    if is_dataclass(a):
+        for f in fields(a):
+            assert_same_fields(getattr(a, f.name), getattr(b, f.name), f"{name}.{f.name}")
+    else:
+        assert np.array_equal(a, b), name
+
+
+# the benchmark builds its in-memory workloads from sim.default_config and
+# solver.SolverConfig, and the CLI from PipelineConfig: the copies must agree
+@pytest.mark.parametrize("seed", [0, 4])
+def test_pipeline_defaults_match_library_defaults(seed):
+    assert_same_fields(cli.PipelineConfig(sim_seed=seed).sim_config(), sim.default_config(seed),
+                       "SimConfig")
+    assert cli.PipelineConfig().solver_config() == solver.SolverConfig()
 
 
 class TestSimulate:
@@ -174,9 +222,8 @@ class TestSimulate:
 class TestCloseloops:
     def test_expected_crossings_closed(self, dataset):
         d, _ = dataset
-        prior = dataio.read_trajectory(d / "prior.csv")
-        meas = dataio.read_loop_closures(d / "loopclosures.csv", prior.times)
-        assert len(meas) == 2  # one crossing per pass in the small survey
+        rows = dataio.read_loop_closures(d / "loopclosures.csv")
+        assert len(rows) == 2  # one crossing per pass in the small survey
 
     def test_straight_line_gives_empty(self, tmp_path, capsys):
         import lcsmooth.sim as sim
@@ -193,8 +240,7 @@ class TestCloseloops:
         dataio.write_profiles(d / "profiles.csv", profiles)
         assert cli.main(["closeloops", "--dataset", str(d)]) == 0
         assert "no path crossings" in capsys.readouterr().err
-        prior = dataio.read_trajectory(d / "prior.csv")
-        assert dataio.read_loop_closures(d / "loopclosures.csv", prior.times) == []
+        assert dataio.read_loop_closures(d / "loopclosures.csv").shape == (0, 20)
         report = json.loads((d / "closeloops_report.json").read_text())
         assert report["crossings"] == []
         assert set(report["inputs"]) == {"prior.csv", "profiles.csv"}
@@ -205,7 +251,6 @@ class TestCloseloops:
 
         d2 = tmp_path / "d_swapped"
         shutil.copytree(d, d2)
-        prior = dataio.read_trajectory(d / "prior.csv")
         t_l1 = np.loadtxt(d / "loopclosures.csv", delimiter=",", skiprows=1, ndmin=2)[0, 0]
         profiles = dataio.read_profiles(d / "profiles.csv")
         # two profiles inside the first closure's crop window change places
@@ -216,7 +261,7 @@ class TestCloseloops:
         # the binary copy of the old order stays beside the new file: stale
         shutil.copyfile(d / "profiles.csv.npz", d2 / "profiles.csv.npz")
         assert cli.main(["closeloops", "--dataset", str(d2), "--config", cfg]) == 0
-        assert len(dataio.read_loop_closures(d2 / "loopclosures.csv", prior.times)) == 2
+        assert len(dataio.read_loop_closures(d2 / "loopclosures.csv")) == 2
         assert (d2 / "loopclosures.csv").read_bytes() == (d / "loopclosures.csv").read_bytes()
         with np.load(d2 / "profiles.csv.npz") as copy:
             assert str(copy["sha256"]) == sha256(d2 / "profiles.csv")
@@ -232,12 +277,10 @@ class TestCloseloops:
         assert cli.main(
             ["closeloops", "--dataset", str(d2), "--config", cfg, "--outliers", "1"]
         ) == 0
-        prior = dataio.read_trajectory(d2 / "prior.csv")
-        clean = dataio.read_loop_closures(d / "loopclosures.csv", prior.times)
-        dirty = dataio.read_loop_closures(d2 / "loopclosures.csv", prior.times)
-        different = sum(
-            not np.allclose(a.xi_meas, b.xi_meas) for a, b in zip(clean, dirty)
-        )
+        clean = dataio.read_loop_closures(d / "loopclosures.csv")
+        dirty = dataio.read_loop_closures(d2 / "loopclosures.csv")
+        # the rotation and position columns
+        different = sum(not np.allclose(a[2:14], b[2:14]) for a, b in zip(clean, dirty))
         assert different == 1
         report = json.loads((d2 / "closeloops_report.json").read_text())
         assert report["outliers_injected"] == 1
@@ -362,7 +405,7 @@ class TestSmooth:
         code = cli.main(["smooth", "--dataset", str(tmp_path / "nope")])
         assert code == cli.EXIT_IO
 
-    def test_closure_time_in_sampling_gap_inserts_node(self, dataset, tmp_path):
+    def test_closure_time_in_sampling_gap_inserts_node(self, dataset, tmp_path, monkeypatch):
         # on a uniform grid every time resolves to a node, so insertion only
         # triggers when the trajectory has a dropout around the closure time
         import shutil
@@ -370,16 +413,73 @@ class TestSmooth:
         d, cfg = dataset
         d2 = tmp_path / "d_interp"
         shutil.copytree(d, d2)
-        prior = dataio.read_trajectory(d2 / "prior.csv")
-        lines = (d2 / "loopclosures.csv").read_text().splitlines()
-        t1 = float(lines[1].split(",")[0])
-        keep = np.abs(prior.times - t1) > 0.25
-        pruned = Trajectory(times=prior.times[keep], poses=prior.poses[keep])
-        dataio.write_trajectory(d2 / "prior.csv", pruned)
+        pruned, t1 = prune_prior(d2, 1)
+        parsed, load_csv = [], dataio._load_csv
+
+        def spy(path, what):
+            parsed.append(Path(path))
+            return load_csv(path, what)
+
+        monkeypatch.setattr(dataio, "_load_csv", spy)
         assert cli.main(["smooth", "--dataset", str(d2), "--config", cfg]) == 0
         posterior = dataio.read_trajectory(d2 / "posterior.csv")
         assert len(posterior) == len(pruned) + 1
         assert np.any(np.isclose(posterior.times, t1))
+        # one parse of the closures places them, inserted node and all
+        assert parsed.count(d2 / "loopclosures.csv") == 1
+
+    def test_cut_closures_insert_no_node(self, dataset, tmp_path):
+        # --loop-closures cuts the rows before any node is inserted
+        import shutil
+
+        d, cfg = dataset
+        d2 = tmp_path / "d_cut"
+        shutil.copytree(d, d2)
+        pruned, _ = prune_prior(d2, 2)
+        assert cli.main(
+            ["smooth", "--dataset", str(d2), "--config", cfg, "--loop-closures", "1"]
+        ) == 0
+        assert json.loads((d2 / "smooth_report.json").read_text())["loop_closures"] == 1
+        posterior = dataio.read_trajectory(d2 / "posterior.csv")
+        assert np.array_equal(posterior.times, pruned.times)
+
+    def test_closure_times_in_one_gap_share_a_node(self, tmp_path):
+        write_flipped_line(tmp_path)
+        # the second closure's t_l1 0.03 s after the first's, less than half a
+        # period, both in a gap from 0.2 s to 0.8 s
+        set_fields(tmp_path / "loopclosures.csv", 2, {0: "0.53"})
+        pruned, _ = prune_prior(tmp_path, 1)
+        assert cli.main(["smooth", "--dataset", str(tmp_path)]) == cli.EXIT_OK
+        posterior = dataio.read_trajectory(tmp_path / "posterior.csv")
+        assert posterior.times.tolist() == sorted(pruned.times.tolist() + [0.5])
+
+    @pytest.mark.parametrize(
+        "fields, problem",
+        [
+            ({1: "7.0"}, "holds a closure time outside the trajectory's time span"),
+            ({0: "4.0", 1: "1.0"},
+             "holds a t_l1 that does not land on an earlier node than its t_l2"),
+            ({0: "3.98"}, "holds a t_l1 that does not land on an earlier node than its t_l2"),
+        ],
+        ids=["outside_span", "t_l1_after_t_l2", "t_l1_on_t_l2_node"],
+    )
+    def test_bad_closure_row_names_file_and_row(self, tmp_path, capsys, fields, problem):
+        write_flipped_line(tmp_path)
+        lc = tmp_path / "loopclosures.csv"
+        set_fields(lc, 2, fields)
+        assert cli.main(["smooth", "--dataset", str(tmp_path)]) == cli.EXIT_VALIDATION
+        assert f"error: {lc}: data row 2 {problem}\n" in capsys.readouterr().err
+        assert not (tmp_path / "posterior.csv").exists()
+
+    def test_zero_quaternion_rejected(self, tmp_path, capsys):
+        write_flipped_line(tmp_path)
+        set_fields(tmp_path / "prior.csv", 10, dict.fromkeys(range(4, 8), "0"))
+        assert cli.main(["smooth", "--dataset", str(tmp_path)]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: {tmp_path / 'prior.csv'}: data row 10 holds a quaternion of norm below 1e-6\n"
+        )
+        assert not (tmp_path / "posterior.csv").exists()
 
     def test_survey_coordinates(self, dataset, tmp_path):
         # the survey logged at UTM magnitudes; profiles.csv is in the sensor
@@ -435,14 +535,8 @@ class TestSmooth:
         assert np.abs(weights - base_weights).max() <= 1e-9
 
     def test_non_finite_prior_rejected(self, tmp_path, capsys):
-        times, poses, closures = flipped_closure_line(orthonormal=True)
-        dataio.write_trajectory(tmp_path / "prior.csv", Trajectory(times, poses))
-        dataio.write_loop_closures(tmp_path / "loopclosures.csv", closures, times)
-        lines = (tmp_path / "prior.csv").read_text().splitlines()
-        fields = lines[7].split(",")
-        fields[1] = "nan"
-        lines[7] = ",".join(fields)
-        (tmp_path / "prior.csv").write_text("\n".join(lines) + "\n")
+        write_flipped_line(tmp_path)
+        set_fields(tmp_path / "prior.csv", 7, {1: "nan"})
         assert cli.main(["smooth", "--dataset", str(tmp_path)]) == cli.EXIT_VALIDATION
         err = capsys.readouterr().err
         assert f"{tmp_path / 'prior.csv'}: data row 7" in err
@@ -527,6 +621,18 @@ class TestEvaluate:
         prior_med = results["prior"]["point_disparity"]["quantiles"]["0.5"]
         post_med = results["posterior"]["point_disparity"]["quantiles"]["0.5"]
         assert post_med < prior_med
+
+    def test_off_node_closure_rejected(self, tmp_path, capsys):
+        # evaluate inserts no node: a closure time in a gap of the estimate
+        write_flipped_line(tmp_path)
+        prune_prior(tmp_path, 2)
+        lc = tmp_path / "loopclosures.csv"
+        assert cli.main(
+            ["evaluate", "--estimate", str(tmp_path / "prior.csv"), "--loopclosures", str(lc)]
+        ) == cli.EXIT_VALIDATION
+        assert f"error: {lc}: data row 2 holds a closure time more than half a sample " \
+            "period from every node\n" in capsys.readouterr().err
+        assert not (tmp_path / "evaluation.json").exists()
 
     def test_disparity_only_marks_omissions(self, dataset, tmp_path):
         d, cfg = dataset

@@ -345,6 +345,11 @@ class TestProfilesCopy:
         assert dataio.sha256_file(tmp_path / "empty") == hashlib.sha256(b"").hexdigest()
 
 
+def still(times):
+    """A trajectory that rests at the origin at ``times``."""
+    return Trajectory(times, np.tile(np.eye(4), (len(times), 1, 1)))
+
+
 class TestLoopClosureCsv:
     def test_roundtrip(self, rng, tmp_path):
         times = np.arange(100) * 0.1
@@ -359,7 +364,7 @@ class TestLoopClosureCsv:
         ]
         path = tmp_path / "lc.csv"
         dataio.write_loop_closures(path, meas, times)
-        back = dataio.read_loop_closures(path, times)
+        back = dataio.place_loop_closures(path, dataio.read_loop_closures(path), still(times))
         for a, b in zip(meas, back):
             assert (a.idx_l1, a.idx_l2) == (b.idx_l1, b.idx_l2)
             assert np.abs(a.xi_meas - b.xi_meas).max() == 0.0
@@ -371,11 +376,15 @@ class TestLoopClosureCsv:
         dataio.write_loop_closures(path, [], times)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert dataio.read_loop_closures(path, times) == []
+            rows = dataio.read_loop_closures(path)
+            assert rows.shape == (0, 20)
+            trajectory = dataio.insert_closure_nodes(path, rows, still(times))
+            assert np.array_equal(trajectory.times, times)
+            assert dataio.place_loop_closures(path, rows, still(times)) == []
         path.write_text(path.read_text() + "0.0,5.0,nope\n")
         expect = f"{re.escape(str(path))}: malformed loop-closure CSV"
         with pytest.raises(ValueError, match=expect):
-            dataio.read_loop_closures(path, times)
+            dataio.read_loop_closures(path)
 
     def test_non_finite_rejected(self, rng, tmp_path):
         times = np.arange(10) * 1.0
@@ -389,7 +398,7 @@ class TestLoopClosureCsv:
         lines[2] = lines[2].rsplit(",", 1)[0] + ",nan"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(NonFiniteInputError, match=f"{re.escape(str(path))}: data row 2"):
-            dataio.read_loop_closures(path, times)
+            dataio.read_loop_closures(path)
 
     def test_unresolvable_time_raises(self, rng, tmp_path):
         times = np.arange(10) * 1.0
@@ -399,17 +408,61 @@ class TestLoopClosureCsv:
         ]
         path = tmp_path / "lc.csv"
         dataio.write_loop_closures(path, meas, times)
-        with pytest.raises(dataio.UnresolvedClosureTimeError) as info:
-            dataio.read_loop_closures(path, times + 0.7)
-        assert isinstance(info.value, ValueError)
-        assert "half a sample period" in str(info.value)
-        assert np.array_equal(info.value.times, [0.0])
-        # every unresolved time is carried, not only the first one met
+        rows = dataio.read_loop_closures(path)
         moved = times.copy()
-        moved[[5, 7]] += 0.7
-        with pytest.raises(dataio.UnresolvedClosureTimeError) as info:
-            dataio.read_loop_closures(path, moved)
-        assert np.array_equal(info.value.times, [5.0, 7.0])
+        moved[7] += 0.7
+        with pytest.raises(dataio.InputRowError) as info:
+            dataio.place_loop_closures(path, rows, still(moved))
+        assert isinstance(info.value, ValueError)
+        assert info.value.row == 2
+        assert str(info.value) == (
+            f"{path}: data row 2 holds a closure time more than half a sample period "
+            "from every node"
+        )
+        # of two such rows, the first is named
+        moved[5] += 0.7
+        with pytest.raises(dataio.InputRowError, match=f"{re.escape(str(path))}: data row 1 "):
+            dataio.place_loop_closures(path, rows, still(moved))
+
+    def test_misordered_times_raise(self, tmp_path):
+        times = np.arange(10) * 1.0
+        path = tmp_path / "lc.csv"
+        for pair in ((5, 5.3), (7, 2)):
+            rows = np.zeros((2, 20))
+            rows[:, :2] = (1.0, 3.0), pair  # t_l2 on t_l1's node, then before it
+            rows[:, 2:11] = np.eye(3).ravel()
+            rows[:, 14:] = 1e-4
+            dataio.write_rows(path, "header", rows)
+            with pytest.raises(dataio.InputRowError) as info:
+                dataio.place_loop_closures(path, dataio.read_loop_closures(path), still(times))
+            assert info.value.row == 2
+            assert str(info.value).startswith(f"{path}: data row 2 holds a t_l1 that")
+
+    def test_inserted_nodes(self, rng, tmp_path):
+        # nodes at 0..9 s without 4, 5 and 6: a gap of 4 s from 3 to 7 s
+        times = np.delete(np.arange(10.0), [4, 5, 6])
+        poses = np.stack([random_pose(rng) for _ in times])
+        trajectory = Trajectory(times, poses)
+        path = tmp_path / "lc.csv"
+        rows = np.zeros((4, 20))
+        # 4.2 and 4.5 lie within half a period (0.5 s) of each other and
+        # share a node; 5.0 lies 0.8 s past 4.2 and gets its own; 9.0 is a node
+        rows[:, :2] = (4.5, 9.0), (4.2, 5.0), (0.0, 3.2), (5.0, 8.0)
+        trajectory2 = dataio.insert_closure_nodes(path, rows, trajectory)
+        assert trajectory2.times.tolist() == [0, 1, 2, 3, 4.2, 5, 7, 8, 9]
+        assert np.array_equal(trajectory2.poses[[4, 5]], trajectory.pose_at([4.2, 5.0]))
+        idx, on_node = trajectory2.nearest_nodes(rows[:, :2])
+        assert on_node.all()
+        assert idx.tolist() == [[4, 8], [4, 5], [0, 3], [5, 7]]
+        rows[2, 0] = -0.6  # off-node and outside the span
+        with pytest.raises(dataio.InputRowError) as info:
+            dataio.insert_closure_nodes(path, rows, trajectory)
+        assert info.value.row == 3
+        assert str(info.value) == (
+            f"{path}: data row 3 holds a closure time outside the trajectory's time span"
+        )
+        rows[2, 0] = -0.4  # outside the span, but lands on node 0
+        assert len(dataio.insert_closure_nodes(path, rows, trajectory)) == 9
 
 
 class TestConfig:

@@ -35,3 +35,19 @@ def test_planar_length():
     poses[2, :3, 3] = [3.0, 4.0, -5.0]
     traj = Trajectory(times=np.arange(3, dtype=float), poses=poses)
     assert traj.planar_length() == pytest.approx(5.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 50])
+def test_nearest_nodes_matches_argmin(rng, n):
+    times = np.cumsum(rng.choice([0.1, 0.25, 1.0], size=n)) + 1e3
+    traj = Trajectory(times=times, poses=np.tile(np.eye(4), (n, 1, 1)))
+    # midpoints between nodes, where the earlier node wins a tie, the nodes
+    # themselves, and times before, inside and past the span, as pairs
+    mids = 0.5 * (times[1:] + times[:-1])
+    t = np.concatenate([mids, times, rng.uniform(times[0] - 2, times[-1] + 2, size=41)])
+    t = t.reshape(-1, 2)
+    idx, on_node = traj.nearest_nodes(t)
+    reference = np.vectorize(lambda s: np.argmin(np.abs(times - s)))(t)
+    assert np.array_equal(idx, reference)
+    half = 0.5 * np.median(np.diff(times)) if n > 1 else 0.0
+    assert np.array_equal(on_node, np.abs(times[reference] - t) <= half + 1e-12)
