@@ -1,6 +1,6 @@
 """Loop-closure smoothing for black-box dead-reckoned subsea trajectories."""
 
-from .factors import LoopClosureMeasurement, PriorBelief
+from .factors import LoopClosureMeasurement
 from .solver import FactorGraph, SolveReport, SolverConfig, build_graph, solve
 from .trajectory import Trajectory
 from .wnoa import WnoaPsd
@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 __all__ = [
     "FactorGraph",
     "LoopClosureMeasurement",
-    "PriorBelief",
     "SolveReport",
     "SolverConfig",
     "Trajectory",

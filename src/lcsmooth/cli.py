@@ -286,18 +286,14 @@ def cmd_closeloops(args):
     crossings = frontend.detect_crossings(
         prior, cfg.frontend_delta_r_star, cfg.frontend_min_time_separation
     )
+    if not crossings:
+        print("warning: no path crossings found", file=sys.stderr)
     report_doc = {
         "config_hash": dataio.config_hash(cfg.to_flat()),
         "inputs": inputs,
         "outliers_injected": 0,
         "crossings": [],
     }
-    if not crossings:
-        dataio.write_loop_closures(dataset / "loopclosures.csv", [], prior.times)
-        dataio.write_manifest(dataset / "closeloops_report.json", report_doc)
-        print("warning: no path crossings found; wrote empty loopclosures.csv",
-              file=sys.stderr)
-        return EXIT_OK
     measurements = []
     params = cfg.icp_params()
     for c in crossings:
@@ -370,12 +366,8 @@ def cmd_smooth(args):
         prior_cov=cfg.prior_cov(),
     )
     scfg = cfg.solver_config(robust=False if args.no_robust else None)
-    failure = None
-    try:
-        posterior, report = solver.solve(graph, scfg)
-    except solver.SolverFailureError as exc:
-        failure = str(exc)
-        posterior, report = exc.graph, exc.report
+    posterior, report = solver.solve(graph, scfg)
+    failed = report.stop_reason == "singular"
     out_traj = Trajectory(times=posterior.times, poses=posterior.poses)
     dataio.write_trajectory(dataset / "posterior.csv", out_traj)
     report_doc = {
@@ -383,7 +375,7 @@ def cmd_smooth(args):
         "inputs": inputs,
         "loop_closures": len(measurements),
         "robust": bool(scfg.robust_cost),
-        "failed": failure is not None,
+        "failed": failed,
         "iterations": report.iterations,
         "converged": report.converged,
         "objective": report.objective,
@@ -394,11 +386,11 @@ def cmd_smooth(args):
         "message": report.message,
         "stop_reason": report.stop_reason,
     }
-    if failure is not None:
-        report_doc["failure"] = failure
+    if failed:
+        report_doc["failure"] = report.message
     dataio.write_manifest(dataset / "smooth_report.json", report_doc)
-    if failure is not None:
-        print(f"solver failure: {failure}", file=sys.stderr)
+    if failed:
+        print(f"solver failure: {report.message}", file=sys.stderr)
         return EXIT_SOLVER
     print(
         f"smoothed {len(prior)} nodes with {len(measurements)} loop closures "
@@ -428,8 +420,7 @@ def cmd_evaluate(args):
             "t,att_x_deg,att_y_deg,att_z_deg,displacement_m",
             np.column_stack([rel.times, rel.attitude_deg, rel.displacement]),
         )
-        traj = Trajectory(times=estimate.times, poses=estimate.poses)
-        summary["relative_displacement"] = metrics.summarize(rel.displacement, traj)
+        summary["relative_displacement"] = metrics.summarize(rel.displacement, estimate)
         summary["anchor_index"] = int(anchor)
     else:
         summary["omitted"].append("relative_errors (no truth provided)")
@@ -523,12 +514,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError,) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except solver.SolverFailureError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import lie
-from .factors import LoopClosureMeasurement, NonFiniteInputError
+from .factors import LoopClosureMeasurement
 from .frontend import LaserProfile
 from .trajectory import Trajectory
 
@@ -164,9 +164,9 @@ def _reject_rows(path, bad, problem):
 def _load_csv(path, what):
     """The data rows below the header line, as floats.
 
-    Raises ValueError on a malformed file and NonFiniteInputError, naming
-    the file and the first data row (counted from 1 below the header), on a
-    NaN or infinite value.
+    Raises ValueError on a malformed file and InputRowError, naming the
+    file and the first data row (counted from 1 below the header), on a NaN
+    or infinite value.
     """
     with open(path) as f:
         f.readline()  # header
@@ -178,10 +178,7 @@ def _load_csv(path, what):
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as exc:
         raise ValueError(f"{path}: malformed {what} CSV: {exc}") from exc
-    bad = ~np.all(np.isfinite(data), axis=1)
-    if np.any(bad):
-        row = int(np.argmax(bad)) + 1
-        raise NonFiniteInputError(f"{path}: data row {row} holds a non-finite value", row)
+    _reject_rows(path, ~np.all(np.isfinite(data), axis=1), "holds a non-finite value")
     return data
 
 

@@ -24,23 +24,6 @@ from . import lie
 
 
 @dataclass(frozen=True)
-class PriorBelief:
-    """Prior on the first navigation state: pose, velocity, 12x12 covariance."""
-
-    pose: np.ndarray
-    varpi: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "pose", np.asarray(self.pose, dtype=float))
-        object.__setattr__(self, "varpi", np.asarray(self.varpi, dtype=float))
-        object.__setattr__(self, "cov", np.asarray(self.cov, dtype=float))
-        if self.cov.shape != (12, 12):
-            raise ValueError("prior covariance must be 12x12")
-        require_spd(self.cov, "prior covariance")
-
-
-@dataclass(frozen=True)
 class LoopClosureMeasurement:
     """Relative pose between two trajectory nodes with 6x6 covariance."""
 
@@ -60,8 +43,8 @@ class LoopClosureMeasurement:
 
 
 class NonFiniteInputError(ValueError):
-    """Input holding NaN or infinity; ``index`` is the first offending data
-    row, node or loop closure, as the message names it."""
+    """A graph input holding NaN or infinity; ``index`` is the first
+    offending node or loop closure, as the message names it."""
 
     def __init__(self, message, index):
         super().__init__(message)

@@ -32,7 +32,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from . import factors, lie
-from .factors import LoopClosureMeasurement, NonFiniteInputError, PriorBelief, require_spd
+from .factors import LoopClosureMeasurement, NonFiniteInputError, require_spd
 from .wnoa import WnoaPsd, process_weight
 
 # Levenberg-Marquardt damping above which the solver gives up
@@ -51,19 +51,6 @@ class NotPositiveDefiniteError(RuntimeError):
     def __init__(self, matrix, message):
         super().__init__(message)
         self.matrix = matrix
-
-
-class SolverFailureError(RuntimeError):
-    """Normal equations remained indefinite/singular after damping escalation.
-
-    ``graph`` is the best iterate reached before the failure and ``report``
-    its :class:`SolveReport` (``converged`` false, ``message`` the reason).
-    """
-
-    def __init__(self, message, graph, report):
-        super().__init__(message)
-        self.graph = graph
-        self.report = report
 
 
 @dataclass
@@ -94,7 +81,7 @@ class SolveReport:
     ``stop_reason`` says why the iteration ended: "converged",
     "max_iterations", "damping_limit" (no damping up to the cap decreased
     the objective) or "singular" (the normal equations stayed unsolvable up
-    to the cap, reported by SolverFailureError); ``message`` says it in words.
+    to the cap); ``message`` says it in words.
     """
 
     iterations: int
@@ -114,14 +101,16 @@ class FactorGraph:
 
     ``rel_xi`` holds the relative-pose measurements captured once from the
     initializing trajectory; ``prior_poses`` is that trajectory itself, used
-    by the observable-state factors (which skip node 0, anchored by the
-    prior factor).
+    by the observable-state factors (which skip node 0) and, at node 0, by
+    the prior factor, with the velocity ``prior_varpi`` and the 12 x 12
+    covariance ``prior_cov``.
     """
 
     times: np.ndarray
     poses: np.ndarray
     varpis: np.ndarray
-    prior: PriorBelief
+    prior_varpi: np.ndarray
+    prior_cov: np.ndarray
     loop_closures: list[LoopClosureMeasurement]
     rel_xi: np.ndarray
     prior_poses: np.ndarray
@@ -153,6 +142,9 @@ class FactorGraph:
                 raise NonFiniteInputError(f"node {k}: non-finite {what}", k)
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("timestamps must be strictly increasing")
+        if self.prior_cov.shape != (12, 12):
+            raise ValueError("prior covariance must be 12x12")
+        require_spd(self.prior_cov, "prior covariance")
         require_spd(self.r_rel, "relative-pose covariance")
         require_spd(self.r_obs, "observable covariance")
         for i, m in enumerate(self.loop_closures):
@@ -166,17 +158,6 @@ class FactorGraph:
         return self
 
 
-def initial_velocities(times, poses):
-    """Forward-difference body velocities consistent with the pose sequence."""
-    times = np.asarray(times, dtype=float)
-    poses = np.asarray(poses, dtype=float)
-    if len(times) == 1:
-        return np.zeros((1, 6))
-    dts = np.diff(times)
-    v = lie.se3_log(lie.se3_inv(poses[:-1]) @ poses[1:]) / dts[:, None]
-    return np.vstack([v, v[-1:]])
-
-
 def build_graph(
     times,
     prior_poses,
@@ -186,21 +167,22 @@ def build_graph(
     r_obs,
     prior_cov,
 ) -> FactorGraph:
-    """Assemble the smoothing graph, initialized at the prior trajectory."""
+    """Assemble the smoothing graph, initialized at the prior trajectory.
+
+    The initial velocities are the forward differences of the prior poses,
+    the last one repeated; a single node starts at rest.
+    """
     times = np.asarray(times, dtype=float)
     prior_poses = np.asarray(prior_poses, dtype=float)
-    varpis = initial_velocities(times, prior_poses)
-    prior = PriorBelief(prior_poses[0], varpis[0], prior_cov)
-    rel_xi = (
-        lie.se3_inv(prior_poses[:-1]) @ prior_poses[1:]
-        if len(times) > 1
-        else np.zeros((0, 4, 4))
-    )
+    rel_xi = lie.se3_inv(prior_poses[:-1]) @ prior_poses[1:]
+    v = lie.se3_log(rel_xi) / np.diff(times)[:, None]
+    varpis = np.vstack([v, v[-1:]]) if len(v) else np.zeros((1, 6))
     graph = FactorGraph(
         times=times,
         poses=prior_poses.copy(),
         varpis=varpis.copy(),
-        prior=prior,
+        prior_varpi=varpis[0],
+        prior_cov=np.asarray(prior_cov, dtype=float),
         loop_closures=list(loop_closures),
         rel_xi=rel_xi,
         prior_poses=prior_poses.copy(),
@@ -270,9 +252,9 @@ def _linearize(graph) -> dict[str, _Factors]:
     dts = np.diff(graph.times)
 
     terms = {}
-    p = graph.prior
     terms["prior"] = _Factors(
-        *factors.prior(P[:1], V[:1], p.pose, p.varpi), nodes[:1, None]
+        *factors.prior(P[:1], V[:1], graph.prior_poses[0], graph.prior_varpi),
+        nodes[:1, None],
     )
     terms["wnoa"] = _Factors(
         *factors.wnoa(P[:-1], V[:-1], P[1:], V[1:], dts), chain
@@ -291,7 +273,7 @@ def _linearize(graph) -> dict[str, _Factors]:
     M0 = np.zeros((12, 12))
     M0[:6, :6] = -lie.right_jacobian_inv(terms["prior"].e[0, :6])
     M0[6:, 6:] = -np.eye(6)
-    terms["prior"].W = np.linalg.inv(M0 @ p.cov @ M0.T)[None]
+    terms["prior"].W = np.linalg.inv(M0 @ graph.prior_cov @ M0.T)[None]
     terms["wnoa"].W = process_weight(V[:-1], graph.psd, dts)
     # Measurement-noise Jacobian folded into the weight: R_l = M R_Xi M^T
     # with M = -Jr_inv, so the sign drops out of the product.
@@ -548,8 +530,7 @@ def _solve_normal(Hdiag, Hoff, loop_idx, V, g, lam):
 def _moved(graph, xy):
     """A copy of the graph with every pose moved by ``xy`` in plane."""
     G = lie.make_pose(np.eye(3), [*xy, 0.0])
-    return replace(graph.copy(), poses=G @ graph.poses, prior_poses=G @ graph.prior_poses,
-                   prior=replace(graph.prior, pose=G @ graph.prior.pose))
+    return replace(graph.copy(), poses=G @ graph.poses, prior_poses=G @ graph.prior_poses)
 
 
 def solve(graph: FactorGraph, config: SolverConfig):
@@ -562,8 +543,8 @@ def solve(graph: FactorGraph, config: SolverConfig):
     is an undamped step below the step tolerance; otherwise the damping
     factor escalates by 10x up to the cap, after which the best iterate so
     far is returned with ``converged=False`` and ``stop_reason``
-    "damping_limit".  If the normal equations stay unsolvable up to the cap,
-    SolverFailureError is raised carrying the best iterate and its report.
+    "damping_limit", or "singular" if the normal equations stayed unsolvable
+    up to the cap.
     """
     graph.validate()
     # relative-pose factors cancel position terms as large as the coordinates:
@@ -573,7 +554,6 @@ def solve(graph: FactorGraph, config: SolverConfig):
     lam = config.damping
     iterations = 0
     stop, message = "max_iterations", "max iterations reached"
-    failure = None
     trace = []
     step_objectives = []
     terms, w_cur = _reweight(_linearize(cur), config)
@@ -603,16 +583,17 @@ def solve(graph: FactorGraph, config: SolverConfig):
                     break
             lam = lam * 10.0 if lam > 0 else 1e-6
             if lam > MAX_DAMPING:
-                if delta is None:
-                    failure = (
-                        "normal equations singular at maximum damping "
-                        f"({cur.num_nodes} nodes, "
-                        f"{len(cur.loop_closures)} loop closures)"
-                    )
                 break
         if not accepted:
-            stop = "singular" if failure else "damping_limit"
-            message = failure or "damping limit reached without objective decrease"
+            if delta is None:
+                stop = "singular"
+                message = (
+                    "normal equations singular at maximum damping "
+                    f"({cur.num_nodes} nodes, "
+                    f"{len(cur.loop_closures)} loop closures)"
+                )
+            else:
+                stop, message = "damping_limit", "damping limit reached without objective decrease"
             break
         step_objectives.append((float(j_base), float(j_trial)))
         cur = trial
@@ -638,7 +619,4 @@ def solve(graph: FactorGraph, config: SolverConfig):
         stop_reason=stop,
         step_objectives=step_objectives,
     )
-    cur = _moved(cur, origin)
-    if failure:
-        raise SolverFailureError(failure, cur, report)
-    return cur, report
+    return _moved(cur, origin), report

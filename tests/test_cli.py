@@ -84,6 +84,20 @@ def write_flipped_line(directory):
     dataio.write_loop_closures(directory / "loopclosures.csv", closures, times)
 
 
+def write_straight_line(directory):
+    """``directory`` holding a 20 m straight-line prior, which crosses
+    itself nowhere, and its laser profiles."""
+    directory.mkdir()
+    n = 200
+    poses = np.tile(np.eye(4), (n, 1, 1))
+    poses[:, 0, 3] = np.arange(n) * 0.1
+    traj = Trajectory(times=np.arange(n) * 0.1, poses=poses)
+    dataio.write_trajectory(directory / "prior.csv", traj)
+    profiles = sim.synth_scan(traj, sim.TerrainSpec(), sim.ScannerSpec(beams=4), seed=0)
+    dataio.write_profiles(directory / "profiles.csv", profiles)
+    return directory
+
+
 def set_fields(path, row, values):
     """Overwrite fields of data row ``row`` of the CSV ``path``: {column: text}."""
     lines = Path(path).read_text().splitlines()
@@ -187,23 +201,22 @@ class TestSimulate:
         cfg = cli.PipelineConfig.from_flat({"robust.enabled": raw})
         assert cfg.robust_enabled is (raw.lower() in ("true", "1", "yes", "on"))
 
+    # every key that the README says must be positive, written out here so
+    # that the README and PipelineConfig.validate cannot drift apart unseen
     @pytest.mark.parametrize(
         "key, raw",
-        [
-            ("sim.scan_rate", "0"),
-            ("sim.turn_radius", "0"),
-            ("sim.passes", "0"),
-            ("frontend.normal_neighbors", "0"),
-            ("frontend.min_inlier_fraction", "0"),
-            ("frontend.min_inlier_fraction", "1.5"),
-            ("frontend.icp_max_iterations", "0"),
-            ("solver.max_iterations", "0"),
-            ("solver.step_tolerance", "0"),
-            ("prior.sigma_omega", "0"),
-            ("prior.sigma_nu", "0"),
-            ("frontend.icp_rot_tol", "0"),
-            ("frontend.icp_trans_tol", "0"),
-        ],
+        [(key, "0") for key in (
+            "wnoa.q_omega", "wnoa.q_nu", "rel.sigma_phi", "rel.sigma_rho",
+            "obs.sigma_rp", "obs.sigma_z", "prior.sigma_phi", "prior.sigma_rho",
+            "prior.sigma_omega", "prior.sigma_nu", "robust.sigma_phi_out",
+            "robust.sigma_rho_out", "solver.max_iterations", "solver.step_tolerance",
+            "frontend.delta_r_star", "frontend.voxel_cell", "frontend.normal_neighbors",
+            "frontend.icp_max_iterations", "frontend.icp_rot_tol", "frontend.icp_trans_tol",
+            "sim.passes", "sim.pass_length", "sim.lane_spacing", "sim.tie_margin",
+            "sim.turn_radius", "sim.speed", "sim.node_rate", "sim.scan_rate",
+            "sim.scan_beams",
+        )]
+        + [("frontend.min_inlier_fraction", "0"), ("frontend.min_inlier_fraction", "1.5")],
     )
     def test_out_of_range_value_names_key(self, tmp_path, capsys, key, raw):
         cfg = write_cfg(tmp_path, {key: raw})
@@ -226,24 +239,24 @@ class TestCloseloops:
         assert len(rows) == 2  # one crossing per pass in the small survey
 
     def test_straight_line_gives_empty(self, tmp_path, capsys):
-        import lcsmooth.sim as sim
-
-        d = tmp_path / "line"
-        d.mkdir()
-        n = 200
-        poses = np.tile(np.eye(4), (n, 1, 1))
-        poses[:, 0, 3] = np.arange(n) * 0.1
-        traj = Trajectory(times=np.arange(n) * 0.1, poses=poses)
-        dataio.write_trajectory(d / "prior.csv", traj)
-        terrain = sim.TerrainSpec()
-        profiles = sim.synth_scan(traj, terrain, sim.ScannerSpec(beams=4), seed=0)
-        dataio.write_profiles(d / "profiles.csv", profiles)
+        d = write_straight_line(tmp_path / "line")
         assert cli.main(["closeloops", "--dataset", str(d)]) == 0
         assert "no path crossings" in capsys.readouterr().err
         assert dataio.read_loop_closures(d / "loopclosures.csv").shape == (0, 20)
         report = json.loads((d / "closeloops_report.json").read_text())
         assert report["crossings"] == []
         assert set(report["inputs"]) == {"prior.csv", "profiles.csv"}
+
+    def test_outliers_beyond_no_crossings_rejected(self, tmp_path, capsys):
+        # as with fewer closures than --outliers asks to replace: nothing to
+        # replace is an error, not a silent no-op
+        d = write_straight_line(tmp_path / "line")
+        code = cli.main(["closeloops", "--dataset", str(d), "--outliers", "1"])
+        assert code == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "no path crossings" in err
+        assert "cannot replace more measurements than exist" in err
+        assert not (d / "loopclosures.csv").exists()
 
     def test_profile_order_in_file_does_not_matter(self, dataset, tmp_path):
         d, cfg = dataset

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lcsmooth import dataio, frontend, lie
-from lcsmooth.factors import LoopClosureMeasurement, NonFiniteInputError
+from lcsmooth.factors import LoopClosureMeasurement
 from lcsmooth.trajectory import Trajectory
 
 from conftest import random_pose
@@ -100,9 +100,9 @@ class TestTrajectoryCsv:
         fields[2] = value
         lines[4] = ",".join(fields)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(NonFiniteInputError, match=f"{re.escape(str(path))}: data row 4") as info:
+        with pytest.raises(dataio.InputRowError, match=f"{re.escape(str(path))}: data row 4") as info:
             dataio.read_trajectory(path)
-        assert info.value.index == 4
+        assert info.value.row == 4
 
 
 def savetxt_bytes(path, header, data):
@@ -316,7 +316,7 @@ class TestProfilesCopy:
             ("0.0,1.0,nope,3.0\n", ValueError, "malformed profile CSV"),
             ("0.0,1.0,2.0,3.0\n0.0,1.0,2.0\n", ValueError, "malformed profile CSV"),
             ("0.0,1.0,2.0\n", ValueError, "expected 4 columns, found 3"),
-            ("0.0,1.0,2.0,3.0\n0.1,inf,2.0,3.0\n", NonFiniteInputError, "data row 2 holds"),
+            ("0.0,1.0,2.0,3.0\n0.1,inf,2.0,3.0\n", dataio.InputRowError, "data row 2 holds"),
         ],
     )
     def test_csv_errors_unchanged_beside_an_old_copy(self, rng, tmp_path, body, error, match):
@@ -397,8 +397,9 @@ class TestLoopClosureCsv:
         lines = path.read_text().splitlines()
         lines[2] = lines[2].rsplit(",", 1)[0] + ",nan"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(NonFiniteInputError, match=f"{re.escape(str(path))}: data row 2"):
+        with pytest.raises(dataio.InputRowError, match=f"{re.escape(str(path))}: data row 2") as info:
             dataio.read_loop_closures(path)
+        assert info.value.row == 2
 
     def test_unresolvable_time_raises(self, rng, tmp_path):
         times = np.arange(10) * 1.0

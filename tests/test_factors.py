@@ -41,7 +41,7 @@ def graph_of(states, psd, loops=(), prior_cov=CFG.prior_cov(), dt=0.1):
         prior_cov,
     )
     graph.varpis = varpis
-    graph.prior = factors.PriorBelief(poses[0], varpis[0], graph.prior.cov)
+    graph.prior_varpi = varpis[0]
     return graph.validate()
 
 
@@ -79,9 +79,9 @@ class TestPriorFactor:
         # at zero error the fold matrices are identities up to sign
         assert np.abs(W[0] - np.linalg.inv(cov)).max() < 1e-9
 
-    def test_rejects_non_spd_cov(self, rng):
-        with pytest.raises(ValueError, match="positive definite"):
-            factors.PriorBelief(np.eye(4), np.zeros(6), -np.eye(12))
+    def test_rejects_non_spd_cov(self, psd):
+        with pytest.raises(ValueError, match="prior covariance is not positive definite"):
+            solver.build_graph([0.0], np.eye(4)[None], [], psd, REL_COV, OBS_COV, -np.eye(12))
 
 
 class TestWnoaFactor:
@@ -249,9 +249,9 @@ class TestWeightProperties:
                 0, 1, lie.se3_inv(s0[0]) @ s1[0], LC_COV
             )
             g = graph_of([s0, s1], psd, [meas])
-            g.prior = factors.PriorBelief(
-                random_pose(rng), rng.normal(size=6), np.eye(12) * 0.1
-            )
+            g.prior_poses[0] = random_pose(rng)
+            g.prior_varpi = rng.normal(size=6)
+            g.prior_cov = np.eye(12) * 0.1
             terms = solver._linearize(g)
             for name in ("prior", "wnoa", "loop"):
                 W = terms[name].W[0]

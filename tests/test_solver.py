@@ -78,10 +78,10 @@ class TestAssemble:
             nonlocal h_dense
             h_dense = h_dense + J.T @ weight @ J
 
-        result = factors.prior(P[:1], V[:1], g.prior.pose, g.prior.varpi)
+        result = factors.prior(P[:1], V[:1], g.prior_poses[0], g.prior_varpi)
         M0 = -np.eye(12)
         M0[:6, :6] = -lie.right_jacobian_inv(result[0][0, :6])
-        add(result, [0], np.linalg.inv(M0 @ g.prior.cov @ M0.T))
+        add(result, [0], np.linalg.inv(M0 @ g.prior_cov @ M0.T))
         for k in range(1, n):
             dt = g.times[k] - g.times[k - 1]
             add(
@@ -275,7 +275,7 @@ def unanchored_graph(rng, loops):
     """A prior too weak to register in double precision, so yaw and planar
     position are free, and stiff relative poses."""
     g = small_graph(rng, n=12, loops=loops, perturb=0.02)
-    g.prior = factors.PriorBelief(g.prior.pose, g.prior.varpi, 1e300 * np.eye(12))
+    g.prior_cov = 1e300 * np.eye(12)
     g.r_rel = STIFF_R_REL
     return g
 
@@ -421,13 +421,13 @@ class TestSolverFailure:
     def test_solve_escalates_damping_to_failure(self, rng):
         g = unanchored_graph(rng, ((2, 9),))
         cfg = solver.SolverConfig()
-        with pytest.raises(solver.SolverFailureError) as info:
-            solver.solve(g, cfg)
-        best, report = info.value.graph, info.value.report
+        best, report = solver.solve(g, cfg)
         assert report.iterations == 0 and not report.converged
         assert report.stop_reason == "singular"
         assert report.damping_final > solver.MAX_DAMPING
-        assert report.message == str(info.value)
+        assert report.message == (
+            "normal equations singular at maximum damping (12 nodes, 1 loop closures)"
+        )
         assert np.array_equal(best.poses, g.poses)
 
     def test_failure_carries_best_iterate(self, rng):
@@ -435,9 +435,9 @@ class TestSolverFailure:
         # has decayed below what the stiff system needs
         g = unanchored_graph(rng, ((2, 9),))
         cfg = solver.SolverConfig(damping=1e17)
-        with pytest.raises(solver.SolverFailureError) as info:
-            solver.solve(g, cfg)
-        best, report = info.value.graph, info.value.report
+        best, report = solver.solve(g, cfg)
+        assert report.stop_reason == "singular"
+        assert report.damping_final > solver.MAX_DAMPING
         assert report.iterations >= 1 and not report.converged
         assert report.objective < report.objective_trace[0]
         e, _, weight = assemble(best, robust_weights=report.loop_weights)
