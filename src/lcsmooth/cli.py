@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -45,12 +45,18 @@ def _parse_value(key, raw, default):
     return value
 
 
+_SOLVER = solver.SolverConfig()
+_SIM = sim.SimConfig()
+
+
 @dataclass
 class PipelineConfig:
     """All tunables, addressable as flat ``section.key`` strings.
 
     Units follow the hyperparameter conventions of the estimation problem:
     PSDs in rad^2 s^-3 / m^2 s^-3, sigmas in the unit noted per field.
+    The ``solver.*``, ``robust.*`` and ``sim.*`` defaults are those of
+    ``solver.SolverConfig`` and ``sim.SimConfig``.
     """
 
     # motion-prior PSDs
@@ -68,13 +74,13 @@ class PipelineConfig:
     prior_sigma_omega: float = 1e-2
     prior_sigma_nu: float = 1e-1
     # robust loop-closure rejection (deg, m)
-    robust_enabled: bool = True
-    robust_sigma_phi_out: float = 1.0
-    robust_sigma_rho_out: float = 1.0
+    robust_enabled: bool = _SOLVER.robust_cost
+    robust_sigma_phi_out: float = float(np.rad2deg(_SOLVER.sigma_phi_out))
+    robust_sigma_rho_out: float = _SOLVER.sigma_rho_out
     # solver
-    solver_max_iterations: int = 100
-    solver_step_tolerance: float = 1e-8
-    solver_damping: float = 0.0
+    solver_max_iterations: int = _SOLVER.max_iterations
+    solver_step_tolerance: float = _SOLVER.step_tolerance
+    solver_damping: float = _SOLVER.damping
     # front end
     frontend_delta_r_star: float = 5.0
     frontend_min_time_separation: float = 30.0
@@ -91,26 +97,26 @@ class PipelineConfig:
     frontend_lc_sigma_phi: float = 0.2  # deg
     frontend_lc_sigma_rho: float = 0.02  # m
     # simulator
-    sim_seed: int = 0
-    sim_passes: int = 8
-    sim_pass_length: float = 55.0
-    sim_lane_spacing: float = 7.0
-    sim_tie_margin: float = 10.0
-    sim_turn_radius: float = 2.5
-    sim_speed: float = 1.0
-    sim_node_rate: float = 10.0
-    sim_scan_rate: float = 20.0
-    sim_scan_beams: int = 112
-    sim_scan_fov: float = 60.0  # deg
-    sim_scan_noise: float = 0.01
-    sim_vel_bias_x: float = 7.5e-4
-    sim_vel_bias_y: float = 7.5e-4
-    sim_vel_psd: float = 2.5e-10
-    sim_white_psd_yaw: float = 1e-10
-    sim_white_psd_xy: float = 1e-8
-    sim_heading_bias: float = 1e-6
-    sim_lc_sigma_phi: float = 0.2  # deg
-    sim_lc_sigma_rho: float = 0.02
+    sim_seed: int = _SIM.seed
+    sim_passes: int = _SIM.passes
+    sim_pass_length: float = _SIM.pass_length
+    sim_lane_spacing: float = _SIM.lane_spacing
+    sim_tie_margin: float = _SIM.tie_margin
+    sim_turn_radius: float = _SIM.turn_radius
+    sim_speed: float = _SIM.speed
+    sim_node_rate: float = _SIM.node_rate
+    sim_scan_rate: float = _SIM.scanner.rate
+    sim_scan_beams: int = _SIM.scanner.beams
+    sim_scan_fov: float = _SIM.scanner.fov_deg
+    sim_scan_noise: float = _SIM.scanner.noise_sigma
+    sim_vel_bias_x: float = _SIM.vel_bias_x
+    sim_vel_bias_y: float = _SIM.vel_bias_y
+    sim_vel_psd: float = _SIM.vel_psd
+    sim_white_psd_yaw: float = _SIM.white_psd_yaw
+    sim_white_psd_xy: float = _SIM.white_psd_xy
+    sim_heading_bias: float = _SIM.heading_bias
+    sim_lc_sigma_phi: float = float(np.rad2deg(_SIM.lc_sigma_phi))  # deg
+    sim_lc_sigma_rho: float = _SIM.lc_sigma_rho
     # evaluation
     eval_overlap_gate_cells: float = 5.0  # gate = cells * voxel
 
@@ -177,18 +183,18 @@ class PipelineConfig:
             + [self.prior_sigma_nu**2] * 3
         )
 
-    def solver_config(self, robust=None):
+    def solver_config(self):
         return solver.SolverConfig(
             max_iterations=self.solver_max_iterations,
             step_tolerance=self.solver_step_tolerance,
-            robust_cost=self.robust_enabled if robust is None else robust,
+            robust_cost=self.robust_enabled,
             sigma_phi_out=np.deg2rad(self.robust_sigma_phi_out),
             sigma_rho_out=self.robust_sigma_rho_out,
             damping=self.solver_damping,
         )
 
-    def icp_params(self):
-        return frontend.IcpParams(
+    def frontend_params(self):
+        return frontend.FrontendParams(
             voxel_cell=self.frontend_voxel_cell,
             normal_neighbors=self.frontend_normal_neighbors,
             variation_threshold=self.frontend_variation_threshold,
@@ -197,6 +203,11 @@ class PipelineConfig:
             trans_tol=self.frontend_icp_trans_tol,
             frmsd_lambda=self.frontend_frmsd_lambda,
             min_inlier_fraction=self.frontend_min_inlier_fraction,
+            delta_r_star=self.frontend_delta_r_star,
+            submap_time_window=self.frontend_submap_time_window,
+            min_submap_points=self.frontend_min_submap_points,
+            lc_sigma_phi=np.deg2rad(self.frontend_lc_sigma_phi),
+            lc_sigma_rho=self.frontend_lc_sigma_rho,
         )
 
     def sim_config(self):
@@ -214,18 +225,12 @@ class PipelineConfig:
             fov_deg=self.sim_scan_fov,
             noise_sigma=self.sim_scan_noise,
         )
-        cfg.drift.vel_bias = np.array(
-            [self.sim_vel_bias_x, self.sim_vel_bias_y, 0.0]
-        )
-        cfg.drift.vel_psd = np.array(
-            [0.0, 0.0, 0.0, self.sim_vel_psd, self.sim_vel_psd, 0.0]
-        )
-        cfg.drift.psd = np.array(
-            [0.0, 0.0, self.sim_white_psd_yaw]
-            + [self.sim_white_psd_xy] * 2
-            + [0.0]
-        )
-        cfg.drift.heading_bias = self.sim_heading_bias
+        cfg.vel_bias_x = self.sim_vel_bias_x
+        cfg.vel_bias_y = self.sim_vel_bias_y
+        cfg.vel_psd = self.sim_vel_psd
+        cfg.white_psd_yaw = self.sim_white_psd_yaw
+        cfg.white_psd_xy = self.sim_white_psd_xy
+        cfg.heading_bias = self.sim_heading_bias
         cfg.lc_sigma_phi = np.deg2rad(self.sim_lc_sigma_phi)
         cfg.lc_sigma_rho = self.sim_lc_sigma_rho
         return cfg
@@ -295,22 +300,12 @@ def cmd_closeloops(args):
         "crossings": [],
     }
     measurements = []
-    params = cfg.icp_params()
+    params = cfg.frontend_params()
     for c in crossings:
         entry = {"t1": c.t1, "t2": c.t2}
         report_doc["crossings"].append(entry)
         try:
-            m, icp = frontend.make_loop_closure(
-                prior,
-                cloud,
-                c,
-                params,
-                delta_r_star=cfg.frontend_delta_r_star,
-                time_window=cfg.frontend_submap_time_window,
-                sigma_phi=np.deg2rad(cfg.frontend_lc_sigma_phi),
-                sigma_rho=cfg.frontend_lc_sigma_rho,
-                min_points=cfg.frontend_min_submap_points,
-            )
+            m, icp = frontend.make_loop_closure(prior, cloud, c, params)
         except (frontend.InsufficientOverlapError, frontend.AlignmentFailureError) as exc:
             overlap = isinstance(exc, frontend.InsufficientOverlapError)
             entry.update(
@@ -325,8 +320,7 @@ def cmd_closeloops(args):
         entry.update(
             outcome="closure",
             message=f"ICP {stop} after {icp.iterations} iterations",
-            icp={"iterations": icp.iterations, "converged": icp.converged,
-                 "step_objectives": [list(step) for step in icp.step_objectives]},
+            icp=asdict(icp),
         )
         measurements.append(m)
     if args.outliers:
@@ -345,6 +339,8 @@ def cmd_closeloops(args):
 
 def cmd_smooth(args):
     cfg = load_config(args.config, args.seed)
+    if args.no_robust:
+        cfg.robust_enabled = False
     dataset = Path(args.dataset)
     prior = dataio.read_trajectory(dataset / "prior.csv")
     lc_path = Path(args.loopclosures) if args.loopclosures else dataset / "loopclosures.csv"
@@ -365,8 +361,7 @@ def cmd_smooth(args):
         cfg.r_obs(),
         prior_cov=cfg.prior_cov(),
     )
-    scfg = cfg.solver_config(robust=False if args.no_robust else None)
-    posterior, report = solver.solve(graph, scfg)
+    posterior, report = solver.solve(graph, cfg.solver_config())
     failed = report.stop_reason == "singular"
     out_traj = Trajectory(times=posterior.times, poses=posterior.poses)
     dataio.write_trajectory(dataset / "posterior.csv", out_traj)
@@ -374,17 +369,10 @@ def cmd_smooth(args):
         "config_hash": dataio.config_hash(cfg.to_flat()),
         "inputs": inputs,
         "loop_closures": len(measurements),
-        "robust": bool(scfg.robust_cost),
+        "robust": cfg.robust_enabled,
         "failed": failed,
-        "iterations": report.iterations,
-        "converged": report.converged,
-        "objective": report.objective,
-        "objective_trace": report.objective_trace,
-        "step_objectives": [list(step) for step in report.step_objectives],
-        "damping_final": float(report.damping_final),
-        "loop_weights": list(map(float, report.loop_weights)),
-        "message": report.message,
-        "stop_reason": report.stop_reason,
+        **asdict(report),
+        "loop_weights": report.loop_weights.tolist(),
     }
     if failed:
         report_doc["failure"] = report.message
@@ -407,7 +395,7 @@ def cmd_evaluate(args):
     summary = {"estimate": str(args.estimate), "omitted": []}
 
     closures = None
-    if args.loopclosures and Path(args.loopclosures).exists():
+    if args.loopclosures:
         rows = dataio.read_loop_closures(args.loopclosures)
         closures = dataio.place_loop_closures(args.loopclosures, rows, estimate)
 

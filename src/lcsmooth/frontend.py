@@ -88,7 +88,10 @@ class Crossing:
 
 
 @dataclass
-class IcpParams:
+class FrontendParams:
+    """The ``frontend.*`` tunables of ``make_loop_closure``; ``max_iterations``,
+    ``rot_tol`` and ``trans_tol`` are the ICP ones, ``lc_sigma_phi`` is in rad."""
+
     voxel_cell: float
     normal_neighbors: int
     variation_threshold: float
@@ -97,6 +100,11 @@ class IcpParams:
     trans_tol: float
     frmsd_lambda: float
     min_inlier_fraction: float
+    delta_r_star: float
+    submap_time_window: float
+    min_submap_points: int
+    lc_sigma_phi: float
+    lc_sigma_rho: float
 
 
 @dataclass
@@ -287,7 +295,7 @@ def _icp_cost(src, tgt, nrm, use_plane, sigma, jacobians=True):
     return 0.5 * obj, H, b
 
 
-def icp_align(source: Submap, target: Submap, init, params: IcpParams):
+def icp_align(source: Submap, target: Submap, init, params: FrontendParams):
     """Align the source submap onto the target with mixed-error ICP.
 
     Per iteration: single nearest-neighbor association, FRMSD inlier
@@ -355,7 +363,7 @@ def icp_align(source: Submap, target: Submap, init, params: IcpParams):
     return T, report
 
 
-def preprocess_submap(submap: Submap, params: IcpParams, with_normals: bool):
+def preprocess_submap(submap: Submap, params: FrontendParams, with_normals: bool):
     """Voxel-downsample a submap; for an alignment target, also attach the
     normals and the plane mask: points with a full-rank neighborhood and
     surface variation below ``params.variation_threshold``."""
@@ -369,15 +377,7 @@ def preprocess_submap(submap: Submap, params: IcpParams, with_normals: bool):
 
 
 def make_loop_closure(
-    trajectory: Trajectory,
-    cloud: PointCloud,
-    crossing: Crossing,
-    params: IcpParams,
-    delta_r_star,
-    time_window,
-    sigma_phi,
-    sigma_rho,
-    min_points,
+    trajectory: Trajectory, cloud: PointCloud, crossing: Crossing, params: FrontendParams
 ):
     """Loop-closure measurement from one crossing: submaps, ICP, covariance.
 
@@ -385,20 +385,17 @@ def make_loop_closure(
     revisit's; ICP is initialized from the trajectory's relative pose and its
     result is the measured relative pose between the two anchor bodies.
     """
-    window = min(time_window, 0.45 * (crossing.t2 - crossing.t1))
+    window = min(params.submap_time_window, 0.45 * (crossing.t2 - crossing.t1))
     pose1 = trajectory.poses[crossing.idx1]
     pose2 = trajectory.poses[crossing.idx2]
-    target = extract_submap(
-        cloud, pose1, delta_r_star, crossing.idx1, crossing.t1, window, min_points
-    )
-    source = extract_submap(
-        cloud, pose2, delta_r_star, crossing.idx2, crossing.t2, window, min_points
-    )
+    r, floor = params.delta_r_star, params.min_submap_points
+    target = extract_submap(cloud, pose1, r, crossing.idx1, crossing.t1, window, floor)
+    source = extract_submap(cloud, pose2, r, crossing.idx2, crossing.t2, window, floor)
     target = preprocess_submap(target, params, with_normals=True)
     source = preprocess_submap(source, params, with_normals=False)
     init = lie.se3_inv(pose1) @ pose2
     xi_meas, report = icp_align(source, target, init=init, params=params)
-    cov = np.diag([sigma_phi**2] * 3 + [sigma_rho**2] * 3)
+    cov = np.diag([params.lc_sigma_phi**2] * 3 + [params.lc_sigma_rho**2] * 3)
     return (
         LoopClosureMeasurement(crossing.idx1, crossing.idx2, xi_meas, cov),
         report,

@@ -66,33 +66,6 @@ class ScannerSpec:
 
 
 @dataclass
-class DriftSpec:
-    """Dead-reckoning degradation model.
-
-    ``psd`` gives per-axis white-increment PSDs in twist order (phi, rho);
-    ``vel_bias`` is a constant world-frame velocity error (m/s), the dominant
-    slowly-accumulating drift term; ``vel_psd`` gives per-axis PSDs of a
-    random walk on the velocity error (attitude rows body-frame, translation
-    rows world-frame so the drift does not cancel across opposite survey
-    lanes); ``heading_bias`` is a deterministic yaw rate error in rad/s.
-    Roll, pitch, and depth axes default to (near) zero so the directly
-    observable states stay good, as they do for the fielded systems this
-    mimics.
-    """
-
-    psd: np.ndarray = field(
-        default_factory=lambda: np.array([0.0, 0.0, 1e-10, 1e-8, 1e-8, 0.0])
-    )
-    vel_bias: np.ndarray = field(
-        default_factory=lambda: np.array([7.5e-4, 7.5e-4, 0.0])
-    )
-    vel_psd: np.ndarray = field(
-        default_factory=lambda: np.array([0.0, 0.0, 0.0, 2.5e-10, 2.5e-10, 0.0])
-    )
-    heading_bias: float = 1e-6
-
-
-@dataclass
 class SimConfig:
     seed: int = 0
     passes: int = 8
@@ -104,7 +77,13 @@ class SimConfig:
     node_rate: float = 10.0
     terrain: TerrainSpec = field(default_factory=TerrainSpec)
     scanner: ScannerSpec = field(default_factory=ScannerSpec)
-    drift: DriftSpec = field(default_factory=DriftSpec)
+    # dead-reckoning drift (see ``degrade``)
+    vel_bias_x: float = 7.5e-4
+    vel_bias_y: float = 7.5e-4
+    vel_psd: float = 2.5e-10
+    white_psd_yaw: float = 1e-10
+    white_psd_xy: float = 1e-8
+    heading_bias: float = 1e-6
     lc_sigma_phi: float = np.deg2rad(0.2)
     lc_sigma_rho: float = 0.02
 
@@ -222,27 +201,34 @@ def degrade(truth: Trajectory, cfg: SimConfig) -> Trajectory:
     """Dead-reckoned prior: re-integrate true increments with frame errors.
 
     Each step commits a body-frame twist error made of a white increment
-    (``psd``), the integrated velocity error (constant world-frame
-    ``vel_bias`` plus the ``vel_psd`` random walk), and the deterministic
-    heading bias.  A pure heading bias bends subsequent motion, so the
-    planar displacement error grows superlinearly along a straight pass; a
-    zero-noise, zero-bias config returns the truth exactly.  The noise
-    draws come from ``cfg.seed``.
+    (PSDs ``white_psd_yaw`` on yaw and ``white_psd_xy`` on each body-frame
+    planar axis), the integrated velocity error (the constant world-frame
+    bias ``vel_bias_x``, ``vel_bias_y`` in m/s, the dominant slowly
+    accumulating term, plus a world-frame random walk of PSD ``vel_psd`` on
+    each planar axis, so the drift does not cancel across opposite survey
+    lanes), and the deterministic yaw rate error ``heading_bias`` in rad/s.
+    Roll, pitch and depth get no error term, so the directly observable
+    states stay good, as they do for the fielded systems this mimics.  A
+    pure heading bias bends subsequent motion, so the planar displacement
+    error grows superlinearly along a straight pass; a zero-noise,
+    zero-bias config returns the truth exactly.  The noise draws come from
+    ``cfg.seed``.
     """
     rng = np.random.default_rng(cfg.seed)
     n = len(truth)
     dts = np.diff(truth.times)
-    sigmas = np.sqrt(np.asarray(cfg.drift.psd, dtype=float) * dts[:, None])
-    eps = rng.standard_normal((n - 1, 6)) * sigmas
-    vel_sig = np.sqrt(np.asarray(cfg.drift.vel_psd, dtype=float) * dts[:, None])
+    psd = np.array([0.0, 0.0, cfg.white_psd_yaw] + [cfg.white_psd_xy] * 2 + [0.0])
+    vel_psd = np.array([0.0, 0.0, 0.0, cfg.vel_psd, cfg.vel_psd, 0.0])
+    eps = rng.standard_normal((n - 1, 6)) * np.sqrt(psd * dts[:, None])
+    vel_sig = np.sqrt(vel_psd * dts[:, None])
     vel_err = np.cumsum(rng.standard_normal((n - 1, 6)) * vel_sig, axis=0)
-    vel_err[:, 3:] += np.asarray(cfg.drift.vel_bias, dtype=float)
+    vel_err[:, 3:] += np.array([cfg.vel_bias_x, cfg.vel_bias_y, 0.0])
     eps[:, :3] += vel_err[:, :3] * dts[:, None]
     body_rate = np.einsum(
         "kij,kj->ki", truth.poses[:-1, :3, :3].transpose(0, 2, 1), vel_err[:, 3:]
     )
     eps[:, 3:] += body_rate * dts[:, None]
-    eps[:, 2] += cfg.drift.heading_bias * dts
+    eps[:, 2] += cfg.heading_bias * dts
     if not eps.any():
         return Trajectory(times=truth.times.copy(), poses=truth.poses.copy())
     poses = np.empty_like(truth.poses)

@@ -1,26 +1,11 @@
 import numpy as np
 import pytest
 
-from lcsmooth import cli, frontend, lie, sim
+from lcsmooth import cli, lie, sim
 from lcsmooth.factors import LoopClosureMeasurement
 
 # the tunables the CLI runs with
 CFG = cli.PipelineConfig()
-
-
-def close_loop(trajectory, cloud, crossing, cfg=CFG):
-    """``frontend.make_loop_closure`` with what ``cmd_closeloops`` passes it."""
-    return frontend.make_loop_closure(
-        trajectory,
-        cloud,
-        crossing,
-        cfg.icp_params(),
-        cfg.frontend_delta_r_star,
-        cfg.frontend_submap_time_window,
-        np.deg2rad(cfg.frontend_lc_sigma_phi),
-        cfg.frontend_lc_sigma_rho,
-        cfg.frontend_min_submap_points,
-    )
 
 
 def random_twist(rng, max_angle=np.pi - 0.1, trans_scale=1.0):

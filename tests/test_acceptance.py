@@ -19,7 +19,6 @@ from lcsmooth.trajectory import Trajectory
 
 from conftest import (
     CFG,
-    close_loop,
     fd_jacobian,
     moderate_state,
     perturb,
@@ -64,7 +63,8 @@ def standard():
         prior, CFG.frontend_delta_r_star, CFG.frontend_min_time_separation
     )
     assert len(crossings) == 8
-    measurements = [close_loop(prior, cloud, c)[0] for c in crossings]
+    params = CFG.frontend_params()
+    measurements = [frontend.make_loop_closure(prior, cloud, c, params)[0] for c in crossings]
     anchor = min(m.idx_l1 for m in measurements)
     prior_err = rel_displacement(prior.poses, truth.poses, anchor)
     return {
@@ -369,7 +369,7 @@ def test_criterion_08_icp_suite(rng):
         z -= 0.8 * np.exp(-((xy[:, 0] + 1.4) ** 2 + (xy[:, 1] - 1.1) ** 2) / 1.2)
         pts = np.column_stack([xy, z])
         target = frontend.preprocess_submap(
-            frontend.Submap(pts), CFG.icp_params(), with_normals=True
+            frontend.Submap(pts), CFG.frontend_params(), with_normals=True
         )
         angle_axis = trial_rng.normal(size=3)
         angle_axis *= trial_rng.uniform(0, np.deg2rad(10.0)) / np.linalg.norm(angle_axis)
@@ -378,7 +378,7 @@ def test_criterion_08_icp_suite(rng):
         true = lie.se3_exp(np.concatenate([angle_axis, trans]))
         source = frontend.Submap(points=(target.points - true[:3, 3]) @ true[:3, :3])
         try:
-            T, report = frontend.icp_align(source, target, np.eye(4), CFG.icp_params())
+            T, report = frontend.icp_align(source, target, np.eye(4), CFG.frontend_params())
         except frontend.AlignmentFailureError:
             continue
         err = lie.se3_log(lie.se3_inv(true) @ T)

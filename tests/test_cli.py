@@ -137,6 +137,14 @@ def test_pipeline_defaults_match_library_defaults(seed):
     assert cli.PipelineConfig().solver_config() == solver.SolverConfig()
 
 
+def test_pipeline_defaults_pinned():
+    # the CLI takes its solver and simulator defaults from the library: a
+    # change there changes the CLI's defaults, and this hash
+    assert dataio.config_hash(cli.PipelineConfig().to_flat()) == (
+        "be4ae6e08bb6ba5f8c072f0f1f6ccf99bd8daf43b6b3a03b847edf8255ce11c7"
+    )
+
+
 class TestSimulate:
     def test_writes_dataset_and_manifest(self, dataset):
         d, _ = dataset
@@ -383,6 +391,7 @@ class TestSmooth:
             "loopclosures.csv": sha256(d / "loopclosures.csv"),
         }
         assert report["config_hash"] == dataio.config_hash(cli.load_config(cfg, None).to_flat())
+        assert {f.name for f in fields(solver.SolveReport)} <= report.keys()
 
     def test_keep_first_k(self, dataset):
         d, cfg = dataset
@@ -402,6 +411,20 @@ class TestSmooth:
         report = json.loads((d / "smooth_report.json").read_text())
         assert report["robust"] is False
         assert all(w == 1.0 for w in report["loop_weights"])
+        assert cli.main(["smooth", "--dataset", str(d), "--config", cfg]) == 0
+
+    def test_no_robust_flag_is_robust_disabled_in_config(self, dataset, tmp_path):
+        # the flag and the key run, and hash, the same configuration
+        d, cfg = dataset
+        off = write_cfg(tmp_path, {"robust.enabled": "false"})
+        docs = []
+        for argv in (["--config", cfg, "--no-robust"], ["--config", off]):
+            assert cli.main(["smooth", "--dataset", str(d), *argv]) == 0
+            docs.append((d / "smooth_report.json").read_text())
+        assert docs[0] == docs[1]
+        assert json.loads(docs[0])["config_hash"] == dataio.config_hash(
+            cli.load_config(off, None).to_flat()
+        )
         assert cli.main(["smooth", "--dataset", str(d), "--config", cfg]) == 0
 
     def test_malformed_closure_csv(self, dataset, tmp_path, capsys):
@@ -646,6 +669,19 @@ class TestEvaluate:
         assert f"error: {lc}: data row 2 holds a closure time more than half a sample " \
             "period from every node\n" in capsys.readouterr().err
         assert not (tmp_path / "evaluation.json").exists()
+
+    def test_missing_loopclosures_is_io_error(self, dataset, tmp_path, capsys):
+        d, cfg = dataset
+        out = tmp_path / "eval_missing"
+        code = cli.main(
+            ["evaluate", "--estimate", str(d / "posterior.csv"),
+             "--truth", str(d / "truth.csv"),
+             "--loopclosures", str(tmp_path / "nope.csv"),
+             "--out", str(out), "--config", cfg]
+        )
+        assert code == cli.EXIT_IO
+        assert "nope.csv" in capsys.readouterr().err
+        assert not (out / "evaluation.json").exists()
 
     def test_disparity_only_marks_omissions(self, dataset, tmp_path):
         d, cfg = dataset

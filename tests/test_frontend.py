@@ -9,10 +9,10 @@ from scipy.spatial import cKDTree
 from lcsmooth import frontend, lie
 from lcsmooth.trajectory import Trajectory
 
-from conftest import CFG, close_loop, random_pose
+from conftest import CFG, random_pose
 from oracles import crop_world as crop_world_full_mask
 
-ICP = CFG.icp_params()
+PARAMS = CFG.frontend_params()
 
 
 def brute_force_crossings(trajectory, delta_r_star, min_time_separation):
@@ -68,9 +68,9 @@ def bumpy_surface(rng, n=4000, extent=8.0):
 def as_target(points):
     """Alignment target on the given points, without downsampling them."""
     normals, variation, valid = frontend.estimate_normals_and_variation(
-        points, ICP.normal_neighbors
+        points, PARAMS.normal_neighbors
     )
-    return frontend.Submap(points, normals, (variation < ICP.variation_threshold) & valid)
+    return frontend.Submap(points, normals, (variation < PARAMS.variation_threshold) & valid)
 
 
 class TestRegisterProfiles:
@@ -329,16 +329,16 @@ class TestNormals:
     def test_target_plane_mask(self, rng):
         pts = self.corner(rng)
         raw = frontend.Submap(pts)
-        target = frontend.preprocess_submap(raw, ICP, with_normals=True)
-        down = frontend.voxel_downsample(pts, ICP.voxel_cell)
+        target = frontend.preprocess_submap(raw, PARAMS, with_normals=True)
+        down = frontend.voxel_downsample(pts, PARAMS.voxel_cell)
         normals, variation, valid = frontend.estimate_normals_and_variation(
-            down, ICP.normal_neighbors
+            down, PARAMS.normal_neighbors
         )
         assert np.array_equal(target.points, down)
         assert np.array_equal(target.normals, normals)
-        assert np.array_equal(target.planar, (variation < ICP.variation_threshold) & valid)
+        assert np.array_equal(target.planar, (variation < PARAMS.variation_threshold) & valid)
         assert 0 < target.planar.sum() < len(target)
-        source = frontend.preprocess_submap(raw, ICP, with_normals=False)
+        source = frontend.preprocess_submap(raw, PARAMS, with_normals=False)
         assert source.normals is None and source.planar is None
 
 
@@ -402,12 +402,12 @@ class TestIcpCost:
 class TestIcp:
     def prepared_target(self, rng, pts=None):
         pts = bumpy_surface(rng) if pts is None else pts
-        return frontend.preprocess_submap(frontend.Submap(pts), ICP, with_normals=True)
+        return frontend.preprocess_submap(frontend.Submap(pts), PARAMS, with_normals=True)
 
     def test_self_alignment_is_identity(self, rng):
         target = self.prepared_target(rng)
         source = frontend.Submap(points=target.points.copy())
-        T, report = frontend.icp_align(source, target, np.eye(4), ICP)
+        T, report = frontend.icp_align(source, target, np.eye(4), PARAMS)
         assert report.converged
         assert report.iterations == 1
         xi = lie.se3_log(T)
@@ -421,7 +421,7 @@ class TestIcp:
         )
         src_pts = (target.points - true[:3, 3]) @ true[:3, :3]
         source = frontend.Submap(points=src_pts)
-        T, report = frontend.icp_align(source, target, np.eye(4), ICP)
+        T, report = frontend.icp_align(source, target, np.eye(4), PARAMS)
         err = lie.se3_log(lie.se3_inv(true) @ T)
         assert report.converged
         assert np.linalg.norm(err[:3]) <= 1e-2
@@ -433,10 +433,10 @@ class TestIcp:
         src_region = pts[pts[:, 0] > -2.0]
         src = src_region + rng.normal(size=src_region.shape) * 0.01
         source = frontend.Submap(points=frontend.voxel_downsample(src, 0.05))
-        T, report = frontend.icp_align(source, target, np.eye(4), ICP)
+        T, report = frontend.icp_align(source, target, np.eye(4), PARAMS)
         assert report.converged
         dist, _ = cKDTree(target.points).query(source.points @ T[:3, :3].T + T[:3, 3])
-        inliers, _ = frontend._frmsd_select(dist, ICP)
+        inliers, _ = frontend._frmsd_select(dist, PARAMS)
         assert 0.4 < len(inliers) / len(dist) <= 1.0
         xi = lie.se3_log(T)
         assert np.linalg.norm(xi[3:]) < 0.05
@@ -445,7 +445,7 @@ class TestIcp:
         target = self.prepared_target(rng)
         true = lie.se3_exp(np.array([0.05, 0.02, -0.1, 0.2, 0.3, -0.1]))
         source = frontend.Submap(points=(target.points - true[:3, 3]) @ true[:3, :3])
-        _, report = frontend.icp_align(source, target, np.eye(4), ICP)
+        _, report = frontend.icp_align(source, target, np.eye(4), PARAMS)
         assert len(report.step_objectives) == report.iterations
         # each safeguarded update may not increase the fixed-correspondence cost
         for before, after in report.step_objectives:
@@ -456,22 +456,22 @@ class TestIcp:
         target = self.prepared_target(rng)
         true = lie.se3_exp(np.array([0.02, -0.03, 0.08, 0.2, -0.1, 0.15]))
         source = frontend.Submap(points=(target.points - true[:3, 3]) @ true[:3, :3])
-        T0, _ = frontend.icp_align(source, target, np.eye(4), ICP)
+        T0, _ = frontend.icp_align(source, target, np.eye(4), PARAMS)
         G = lie.se3_exp(np.array([0.1, 0.2, -0.3, 1.0, -2.0, 0.5]))
         moved_pts = target.points @ G[:3, :3].T + G[:3, 3]
         moved = as_target(moved_pts)
-        T1, _ = frontend.icp_align(source, moved, G @ T0, ICP)
+        T1, _ = frontend.icp_align(source, moved, G @ T0, PARAMS)
         assert np.abs(T1 - G @ T0).max() <= 1e-6
 
     def test_failure_on_tiny_source(self, rng):
         target = self.prepared_target(rng)
         with pytest.raises(frontend.AlignmentFailureError):
-            frontend.icp_align(frontend.Submap(np.zeros((3, 3))), target, np.eye(4), ICP)
+            frontend.icp_align(frontend.Submap(np.zeros((3, 3))), target, np.eye(4), PARAMS)
 
     def test_requires_target_normals(self, rng):
         raw = frontend.Submap(points=bumpy_surface(rng, 500))
         with pytest.raises(ValueError, match="normals"):
-            frontend.icp_align(raw, raw, np.eye(4), ICP)
+            frontend.icp_align(raw, raw, np.eye(4), PARAMS)
 
 
 class TestMakeLoopClosure:
@@ -497,8 +497,8 @@ class TestMakeLoopClosure:
 
     def test_perfect_trajectory_recovers_relative_pose(self, rng):
         traj, cloud, crossing, p1, p2 = self.make_scene(rng)
-        m, report = close_loop(
-            traj, cloud, crossing, replace(CFG, frontend_submap_time_window=30.0)
+        m, report = frontend.make_loop_closure(
+            traj, cloud, crossing, replace(PARAMS, submap_time_window=30.0)
         )
         expect = lie.se3_inv(p1) @ p2
         err = lie.se3_log(lie.se3_inv(expect) @ m.xi_meas)
@@ -508,7 +508,9 @@ class TestMakeLoopClosure:
     def test_injected_drift_is_measured(self, rng):
         drift_xi = np.array([0.0, 0.0, 0.02, 0.3, -0.2, 0.0])
         traj, cloud, crossing, p1, p2 = self.make_scene(rng, drift_xi)
-        m, _ = close_loop(traj, cloud, crossing, replace(CFG, frontend_submap_time_window=30.0))
+        m, _ = frontend.make_loop_closure(
+            traj, cloud, crossing, replace(PARAMS, submap_time_window=30.0)
+        )
         # the measurement reflects the true relative pose, not the drifted one
         expect = lie.se3_inv(p1) @ p2
         err = lie.se3_log(lie.se3_inv(expect) @ m.xi_meas)
@@ -517,4 +519,6 @@ class TestMakeLoopClosure:
     def test_insufficient_overlap_raises(self, rng):
         traj, cloud, crossing, *_ = self.make_scene(rng)
         with pytest.raises(frontend.InsufficientOverlapError):
-            close_loop(traj, cloud, crossing, replace(CFG, frontend_min_submap_points=10**6))
+            frontend.make_loop_closure(
+                traj, cloud, crossing, replace(PARAMS, min_submap_points=10**6)
+            )

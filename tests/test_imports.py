@@ -307,12 +307,17 @@ def test_guard_finds_an_unread_field():
 # ``IcpReport`` and ``SolveReport`` both declare ``converged``; the package
 # reads both (``closeloops_report.json`` and ``smooth_report.json``)
 SHARED_FIELD_OWNERS = {"converged": {"SolveReport", "IcpReport"}}
+# ``cmd_smooth`` writes every field of these to its report through
+# ``dataclasses.asdict``, which loads no attribute; ``tests/test_cli.py``
+# checks that the report holds each of them
+SERIALIZED = {"SolveReport"}
 
 
 def test_every_field_is_read():
     modules = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     callers = [p.read_text() for p in BENCH]
-    assert unread_fields(modules, callers, SHARED_FIELD_OWNERS) == []
+    unread = unread_fields(modules, callers, SHARED_FIELD_OWNERS)
+    assert [f for f in unread if f[1] not in SERIALIZED] == []
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)

@@ -78,6 +78,13 @@ def assert_piecewise_constant_twist(truth, cfg):
         assert abs(abs(leg.sum()) / cfg.node_rate - np.pi / 2) <= 1e-9
 
 
+# every drift term of ``sim.degrade`` switched off
+NO_DRIFT = dict(
+    vel_bias_x=0.0, vel_bias_y=0.0, vel_psd=0.0, white_psd_yaw=0.0, white_psd_xy=0.0,
+    heading_bias=0.0,
+)
+
+
 @pytest.fixture(scope="module")
 def cfg():
     return sim.default_config(seed=4)
@@ -113,11 +120,7 @@ class TestGenerateTruth:
 
 class TestDegrade:
     def test_zero_noise_returns_truth_exactly(self, truth):
-        cfg0 = sim.default_config(seed=4)
-        cfg0.drift = sim.DriftSpec(
-            psd=np.zeros(6), vel_bias=np.zeros(3), vel_psd=np.zeros(6),
-            heading_bias=0.0,
-        )
+        cfg0 = replace(sim.default_config(seed=4), **NO_DRIFT)
         prior = sim.degrade(truth, cfg0)
         assert np.array_equal(prior.poses, truth.poses)
 
@@ -130,12 +133,8 @@ class TestDegrade:
         poses = np.tile(np.eye(4), (n, 1, 1))
         poses[:, 0, 3] = v * times
         truth = Trajectory(times=times, poses=poses)
-        cfg = sim.SimConfig()
         bias = 1e-4
-        cfg.drift = sim.DriftSpec(
-            psd=np.zeros(6), vel_bias=np.zeros(3), vel_psd=np.zeros(6),
-            heading_bias=bias,
-        )
+        cfg = replace(sim.SimConfig(), **{**NO_DRIFT, "heading_bias": bias})
         prior = sim.degrade(truth, cfg)
         err = np.linalg.norm((prior.positions - truth.positions)[:, :2], axis=1)
         # quadratic growth: doubling time quadruples the error
