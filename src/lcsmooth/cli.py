@@ -211,7 +211,7 @@ class PipelineConfig:
         )
 
     def sim_config(self):
-        cfg = sim.default_config(seed=self.sim_seed)
+        cfg = sim.SimConfig(seed=self.sim_seed)
         cfg.passes = self.sim_passes
         cfg.pass_length = self.sim_pass_length
         cfg.lane_spacing = self.sim_lane_spacing
@@ -233,6 +233,7 @@ class PipelineConfig:
         cfg.heading_bias = self.sim_heading_bias
         cfg.lc_sigma_phi = np.deg2rad(self.sim_lc_sigma_phi)
         cfg.lc_sigma_rho = self.sim_lc_sigma_rho
+        cfg.terrain = sim.survey_terrain(cfg)
         return cfg
 
 

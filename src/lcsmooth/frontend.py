@@ -199,16 +199,24 @@ def extract_submap(
 
 
 def voxel_downsample(points, cell):
-    """One centroid per occupied voxel; the rule is independent of point order."""
+    """One centroid per occupied voxel, voxels in lexicographic key order.
+
+    Which points share a voxel does not depend on their order; a centroid's
+    last bits do, because its sum runs in input order.
+    """
     if cell <= 0:
         raise ValueError("cell must be positive")
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     if len(points) == 0:
         return points.copy()
     keys = np.floor(points / cell).astype(np.int64)
-    _, inverse, counts = np.unique(
-        keys, axis=0, return_inverse=True, return_counts=True
-    )
+    # one sort groups equal keys, in the order of np.unique(keys, axis=0)
+    order = np.lexsort(keys.T[::-1])
+    k = keys[order]
+    first = np.r_[True, (k[1:] != k[:-1]).any(axis=1)]
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(first) - 1
+    counts = np.bincount(inverse)
     sums = np.zeros((len(counts), 3))
     np.add.at(sums, inverse, points)
     return sums / counts[:, None]

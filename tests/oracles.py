@@ -5,8 +5,8 @@ least-squares problem (the oracle of the structured Schur step and of the
 dense solver check), the continuous-time WNOA error kinematics with their
 closed-form transition matrix and the process noise as one 12 x 12 matrix,
 the se(3) hat/vee maps, the SE(3) right Jacobian, the log of each relative pose error, the terrain
-gradient on its own pass over the bumps, and the world-frame crop that masks
-the whole cloud.
+gradient on its own pass over the bumps, the world-frame crop that masks
+the whole cloud, and voxel grouping by a row-wise ``np.unique``.
 """
 
 import numpy as np
@@ -182,3 +182,13 @@ def crop_world(cloud, center_xy, radius, t_center, window):
     mask = np.linalg.norm(cloud.points[:, :2] - center_xy, axis=1) <= radius
     mask &= np.abs(cloud.times - t_center) <= window
     return frontend.PointCloud(cloud.points[mask], cloud.times[mask])
+
+
+def voxel_downsample(points, cell):
+    """Voxel centroids grouped by ``np.unique`` over the integer key rows."""
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    keys = np.floor(points / cell).astype(np.int64)
+    _, inverse, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+    sums = np.zeros((len(counts), 3))
+    np.add.at(sums, inverse, points)
+    return sums / counts[:, None]

@@ -145,6 +145,15 @@ def test_pipeline_defaults_pinned():
     )
 
 
+def test_terrain_follows_configured_lanes():
+    cfg = cli.PipelineConfig(sim_lane_spacing=10.0).sim_config()
+    lanes = np.arange(cfg.passes) * 10.0
+    rows = np.array(cfg.terrain.bumps)[:-2, 1].reshape(cfg.passes, 4)
+    # each lane's row of feature bumps is the first lane's row, moved to it
+    assert np.allclose(rows - rows[0], lanes[:, None], rtol=0.0, atol=1e-12)
+    assert len(cli.PipelineConfig(sim_passes=2).sim_config().terrain.bumps) == 4 * 2 + 2
+
+
 class TestSimulate:
     def test_writes_dataset_and_manifest(self, dataset):
         d, _ = dataset

@@ -11,6 +11,7 @@ from lcsmooth.trajectory import Trajectory
 
 from conftest import CFG, random_pose
 from oracles import crop_world as crop_world_full_mask
+from oracles import voxel_downsample as voxel_downsample_unique
 
 PARAMS = CFG.frontend_params()
 
@@ -287,6 +288,28 @@ class TestVoxelDownsample:
     def test_rejects_bad_cell(self):
         with pytest.raises(ValueError):
             frontend.voxel_downsample(np.zeros((3, 3)), 0.0)
+
+    @pytest.mark.parametrize("case", ["negative", "duplicates", "single", "wide"])
+    def test_matches_unique_rows_bit_for_bit(self, rng, case):
+        if case == "negative":
+            # keys from -6 to 5 on each axis, half of them negative
+            pts = rng.uniform(-0.3, 0.3, size=(5000, 3))
+        elif case == "duplicates":
+            pts = rng.uniform(-1.0, 1.0, size=(300, 3))
+            pts = np.concatenate([pts, pts[::3], pts[::-7]])
+        elif case == "single":
+            pts = np.array([[-0.01, 0.02, -3.0]])
+        else:
+            # keys across 2^24 cells per axis: packed into 21 bits per axis,
+            # they would wrap and merge voxels
+            pts = np.concatenate([rng.uniform(-0.1, 0.1, size=(200, 3)),
+                                  rng.uniform(-1.0, 1.0, size=(200, 3)) * 0.05 * 2**23])
+        out = frontend.voxel_downsample(pts, 0.05)
+        ref = voxel_downsample_unique(pts, 0.05)
+        assert out.shape == ref.shape and np.array_equal(out, ref)
+        if case == "wide":
+            # each far point is alone in its voxel
+            assert (np.abs(out).max(axis=1) > 1.0).sum() == 200
 
 
 class TestNormals:

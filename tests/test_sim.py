@@ -174,6 +174,28 @@ class TestTerrain:
         ref_gx, ref_gy = terrain_grad(terrain, x, y)
         assert np.array_equal(gx, ref_gx) and np.array_equal(gy, ref_gy)
 
+    def test_terms_below_smallest_normal_count_as_zero(self, rng):
+        # one narrow bump and no broad one, so that a far point's term is its
+        # only term; exponents from 0 down through the subnormal band
+        # [-745.2, -708.4) and below it
+        bx, by, amp, sig = 1.0, -2.0, 2.0, 0.5
+        terrain = sim.TerrainSpec(base_depth=10.0, bumps=[(bx, by, amp, sig)])
+        r = np.concatenate([rng.uniform(0.0, 18.8, 2000), rng.uniform(18.8, 19.4, 2000),
+                            rng.uniform(19.4, 30.0, 2000)])
+        theta = rng.uniform(0.0, 2.0 * np.pi, len(r))
+        x, y = bx + r * np.cos(theta), by + r * np.sin(theta)
+        plain = np.exp(-((x - bx) ** 2 + (y - by) ** 2) / (2.0 * sig**2))
+        e = amp * plain
+        normal = plain >= np.finfo(float).tiny
+        subnormal = (plain > 0.0) & ~normal
+        assert normal.sum() > 1000 and subnormal.sum() > 100 and (plain == 0.0).sum() > 100
+        depth, gx, gy = terrain.depth_grad(x, y)
+        assert np.array_equal(terrain.depth(x, y), 10.0 - e)
+        assert np.array_equal(depth, terrain.depth(x, y))
+        for g, ref in ((gx, e * (x - bx) / sig**2), (gy, e * (y - by) / sig**2)):
+            assert np.array_equal(g[normal], ref[normal])
+            assert np.all(g[~normal] == 0.0) and np.any(ref[subnormal] != 0.0)
+
     @pytest.mark.parametrize("y", [2.0, np.array([2.0, 3.0])])
     def test_broadcasts_like_depth(self, cfg, y):
         depth, gx, gy = cfg.terrain.depth_grad(1.0, y)
