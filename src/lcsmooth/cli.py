@@ -303,27 +303,29 @@ def cmd_closeloops(args):
     measurements = []
     params = cfg.frontend_params()
     for c in crossings:
-        entry = {"t1": c.t1, "t2": c.t2}
-        report_doc["crossings"].append(entry)
+        icp = None
         try:
             m, icp = frontend.make_loop_closure(prior, cloud, c, params)
         except (frontend.InsufficientOverlapError, frontend.AlignmentFailureError) as exc:
             overlap = isinstance(exc, frontend.InsufficientOverlapError)
-            entry.update(
-                outcome="insufficient_overlap" if overlap else "alignment_failure",
-                message=str(exc), icp=None,
-            )
-            print(
-                f"dropped crossing ({c.t1:.1f}s, {c.t2:.1f}s): {exc}", file=sys.stderr
-            )
-            continue
-        stop = "converged" if icp.converged else "stopped at the iteration cap"
-        entry.update(
-            outcome="closure",
-            message=f"ICP {stop} after {icp.iterations} iterations",
-            icp=asdict(icp),
-        )
-        measurements.append(m)
+            outcome = "insufficient_overlap" if overlap else "alignment_failure"
+            message = str(exc)
+        else:
+            if icp.converged:
+                outcome = "closure"
+                message = f"ICP converged after {icp.iterations} iterations"
+            else:  # the stated covariance presumes a converged alignment
+                outcome = "alignment_failure"
+                message = (f"ICP stopped at the iteration cap after {icp.iterations} "
+                           "iterations without converging")
+        report_doc["crossings"].append({
+            "t1": c.t1, "t2": c.t2, "outcome": outcome, "message": message,
+            "icp": None if icp is None else asdict(icp),
+        })
+        if outcome == "closure":
+            measurements.append(m)
+        else:
+            print(f"dropped crossing ({c.t1:.1f}s, {c.t2:.1f}s): {message}", file=sys.stderr)
     if args.outliers:
         measurements = sim.inject_outliers(
             measurements, args.outliers, seed=cfg.sim_seed + 2

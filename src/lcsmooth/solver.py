@@ -21,6 +21,17 @@ order: O(n) banded work plus sparse work over the closure graph only.
 Levenberg-Marquardt damping wraps the Gauss-Newton step so the objective is
 non-increasing across accepted iterations; a step that cannot be computed
 (NotPositiveDefiniteError) raises the damping.
+
+Memory per node and iteration, in doubles: a linearization holds about 540
+(errors, Jacobians and weights, most of them the 12 x 12 process blocks),
+the normal equations 300 (two 12 x 12 blocks and the gradient), and the step
+about 470 (the 24-row band of its Cholesky factor, its 13 sweep columns and
+the right-hand side).  Each is allocated once and dropped after its last
+reader: once the normal equations are formed, the iteration keeps only the
+errors and weights of its terms, which the trial objective reads, so the
+Jacobians are gone before a trial linearization forms its own; the normal
+equations live until the step is accepted, for the retries at higher
+damping; the sweep columns are gone before the closure-node factorization.
 """
 
 from __future__ import annotations
@@ -223,11 +234,12 @@ class _Factors:
     per node slot: one for unary factors, two for pairwise ones.  ``J_a``
     and ``J_b`` are the (m, d, c) Jacobians of the slots, acting on the
     first c columns of the node's 12-wide block (``J_b`` is None for a unary
-    factor), and ``W`` the (m, d, d) weights.
+    factor, and both are None once the normal equations are formed), and
+    ``W`` the (m, d, d) weights.
     """
 
     e: np.ndarray
-    J_a: np.ndarray
+    J_a: np.ndarray | None
     J_b: np.ndarray | None
     idx: np.ndarray
     W: np.ndarray | None = None
@@ -250,6 +262,9 @@ def _linearize(graph) -> dict[str, _Factors]:
     loop_idx = np.array([(m.idx_l1, m.idx_l2) for m in lc], dtype=int).reshape(-1, 2)
     loop_xi = np.array([m.xi_meas for m in lc]).reshape(-1, 4, 4)
     dts = np.diff(graph.times)
+    # the process weight before the Jacobians: its temporaries are gone by
+    # the time the Jacobians are formed
+    W_wnoa = process_weight(V[:-1], graph.psd, dts)
 
     terms = {}
     terms["prior"] = _Factors(
@@ -257,7 +272,7 @@ def _linearize(graph) -> dict[str, _Factors]:
         nodes[:1, None],
     )
     terms["wnoa"] = _Factors(
-        *factors.wnoa(P[:-1], V[:-1], P[1:], V[1:], dts), chain
+        *factors.wnoa(P[:-1], V[:-1], P[1:], V[1:], dts), chain, W_wnoa
     )
     terms["loop"] = _Factors(
         *factors.relative_pose(P[loop_idx[:, 0]], P[loop_idx[:, 1]], loop_xi), loop_idx
@@ -274,7 +289,6 @@ def _linearize(graph) -> dict[str, _Factors]:
     M0[:6, :6] = -lie.right_jacobian_inv(terms["prior"].e[0, :6])
     M0[6:, 6:] = -np.eye(6)
     terms["prior"].W = np.linalg.inv(M0 @ graph.prior_cov @ M0.T)[None]
-    terms["wnoa"].W = process_weight(V[:-1], graph.psd, dts)
     # Measurement-noise Jacobian folded into the weight: R_l = M R_Xi M^T
     # with M = -Jr_inv, so the sign drops out of the product.
     Jr_inv = lie.right_jacobian_inv(terms["loop"].e)
@@ -334,59 +348,24 @@ def _normal_equations(terms, n):
         if f is loop or not len(f.e):
             continue
         # chain factors: the nodes of a slot are consecutive, so each adds
-        # into a slice, and a pair factor's second node follows its first
+        # into a slice, and a pair factor's second node follows its first,
+        # so the first slot's J^T W also gives the coupling block; one
+        # slot's J^T W is alive at a time
         c = f.J_a.shape[-1]
-        JtW = [np.swapaxes(J, -1, -2) @ f.W for J, _ in f.slots()]
-        for (J, nodes), JtW_s in zip(f.slots(), JtW):
+        for (J, nodes), J_next in zip(f.slots(), (f.J_b, None)):
+            JtW = np.swapaxes(J, -1, -2) @ f.W
             s = slice(nodes[0], nodes[0] + len(nodes))
-            Hdiag[s, :c, :c] += JtW_s @ J
-            g[s, :c] += (JtW_s @ f.e[..., None])[..., 0]
-        if f.J_b is not None:
-            Hoff[f.idx[0, 0] : f.idx[0, 0] + len(f.e), :c, :c] += JtW[0] @ f.J_b
+            Hdiag[s, :c, :c] += JtW @ J
+            g[s, :c] += (JtW @ f.e[..., None])[..., 0]
+            if J_next is not None:
+                Hoff[s, :c, :c] += JtW @ J_next
+            del JtW
 
     Ht = np.stack([loop.J_a, loop.J_b], axis=1).swapaxes(-1, -2)
     V = Ht @ np.linalg.cholesky(loop.W)[:, None]
     HtWe = (Ht @ (loop.W @ loop.e[..., None])[:, None])[..., 0]
     np.add.at(g[:, :6], loop.idx, HtWe)
     return Hdiag, Hoff, loop.idx, V, g.ravel()
-
-
-def _to_lower_band(Hdiag, Hoff):
-    """Lower-banded storage of a block-tridiagonal matrix."""
-    n = Hdiag.shape[0]
-    band = np.zeros((24, 12 * n))
-    for c in range(12):
-        band[: 12 - c, c::12] = Hdiag[:, c:, c].T
-        if n > 1:
-            band[12 - c : 24 - c, c : 12 * (n - 1) : 12] = Hoff[:, c, :].T
-    return band
-
-
-def _cholesky_banded(Hdiag, Hoff, what):
-    try:
-        return scipy.linalg.cholesky_banded(
-            _to_lower_band(Hdiag, Hoff), lower=True, check_finite=False
-        )
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(what, f"{what} not positive definite: {exc}") from exc
-
-
-def _cho_solve(cb, rhs):
-    """Solve with a banded factor; ``rhs`` is (nodes, 12, ...) in node blocks."""
-    x = scipy.linalg.cho_solve_banded(
-        (cb, True), rhs.reshape(cb.shape[1], -1), check_finite=False
-    )
-    return x.reshape(rhs.shape)
-
-
-def _forward_sweep(cb, rhs, what):
-    """L^-1 rhs for the lower banded factor L of ``cb``, in node blocks."""
-    x, info = scipy.linalg.lapack.dtbtrs(
-        cb, rhs.reshape(cb.shape[1], -1), uplo="L", trans="N"
-    )
-    if info:
-        raise NotPositiveDefiniteError(what, f"triangular sweep of {what} failed: info {info}")
-    return x.reshape(rhs.shape)
 
 
 def _diagonal_blocks(cb, nodes):
@@ -459,50 +438,72 @@ def _solve_normal(Hdiag, Hoff, loop_idx, V, g, lam):
     sparse factorization under a minimum-degree order solves it for d_K, and
     one single-RHS banded solve back-substitutes the interior.  The cost is
     O(n) banded work plus sparse work over the closure graph; nothing of
-    size n x L is formed.  Raises NotPositiveDefiniteError when A_II or the
+    size n x L is formed.  The band of A_II and the 13 columns are each
+    allocated once, in the column order LAPACK takes, and factored and swept
+    in place; the arguments are left untouched, so a retry at higher damping
+    reuses them.  Raises NotPositiveDefiniteError when A_II or the
     closure-node system is not positive definite, which happens exactly when
     the damped normal matrix is not, or when the solution is not finite.
     """
-    Hd = Hdiag + lam * np.eye(12)
+    N = len(Hdiag)
     r = -g.reshape(-1, 12)
-    N = len(Hd)
     K, pos = np.unique(loop_idx, return_inverse=True)
     pos = pos.reshape(loop_idx.shape)
     m = len(K)
+    what = "interior chain matrix"
 
-    # interior matrix A_II: identity on K, chain couplings at K cut
-    isK = np.ones(N + 2, dtype=bool)  # node k at k + 1; padded at both ends
-    isK[1:-1] = False
-    isK[K + 1] = True
-    Hd_I = Hd.copy()
-    Hd_I[K] = np.eye(12)
-    Ho_I = np.where((isK[1:-2] | isK[2:-1])[:, None, None], 0.0, Hoff)
-    cb = _cholesky_banded(Hd_I, Ho_I, "interior chain matrix")
+    # the lower band of the interior matrix A_II, Fortran-ordered so that
+    # LAPACK factors it in place: the damped chain matrix, then identity on
+    # K and the chain couplings of K to the nodes before and after it cut
+    cb = np.zeros((24, 12 * N), order="F")
+    for c in range(12):
+        cb[: 12 - c, c::12] = Hdiag[:, c:, c].T
+        cb[12 - c : 24 - c, c : 12 * (N - 1) : 12] = Hoff[:, c, :].T
+    cb[0] += lam
+    columns = 12 * K[:, None] + np.arange(12)
+    cb[:, columns] = 0.0
+    cb[0, columns] = 1.0
+    for c in range(12):
+        cb[12 - c :, 12 * K[K > 0] - 12 + c] = 0.0
+    try:
+        cb = scipy.linalg.cholesky_banded(cb, overwrite_ab=True, lower=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(what, f"{what} not positive definite: {exc}") from exc
     if not m:
-        delta = _cho_solve(cb, r)
+        delta = scipy.linalg.cho_solve_banded(
+            (cb, True), r.reshape(-1, 1), overwrite_b=True, check_finite=False
+        )
     else:
-        # A[k-1, k] = Hp[k] and A[k, k+1] = Hp[k+1], zero past both ends
-        Hp = np.concatenate([np.zeros((1, 12, 12)), Hoff, np.zeros((1, 12, 12))])
-        prev_c, next_c = Hp[K], Hp[K + 1]
+        isK = np.ones(N + 2, dtype=bool)  # node k at k + 1; padded at both ends
+        isK[1:-1] = False
+        isK[K + 1] = True
+        # A[k-1, k] and A[k, k+1], zero past both ends
+        prev_c, next_c = np.zeros((2, m, 12, 12))
+        prev_c[K > 0] = Hoff[K[K > 0] - 1]
+        next_c[K < N - 1] = Hoff[K[K < N - 1]]
         next_t = np.swapaxes(next_c, -1, -2)
         left = ~isK[K + 2]  # node k+1 is interior, the first node of a segment
         right = ~isK[K]  # node k-1 is interior, the last node of a segment
         first, last = K[left] + 1, K[right] - 1
         r_I = np.where(isK[1:-1, None], 0.0, r)
-        rhs = np.zeros((N, 12, 13))
-        rhs[:, :, 0] = r_I
-        rhs[first, :, 1:] = next_t[left]
-        F = _forward_sweep(cb, rhs, "interior chain matrix")
+        # the 13 right-hand-side columns, Fortran-ordered so that the sweep
+        # runs in place
+        F = np.zeros((12 * N, 13), order="F")
+        F[:, 0] = r_I.ravel()
+        F.reshape(N, 12, 13)[first, :, 1:] = next_t[left]
+        F, info = scipy.linalg.lapack.dtbtrs(cb, F, uplo="L", trans="N", overwrite_b=1)
+        if info:
+            raise NotPositiveDefiniteError(what, f"triangular sweep of {what} failed: info {info}")
+        F = F.reshape(N, 12, 13)
 
         # F vanishes on K rows, and its columns 1: outside the segments that
         # follow a K node, so the sum from one first node to the next (or to
         # the end) is that segment's Gram product M_s = F_s^T F_s, rows 1:
-        P = np.swapaxes(F[:, :, 1:], -1, -2) @ F
-        M = np.add.reduceat(P, first, axis=0)
+        M = np.add.reduceat(np.swapaxes(F[:, :, 1:], -1, -2) @ F, first, axis=0)
         R = np.zeros((m, 12, 12))
         R[right] = np.linalg.solve(_diagonal_blocks(cb, last), prev_c[right])
         Rt = np.swapaxes(R, -1, -2)
-        Sd = Hd[K] - Rt @ R
+        Sd = Hdiag[K] + lam * np.eye(12) - Rt @ R
         Sd[left] -= M[:, :, 1:]
         r_K = r[K].copy()
         r_K[left] -= M[:, :, 0]
@@ -511,13 +512,16 @@ def _solve_normal(Hdiag, Hoff, loop_idx, V, g, lam):
         # the columns of k's segment; both factors vanish for adjacent ones
         adjacent = (K[1:] == K[:-1] + 1)[:, None, None]
         F_end = np.swapaxes(F[K[1:] - 1, :, 1:], -1, -2)
+        del F
         So = np.where(adjacent, next_c[:-1], 0.0) - F_end @ R[1:]
         d_K = _solve_closure_nodes(Sd, So, pos, V, r_K)
 
         # interior back-substitution: A_II d_I = r_I - A_IK d_K
         r_I[first] -= (next_t[left] @ d_K[left, :, None])[..., 0]
         r_I[last] -= (prev_c[right] @ d_K[right, :, None])[..., 0]
-        delta = _cho_solve(cb, r_I)
+        delta = scipy.linalg.cho_solve_banded(
+            (cb, True), r_I.reshape(-1, 1), overwrite_b=True, check_finite=False
+        ).reshape(N, 12)
         delta[K] = d_K
     delta = delta.ravel()
     if not np.all(np.isfinite(delta)):
@@ -562,6 +566,9 @@ def solve(graph: FactorGraph, config: SolverConfig):
         j_base = _quadratic(terms)
         trace.append(float(j_base))
         normal = _normal_equations(terms, cur.num_nodes)
+        # the trials read only the errors and weights: the Jacobians go
+        # before a trial linearization forms its own
+        terms = {name: replace(f, J_a=None, J_b=None) for name, f in terms.items()}
         accepted = False
         while True:
             try:
@@ -581,6 +588,7 @@ def solve(graph: FactorGraph, config: SolverConfig):
                 ):
                     accepted = True
                     break
+                del trial_terms
             lam = lam * 10.0 if lam > 0 else 1e-6
             if lam > MAX_DAMPING:
                 break
@@ -602,6 +610,7 @@ def solve(graph: FactorGraph, config: SolverConfig):
         if lam < 1e-12:
             lam = 0.0
         terms, w_cur = _reweight(trial_terms, config)
+        del trial_terms, normal  # the next step forms its own
         if np.max(np.abs(delta)) < config.step_tolerance:
             stop = message = "converged"
             break

@@ -335,9 +335,10 @@ class TestCloseloops:
             for before, after in icp["step_objectives"]:
                 assert after <= before * (1 + 1e-12) + 1e-15
 
-    def test_report_keeps_unconverged_icp(self, dataset, tmp_path):
-        # an alignment that stops at the iteration cap still yields a closure,
-        # and the report says so
+    def test_report_keeps_unconverged_icp(self, dataset, tmp_path, capsys):
+        # an alignment that stops at the iteration cap yields no closure: the
+        # crossing is dropped as an alignment failure, and the report keeps
+        # its ICP run
         import shutil
 
         d, _ = dataset
@@ -345,11 +346,19 @@ class TestCloseloops:
         shutil.copytree(d, d2)
         cfg = write_cfg(tmp_path, {"frontend.icp_max_iterations": "2"}, name="cap.cfg")
         assert cli.main(["closeloops", "--dataset", str(d2), "--config", cfg]) == 0
+        captured = capsys.readouterr()
         report = json.loads((d2 / "closeloops_report.json").read_text())
-        assert [c["outcome"] for c in report["crossings"]] == ["closure"] * 2
+        assert [c["outcome"] for c in report["crossings"]] == ["alignment_failure"] * 2
         for c in report["crossings"]:
-            assert c["icp"]["converged"] is False and c["icp"]["iterations"] == 2
-            assert "iteration cap" in c["message"]
+            icp = c["icp"]
+            assert icp["converged"] is False and icp["iterations"] == 2
+            assert len(icp["step_objectives"]) == 2
+            assert c["message"] == (
+                "ICP stopped at the iteration cap after 2 iterations without converging")
+            assert f"dropped crossing ({c['t1']:.1f}s, {c['t2']:.1f}s): {c['message']}\n" in (
+                captured.err)
+        assert len(dataio.read_loop_closures(d2 / "loopclosures.csv")) == 0
+        assert "wrote 0 loop closures (2 dropped)" in captured.out
 
     @pytest.mark.parametrize(
         "extra, outcome, message",
