@@ -421,25 +421,15 @@ def cmd_evaluate(args):
         cloud, _ = frontend.register_profiles(profiles, estimate)
         if closures:
             gate = cfg.eval_overlap_gate_cells * cfg.frontend_voxel_cell
-            window = cfg.frontend_submap_time_window
             samples = []
             for m in closures:
                 center = estimate.positions[m.idx_l1][:2]
-                pair = []
-                for idx in (m.idx_l1, m.idx_l2):
-                    crop = frontend.crop_world(
-                        cloud,
-                        center,
-                        cfg.frontend_delta_r_star,
-                        t_center=estimate.times[idx],
-                        window=window,
-                    )
-                    if len(crop):
-                        pair.append(
-                            frontend.voxel_downsample(
-                                crop.points, cfg.frontend_voxel_cell
-                            )
-                        )
+                t1, t2 = estimate.times[[m.idx_l1, m.idx_l2]]
+                window = frontend.pass_window(t1, t2, cfg.frontend_submap_time_window)
+                crops = [frontend.crop_world(cloud, center, cfg.frontend_delta_r_star, t, window)
+                         for t in (t1, t2)]
+                pair = [frontend.voxel_downsample(c.points, cfg.frontend_voxel_cell)
+                        for c in crops if len(c)]
                 if len(pair) == 2:
                     samples.append(metrics.point_disparity(pair, gate))
             samples = np.concatenate(samples) if samples else np.zeros(0)

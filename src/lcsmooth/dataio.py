@@ -71,6 +71,8 @@ def read_trajectory(path) -> Trajectory:
     data = _load_csv(path, "trajectory")
     if data.shape[1] != 8:
         raise ValueError(f"{path}: expected 8 columns, found {data.shape[1]}")
+    _reject_rows(path, np.diff(data[:, 0], prepend=-np.inf) <= 0,
+                 "holds a time not later than the row before it")
     # a stored rotation has a unit quaternion; one near zero has no direction
     _reject_rows(path, np.linalg.norm(data[:, 4:8], axis=1) < 1e-6,
                  "holds a quaternion of norm below 1e-6")

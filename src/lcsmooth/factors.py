@@ -63,11 +63,11 @@ def require_spd(M, name):
 
 
 def prior(pose, varpi, prior_pose, prior_varpi):
-    """Prior factor; error [log(T^-1 Y)^v; varpi - psi]."""
-    e_xi = lie.se3_log(lie.se3_inv(pose) @ prior_pose)
+    """Prior factor [log(T^-1 Y)^v; varpi - psi]; pose part relative_pose(Y, T, I)."""
+    e_xi, _, J_xi = relative_pose(prior_pose, pose, np.eye(4))
     e = np.concatenate([e_xi, varpi - prior_varpi], axis=-1)
     J = np.zeros(e.shape + (12,))
-    J[..., :6, :6] = lie.left_jacobian_inv(e_xi)
+    J[..., :6, :6] = J_xi
     J[..., 6:, 6:] = np.eye(6)
     return e, J, None
 
@@ -75,22 +75,19 @@ def prior(pose, varpi, prior_pose, prior_varpi):
 def wnoa(pose_a, varpi_a, pose_b, varpi_b, dt):
     """Constant-velocity process factor from node a to node b, dt seconds later.
 
-    With M = J_l^-1(e) Ad(T_b^-1 T_a), node a's pose block is -M and its
-    velocity block dt M J_l(dt varpi_a); see :func:`relative_pose`.
+    Pose error and pose blocks are relative_pose(T_a, T_b, exp(dt varpi_a));
+    with P_a node a's pose block, its velocity block is -dt P_a J_l(dt varpi_a).
     """
     dt = np.asarray(dt)
     tv = dt[..., None] * varpi_a
-    T_ba = lie.se3_inv(pose_b) @ pose_a
-    e_xi = lie.se3_log(T_ba @ lie.se3_exp(tv))
+    e_xi, P_a, P_b = relative_pose(pose_a, pose_b, lie.se3_exp(tv))
     e = np.concatenate([e_xi, varpi_b - varpi_a], axis=-1)
-    Jl_inv = lie.left_jacobian_inv(e_xi)
-    M = Jl_inv @ lie.adjoint(T_ba)
     J_a = np.zeros(e.shape + (12,))
-    J_a[..., :6, :6] = -M
-    J_a[..., :6, 6:] = dt[..., None, None] * (M @ lie.left_jacobian(tv))
+    J_a[..., :6, :6] = P_a
+    J_a[..., :6, 6:] = -dt[..., None, None] * (P_a @ lie.left_jacobian(tv))
     J_a[..., 6:, 6:] = -np.eye(6)
     J_b = np.zeros(e.shape + (12,))
-    J_b[..., :6, :6] = Jl_inv
+    J_b[..., :6, :6] = P_b
     J_b[..., 6:, 6:] = np.eye(6)
     return e, J_a, J_b
 
@@ -98,8 +95,9 @@ def wnoa(pose_a, varpi_a, pose_b, varpi_b, dt):
 def relative_pose(pose_a, pose_b, xi):
     """Relative-pose factor; error log(T_b^-1 T_a Xi)^v, 6x6 pose blocks.
 
-    Serves both the loop closures and the consecutive relative-pose factors
-    captured from the initializing trajectory.  Node a's block is
+    The objective's one pose error: the loop closures, the consecutive
+    relative-pose factors captured from the initializing trajectory, and the
+    pose parts of the prior and the process factor.  Node a's block is
     -J_r^-1(e) Ad(Xi^-1), taken through J_r^-1(e) = J_l^-1(e) Ad(exp e)
     (Barfoot 2017, ch. 7) and exp e = T_b^-1 T_a Xi: -J_l^-1(e) Ad(T_b^-1 T_a).
     """
@@ -114,17 +112,16 @@ def observable(pose, prior_pose):
 
     The error is D E log(T^-1 Tcheck)^v with E mapping the body-frame
     translation error into the world frame and D selecting roll, pitch and
-    the down component; the depth row reduces exactly to the world-frame
-    down-component of the position difference.  The Jacobian uses that
-    reduction, which makes it exact at the linearization point (the
-    e_rho -> 0 approximation would leave an O(|e|) residual in the depth
-    row's rotation columns).
+    the down component.  The rows are read directly: roll and pitch from
+    log(C^T Ccheck)^v, and depth as rcheck_z - r_z, to which the down row
+    reduces exactly.  The Jacobian uses that reduction, which makes it exact
+    at the linearization point (the e_rho -> 0 approximation would leave an
+    O(|e|) residual in the depth row's rotation columns).
     """
-    e_xi = lie.se3_log(lie.se3_inv(pose) @ prior_pose)
-    Jphi = lie.so3_left_jacobian(e_xi[..., :3])
-    world_rho = (pose[..., :3, :3] @ Jphi @ e_xi[..., 3:, None])[..., 0]
-    e = np.stack([e_xi[..., 0], e_xi[..., 1], world_rho[..., 2]], axis=-1)
+    e_phi = lie.so3_log(np.swapaxes(pose[..., :3, :3], -1, -2) @ prior_pose[..., :3, :3])
+    depth = prior_pose[..., 2, 3] - pose[..., 2, 3]
+    e = np.stack([e_phi[..., 0], e_phi[..., 1], depth], axis=-1)
     J = np.zeros(e.shape + (6,))
-    J[..., :2, :3] = lie.so3_left_jacobian_inv(e_xi[..., :3])[..., :2, :]
+    J[..., :2, :3] = lie.so3_left_jacobian_inv(e_phi)[..., :2, :]
     J[..., 2, 3:] = pose[..., 2, :3]
     return e, J, None

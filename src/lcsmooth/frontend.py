@@ -384,6 +384,12 @@ def preprocess_submap(submap: Submap, params: FrontendParams, with_normals: bool
     return Submap(pts, normals, (variation < params.variation_threshold) & valid)
 
 
+def pass_window(t1, t2, submap_time_window):
+    """Capture-time half-width of the submaps of a closure at times t1 < t2:
+    below (t2 - t1) / 2, so revisited terrain yields one submap per pass."""
+    return min(submap_time_window, 0.45 * (t2 - t1))
+
+
 def make_loop_closure(
     trajectory: Trajectory, cloud: PointCloud, crossing: Crossing, params: FrontendParams
 ):
@@ -393,7 +399,7 @@ def make_loop_closure(
     revisit's; ICP is initialized from the trajectory's relative pose and its
     result is the measured relative pose between the two anchor bodies.
     """
-    window = min(params.submap_time_window, 0.45 * (crossing.t2 - crossing.t1))
+    window = pass_window(crossing.t1, crossing.t2, params.submap_time_window)
     pose1 = trajectory.poses[crossing.idx1]
     pose2 = trajectory.poses[crossing.idx2]
     r, floor = params.delta_r_star, params.min_submap_points

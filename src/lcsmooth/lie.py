@@ -86,10 +86,11 @@ def _coef_t_minus_sin(t):
 
 
 def _coef_jinv(t):
-    # 1/t^2 - (1 + cos t)/(2 t sin t), singular at 2*pi
+    # 1/t^2 - (1 + cos t)/(2 t sin t), singular at 2*pi; (1 + cos t)/sin t
+    # is taken as 1/tan(t/2), as 1 + cos t cancels near pi
     return _series_or(
         t, 0.1, (1.0 / 12.0, 1.0 / 720.0, 1.0 / 30240.0, 1.0 / 1209600.0),
-        lambda x: (1.0 - (x * (1.0 + np.cos(x))) / (2.0 * np.sin(x))) / (x * x),
+        lambda x: (1.0 - x / (2.0 * np.tan(0.5 * x))) / (x * x),
     )
 
 
@@ -338,10 +339,6 @@ def left_jacobian_inv(xi):
     out[..., 3:, 3:] = Ji
     out[..., 3:, :3] = -Ji @ Q @ Ji
     return out
-
-
-def right_jacobian_inv(xi):
-    return left_jacobian_inv(-np.asarray(xi, dtype=float))
 
 
 def interpolate(Ti, Tk, alpha):

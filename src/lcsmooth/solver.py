@@ -284,16 +284,16 @@ def _linearize(graph) -> dict[str, _Factors]:
         *factors.observable(P[1:], graph.prior_poses[1:]), nodes[1:, None]
     )
 
-    # Prior-noise Jacobian folded into the weight: R0 = M0 S0 M0^T.
-    M0 = np.zeros((12, 12))
-    M0[:6, :6] = -lie.right_jacobian_inv(terms["prior"].e[0, :6])
-    M0[6:, 6:] = -np.eye(6)
+    # Noise Jacobians folded into the weights, R = M S M^T, M's pose block
+    # -J_r^-1(e) = -J_l^-1(e) Ad(exp e) taken from the factors' pose blocks:
+    # -J Ad(T^-1 Y) for the prior, J_a Ad(Xi) for a loop closure.
+    M0 = -np.eye(12)
+    T0_inv_Y = lie.se3_inv(P[0]) @ graph.prior_poses[0]
+    M0[:6, :6] = -terms["prior"].J_a[0, :6, :6] @ lie.adjoint(T0_inv_Y)
     terms["prior"].W = np.linalg.inv(M0 @ graph.prior_cov @ M0.T)[None]
-    # Measurement-noise Jacobian folded into the weight: R_l = M R_Xi M^T
-    # with M = -Jr_inv, so the sign drops out of the product.
-    Jr_inv = lie.right_jacobian_inv(terms["loop"].e)
+    M = terms["loop"].J_a @ lie.adjoint(loop_xi)
     cov = np.array([m.cov for m in lc]).reshape(-1, 6, 6)
-    terms["loop"].W = np.linalg.inv(Jr_inv @ cov @ np.swapaxes(Jr_inv, -1, -2))
+    terms["loop"].W = np.linalg.inv(M @ cov @ np.swapaxes(M, -1, -2))
     terms["rel"].W = np.broadcast_to(np.linalg.inv(graph.r_rel), (k, 6, 6))
     terms["obs"].W = np.broadcast_to(np.linalg.inv(graph.r_obs), (k, 3, 3))
     return terms

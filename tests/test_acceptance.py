@@ -107,7 +107,7 @@ def test_criterion_01_lie_group_suite(rng):
         jr_inv_err = max(
             jr_inv_err,
             np.abs(
-                lie.right_jacobian_inv(zeta)
+                lie.left_jacobian_inv(-zeta)
                 - lie.left_jacobian_inv(zeta) @ lie.adjoint(lie.se3_exp(zeta))
             ).max(),
         )
@@ -115,7 +115,7 @@ def test_criterion_01_lie_group_suite(rng):
             jac_err,
             np.abs(
                 lie.adjoint(lie.se3_exp(zeta))
-                - lie.left_jacobian(zeta) @ lie.right_jacobian_inv(zeta)
+                - lie.left_jacobian(zeta) @ lie.left_jacobian_inv(-zeta)
             ).max(),
         )
     elapsed = time.time() - t0

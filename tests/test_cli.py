@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcsmooth import cli, dataio, lie, sim, solver
+from lcsmooth import cli, dataio, frontend, lie, sim, solver
 from lcsmooth.factors import LoopClosureMeasurement
 from lcsmooth.trajectory import Trajectory
 
@@ -535,6 +535,18 @@ class TestSmooth:
         )
         assert not (tmp_path / "posterior.csv").exists()
 
+    def test_repeated_time_rejected(self, tmp_path, capsys):
+        write_flipped_line(tmp_path)
+        prior = tmp_path / "prior.csv"
+        lines = prior.read_text().splitlines()
+        lines[11] = lines[10]
+        prior.write_text("\n".join(lines) + "\n")
+        assert cli.main(["smooth", "--dataset", str(tmp_path)]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"error: {prior}: data row 11 holds a time not later than the row before it\n"
+        )
+        assert not (tmp_path / "posterior.csv").exists()
+
     def test_survey_coordinates(self, dataset, tmp_path):
         # the survey logged at UTM magnitudes; profiles.csv is in the sensor
         # frame, so only the trajectories move
@@ -687,6 +699,28 @@ class TestEvaluate:
         assert f"error: {lc}: data row 2 holds a closure time more than half a sample " \
             "period from every node\n" in capsys.readouterr().err
         assert not (tmp_path / "evaluation.json").exists()
+
+    def test_closure_crops_do_not_share_points(self, tmp_path):
+        # a hovering vehicle that sees one point per second, each in its own
+        # voxel; the closure's two crops are cut with the front end's window,
+        # so no point lands in both and is its own nearest neighbour
+        times = np.arange(61.0)
+        hover = Trajectory(times, np.tile(np.eye(4), (61, 1, 1)))
+        dataio.write_trajectory(tmp_path / "prior.csv", hover)
+        x = 0.08 * np.random.default_rng(0).permutation(61)
+        dataio.write_profiles(
+            tmp_path / "profiles.csv",
+            [frontend.LaserProfile(t, [xk, 0.0, -10.0]) for t, xk in zip(times, x)],
+        )
+        closure = LoopClosureMeasurement(15, 45, np.eye(4), np.eye(6))
+        dataio.write_loop_closures(tmp_path / "loopclosures.csv", [closure], times)
+        assert cli.main(
+            ["evaluate", "--estimate", str(tmp_path / "prior.csv"),
+             "--profiles", str(tmp_path / "profiles.csv"),
+             "--loopclosures", str(tmp_path / "loopclosures.csv")]
+        ) == cli.EXIT_OK
+        samples = np.loadtxt(tmp_path / "disparity.csv", skiprows=1)
+        assert samples.size and samples.min() >= 0.08 - 1e-12
 
     def test_missing_loopclosures_is_io_error(self, dataset, tmp_path, capsys):
         d, cfg = dataset

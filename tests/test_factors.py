@@ -72,6 +72,14 @@ class TestPriorFactor:
         )
         assert np.abs(J - J_fd).max() <= 1e-6
 
+    def test_pose_part_is_relative_pose(self, rng):
+        prior_pose = np.stack([random_pose(rng) for _ in range(N_FD)])
+        pose, varpi = stack_samples(moderate_state(rng, base=p) for p in prior_pose)
+        e, J, _ = factors.prior(pose, varpi, prior_pose, rng.normal(size=(N_FD, 6)))
+        e_xi, _, J_b = factors.relative_pose(prior_pose, pose, np.eye(4))
+        assert np.array_equal(e[:, :6], e_xi)
+        assert np.array_equal(J[:, :6, :6], J_b)
+
     def test_weight_is_folded_prior_information(self, psd, rng):
         state = moderate_state(rng)
         cov = np.diag(rng.uniform(0.01, 0.1, 12))
@@ -106,6 +114,16 @@ class TestWnoaFactor:
         e, J_a, _ = factors.wnoa(*one(p, np.zeros(6), p, np.zeros(6), 0.5))
         assert np.abs(e).max() == 0.0
         assert np.allclose(J_a[0, :6, 6:], 0.5 * np.eye(6))
+
+    def test_pose_part_is_relative_pose(self, rng):
+        p0, v0 = stack_samples(moderate_state(rng) for _ in range(N_FD))
+        p1, v1 = stack_samples(moderate_state(rng, base=p) for p in p0)
+        dt = rng.uniform(0.05, 0.5, N_FD)
+        e, J_a, J_b = factors.wnoa(p0, v0, p1, v1, dt)
+        e_xi, P_a, P_b = factors.relative_pose(p0, p1, lie.se3_exp(dt[:, None] * v0))
+        assert np.array_equal(e[:, :6], e_xi)
+        assert np.array_equal(J_a[:, :6, :6], P_a)
+        assert np.array_equal(J_b[:, :6, :6], P_b)
 
     def test_jacobians_vs_finite_differences(self, rng):
         assert wnoa_fd_error(rng, 0.0) <= 1e-6
@@ -179,8 +197,24 @@ class TestLoopClosureFactor:
             LC_COV,
         )
         loop = solver._linearize(graph_of([s1, s2], psd, [meas]))["loop"]
-        M = -lie.right_jacobian_inv(loop.e[0])
+        M = -lie.left_jacobian_inv(-loop.e[0])
         assert np.abs(np.linalg.inv(loop.W[0]) - M @ LC_COV @ M.T).max() < 1e-12
+
+    def test_right_jacobian_inverse_from_pose_block(self, rng):
+        # J_l^-1(e) Ad(exp e) = J_r^-1(e) = -J_a Ad(Xi), the noise fold's
+        # form, also for relative rotations within 1e-3 rad of pi
+        def draw(angle):
+            p0, p1 = random_pose(rng), random_pose(rng)
+            axis = rng.normal(size=3)
+            rel = lie.se3_exp(np.r_[angle * axis / np.linalg.norm(axis), rng.normal(size=3)])
+            return p0, p1, lie.se3_inv(p0) @ p1 @ rel
+
+        angles = np.r_[rng.uniform(0.0, np.pi, N_FD), np.pi - rng.uniform(0.0, 1e-3, N_FD)]
+        p0, p1, xi = stack_samples(draw(a) for a in angles)
+        e, J_a, _ = factors.relative_pose(p0, p1, xi)
+        assert np.abs(np.linalg.norm(e[N_FD:, :3], axis=1) - angles[N_FD:]).max() < 1e-9
+        lhs = lie.left_jacobian_inv(e) @ lie.adjoint(lie.se3_exp(e))
+        assert np.abs(lhs + J_a @ lie.adjoint(xi)).max() <= 1e-12
 
     def test_requires_ordered_indices(self):
         with pytest.raises(ValueError, match="idx_l1 < idx_l2"):
@@ -224,6 +258,13 @@ class TestObservableFactor:
         e, _, _ = factors.observable(*one(base, prior_pose))
         assert abs(e[0, 2] - 0.7) < 1e-12
         assert np.abs(e[0, :2]).max() < 1e-15
+
+    def test_depth_row_is_position_difference(self, rng):
+        # exact also for poses off SO(3) by 1e-9, as sim.degrade leaves them
+        base = np.stack([off_so3(rng, random_pose(rng), 1e-9) for _ in range(N_FD)])
+        pose = np.stack([off_so3(rng, b @ lie.se3_exp(rng.normal(size=6)), 1e-9) for b in base])
+        e, _, _ = factors.observable(pose, base)
+        assert np.array_equal(e[:, 2], base[:, 2, 3] - pose[:, 2, 3])
 
     def test_jacobian_vs_finite_differences_small_offsets(self, rng):
         def draw():

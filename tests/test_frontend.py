@@ -259,6 +259,13 @@ class TestCropWorld:
         assert np.array_equal(got.points, ref.points)
         assert np.array_equal(got.times, ref.times)
 
+    def test_pass_windows_of_a_closure_are_disjoint(self):
+        t1, t2 = 100.0, 130.0
+        window = frontend.pass_window(t1, t2, CFG.frontend_submap_time_window)
+        cloud = frontend.PointCloud(np.zeros((701, 3)), np.linspace(80.0, 150.0, 701))
+        a, b = (frontend.crop_world(cloud, np.zeros(2), 1.0, t, window) for t in (t1, t2))
+        assert len(a) and len(b) and a.times.max() < b.times.min()
+
     @pytest.mark.parametrize("times", [[0.0, 2.0, 1.0], [0.0, np.nan, 1.0], [0.0, 1.0, np.inf]])
     def test_unordered_or_non_finite_times_rejected(self, times):
         with pytest.raises(ValueError, match="nondecreasing"):

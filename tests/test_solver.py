@@ -82,7 +82,7 @@ class TestAssemble:
 
         result = factors.prior(P[:1], V[:1], g.prior_poses[0], g.prior_varpi)
         M0 = -np.eye(12)
-        M0[:6, :6] = -lie.right_jacobian_inv(result[0][0, :6])
+        M0[:6, :6] = -lie.left_jacobian_inv(-result[0][0, :6])
         add(result, [0], np.linalg.inv(M0 @ g.prior_cov @ M0.T))
         for k in range(1, n):
             dt = g.times[k] - g.times[k - 1]
@@ -94,7 +94,7 @@ class TestAssemble:
         for m in g.loop_closures:
             i, j = m.idx_l1, m.idx_l2
             result = factors.relative_pose(P[i : i + 1], P[j : j + 1], m.xi_meas[None])
-            M = -lie.right_jacobian_inv(result[0][0])
+            M = -lie.left_jacobian_inv(-result[0][0])
             add(result, [i, j], np.linalg.inv(M @ m.cov @ M.T))
         for k in range(1, n):
             add(
