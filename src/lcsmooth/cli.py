@@ -303,29 +303,18 @@ def cmd_closeloops(args):
     measurements = []
     params = cfg.frontend_params()
     for c in crossings:
-        icp = None
         try:
             m, icp = frontend.make_loop_closure(prior, cloud, c, params)
-        except (frontend.InsufficientOverlapError, frontend.AlignmentFailureError) as exc:
-            overlap = isinstance(exc, frontend.InsufficientOverlapError)
-            outcome = "insufficient_overlap" if overlap else "alignment_failure"
-            message = str(exc)
+        except frontend.CrossingDropped as exc:
+            outcome, message, icp = exc.outcome, str(exc), exc.icp
+            print(f"dropped crossing ({c.t1:.1f}s, {c.t2:.1f}s): {message}", file=sys.stderr)
         else:
-            if icp.converged:
-                outcome = "closure"
-                message = f"ICP converged after {icp.iterations} iterations"
-            else:  # the stated covariance presumes a converged alignment
-                outcome = "alignment_failure"
-                message = (f"ICP stopped at the iteration cap after {icp.iterations} "
-                           "iterations without converging")
+            outcome, message = "closure", f"ICP converged after {icp.iterations} iterations"
+            measurements.append(m)
         report_doc["crossings"].append({
             "t1": c.t1, "t2": c.t2, "outcome": outcome, "message": message,
             "icp": None if icp is None else asdict(icp),
         })
-        if outcome == "closure":
-            measurements.append(m)
-        else:
-            print(f"dropped crossing ({c.t1:.1f}s, {c.t2:.1f}s): {message}", file=sys.stderr)
     if args.outliers:
         measurements = sim.inject_outliers(
             measurements, args.outliers, seed=cfg.sim_seed + 2
@@ -448,6 +437,14 @@ def cmd_evaluate(args):
     return EXIT_OK
 
 
+def nonnegative_int(raw):
+    """A nonnegative integer flag value; argparse names the flag on error."""
+    value = int(raw)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="lcsmooth",
@@ -465,7 +462,7 @@ def build_parser():
     sp.add_argument("--dataset", required=True)
     sp.add_argument("--config")
     sp.add_argument("--seed", type=int)
-    sp.add_argument("--outliers", type=int, default=0,
+    sp.add_argument("--outliers", type=nonnegative_int, default=0,
                     help="replace N closures with sampled outliers")
     sp.set_defaults(func=cmd_closeloops)
 
@@ -474,7 +471,7 @@ def build_parser():
     sp.add_argument("--loopclosures")
     sp.add_argument("--config")
     sp.add_argument("--seed", type=int)
-    sp.add_argument("--loop-closures", type=int, default=None,
+    sp.add_argument("--loop-closures", type=nonnegative_int, default=None,
                     help="keep only the first K loop closures")
     sp.add_argument("--no-robust", action="store_true")
     sp.set_defaults(func=cmd_smooth)

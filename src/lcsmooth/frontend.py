@@ -21,12 +21,26 @@ FRMSD_STEP = 0.05  # step of the FRMSD inlier-fraction grid
 DIVERGENCE_LIMIT = 3  # ICP fails after this many worsening iterations in a row
 
 
-class InsufficientOverlapError(RuntimeError):
+class CrossingDropped(RuntimeError):
+    """A crossing that yields no loop closure.  Each subclass names its reason
+    as ``outcome``; ``icp`` is the ``IcpReport`` of the ICP run the drop
+    ended, else None."""
+
+    def __init__(self, message, icp=None):
+        super().__init__(message)
+        self.icp = icp
+
+
+class InsufficientOverlapError(CrossingDropped):
     """Too few points in the requested submap region."""
 
+    outcome = "insufficient_overlap"
 
-class AlignmentFailureError(RuntimeError):
-    """ICP rejected the alignment (diverging or too few inliers)."""
+
+class AlignmentFailureError(CrossingDropped):
+    """ICP rejected the alignment (too few points or inliers, diverging, capped)."""
+
+    outcome = "alignment_failure"
 
 
 @dataclass
@@ -65,15 +79,13 @@ class PointCloud:
 
 @dataclass
 class Submap:
-    """Body-frame point patch around an anchor node, ready for alignment.
-
-    An alignment target carries unit ``normals`` and the ``planar`` mask of
-    the points whose error is point-to-plane rather than point-to-point.
-    """
+    """Body-frame alignment target: points with unit ``normals`` and the
+    ``planar`` mask of the points whose error is point-to-plane rather than
+    point-to-point."""
 
     points: np.ndarray
-    normals: np.ndarray | None = None
-    planar: np.ndarray | None = None
+    normals: np.ndarray
+    planar: np.ndarray
 
     def __len__(self):
         return len(self.points)
@@ -148,12 +160,8 @@ def detect_crossings(trajectory: Trajectory, delta_r_star, min_time_separation):
     xy = trajectory.positions[:, :2]
     t = trajectory.times
     pairs = cKDTree(xy).query_pairs(r=delta_r_star, output_type="ndarray")
-    if len(pairs) == 0:
-        return []
     dt = t[pairs[:, 1]] - t[pairs[:, 0]]
     pairs = pairs[dt >= min_time_separation]
-    if len(pairs) == 0:
-        return []
     dist = np.linalg.norm(xy[pairs[:, 0]] - xy[pairs[:, 1]], axis=1)
     order = np.lexsort((t[pairs[:, 1]], t[pairs[:, 0]], dist))
     pairs = pairs[order]
@@ -182,7 +190,7 @@ def extract_submap(
     time_window,
     min_points,
 ):
-    """Body-frame submap of the points within a planar radius of the anchor.
+    """Body-frame points within a planar radius of the anchor, as an (n, 3) array.
 
     Only points captured within ``time_window`` of ``anchor_time`` are kept,
     so revisited terrain yields one submap per pass rather than a mixture.
@@ -195,7 +203,7 @@ def extract_submap(
             f"(minimum {min_points})"
         )
     inv = lie.se3_inv(anchor_pose)
-    return Submap(points=crop.points @ inv[:3, :3].T + inv[:3, 3])
+    return crop.points @ inv[:3, :3].T + inv[:3, 3]
 
 
 def voxel_downsample(points, cell):
@@ -269,56 +277,42 @@ def _frmsd_select(distances, params):
     return order[:m], score
 
 
-def _icp_cost(src, tgt, nrm, use_plane, sigma, jacobians=True):
-    """Mixed alignment cost of fixed correspondences ``(objective, H, b)``.
+def _icp_rows(tgt, nrm, use_plane):
+    """Error rows ``(index, target, direction)`` of fixed correspondences: one
+    along the normal of each ``use_plane`` (point-to-plane) correspondence,
+    three along the x, y and z axes of each point-to-point one."""
+    plane = np.flatnonzero(use_plane)
+    point = np.flatnonzero(~use_plane)
+    index = np.concatenate([plane, np.repeat(point, 3)])
+    direction = np.concatenate([nrm[plane], np.tile(np.eye(3), (len(point), 1))])
+    return index, tgt[index], direction
 
-    Point-to-plane errors where ``use_plane``, point-to-point errors
-    elsewhere, each weighted by ``1 / sigma**2``.  ``H`` and ``b`` are the
-    Gauss-Newton normal equations under the update q -> exp(dphi) q + drho,
-    or None with ``jacobians=False``.
-    """
+
+def _icp_cost(q, t, d, sigma):
+    """``(objective, H, b)`` of fixed error rows d . (q - t), each weighted by
+    ``1 / sigma**2``; ``H`` and ``b`` are the Gauss-Newton normal equations
+    under the update q -> exp(dphi) q + drho."""
     w = 1.0 / sigma**2
-    obj = 0.0
-    H = np.zeros((6, 6)) if jacobians else None
-    b = np.zeros(6) if jacobians else None
-    if np.any(use_plane):
-        q = src[use_plane]
-        n = nrm[use_plane]
-        r = np.einsum("ni,ni->n", n, q - tgt[use_plane])
-        obj += w * np.sum(r**2)
-        if jacobians:
-            A = np.hstack([np.cross(q, n), n])
-            H += w * A.T @ A
-            b += w * A.T @ r
-    if np.any(~use_plane):
-        q = src[~use_plane]
-        r = q - tgt[~use_plane]
-        obj += w * np.sum(r**2)
-        if jacobians:
-            A = np.zeros((len(q), 3, 6))
-            A[:, :, :3] = -lie.skew(q)
-            A[:, :, 3:] = np.eye(3)
-            H += w * np.einsum("nij,nik->jk", A, A)
-            b += w * np.einsum("nij,ni->j", A, r)
-    return 0.5 * obj, H, b
+    r = np.einsum("ni,ni->n", d, q - t)
+    A = np.hstack([np.cross(q, d), d])
+    return 0.5 * (w * np.sum(r**2)), w * A.T @ A, w * A.T @ r
 
 
-def icp_align(source: Submap, target: Submap, init, params: FrontendParams):
-    """Align the source submap onto the target with mixed-error ICP.
+def icp_align(source, target: Submap, init, params: FrontendParams):
+    """Align (n, 3) source points onto the target with mixed-error ICP.
 
     Per iteration: single nearest-neighbor association, FRMSD inlier
     selection, then one safeguarded Gauss-Newton update of the pose.  Terminates when
     the pose differential drops below (rot_tol, trans_tol) or at the
     iteration cap.  Raises AlignmentFailureError when the robust alignment
     error grows for ``DIVERGENCE_LIMIT`` consecutive iterations or the
-    inlier set collapses.
+    inlier set collapses, with the run so far as its ``icp``.  A run that
+    stops at the cap is returned unconverged.
 
     Each correspondence takes its error kind from the target point:
     point-to-plane along ``target.normals`` where ``target.planar`` is set
     (see ``preprocess_submap``), point-to-point elsewhere.
     """
-    if target.normals is None or target.planar is None:
-        raise ValueError("target submap needs normals and a plane mask")
     if len(source) < 6 or len(target) < 6:
         raise AlignmentFailureError("too few points to align")
     T = np.asarray(init, dtype=float).copy()
@@ -329,33 +323,33 @@ def icp_align(source: Submap, target: Submap, init, params: FrontendParams):
     diverging = 0
 
     for it in range(params.max_iterations):
-        src = source.points @ T[:3, :3].T + T[:3, 3]
+        src = source @ T[:3, :3].T + T[:3, 3]
         dist, nn = tree.query(src)
         inliers, score = _frmsd_select(dist, params)
         if len(inliers) < 6:
             raise AlignmentFailureError(
-                f"inlier set collapsed to {len(inliers)} correspondences"
+                f"inlier set collapsed to {len(inliers)} correspondences", report
             )
         if score >= prev_score:
             diverging += 1
             if diverging >= DIVERGENCE_LIMIT:
                 raise AlignmentFailureError(
-                    f"alignment error increased {diverging} iterations in a row"
+                    f"alignment error increased {diverging} iterations in a row", report
                 )
         else:
             diverging = 0
         prev_score = score
 
-        q = src[inliers]
         j = nn[inliers]
-        corr = (target.points[j], target.normals[j], target.planar[j], sigma)
-        obj0, H, b = _icp_cost(q, *corr)
+        rows, tgt, nrm = _icp_rows(target.points[j], target.normals[j], target.planar[j])
+        q = src[inliers[rows]]
+        obj0, H, b = _icp_cost(q, tgt, nrm, sigma)
         delta = -np.linalg.lstsq(H, b, rcond=None)[0]
         # Safeguard: with correspondences fixed, the update must not
         # increase the mixed objective.
         for _ in range(12):
             q_new = q @ lie.so3_exp(delta[:3]).T + delta[3:]
-            obj1 = _icp_cost(q_new, *corr, jacobians=False)[0]
+            obj1 = _icp_cost(q_new, tgt, nrm, sigma)[0]
             if obj1 <= obj0 * (1.0 + 1e-12) + 1e-15:
                 break
             delta = 0.5 * delta
@@ -371,13 +365,11 @@ def icp_align(source: Submap, target: Submap, init, params: FrontendParams):
     return T, report
 
 
-def preprocess_submap(submap: Submap, params: FrontendParams, with_normals: bool):
-    """Voxel-downsample a submap; for an alignment target, also attach the
-    normals and the plane mask: points with a full-rank neighborhood and
-    surface variation below ``params.variation_threshold``."""
-    pts = voxel_downsample(submap.points, params.voxel_cell)
-    if not with_normals:
-        return Submap(pts)
+def preprocess_submap(points, params: FrontendParams):
+    """Alignment target on voxel-downsampled points: their normals and the
+    plane mask of the points with a full-rank neighborhood and surface
+    variation below ``params.variation_threshold``."""
+    pts = voxel_downsample(points, params.voxel_cell)
     normals, variation, valid = estimate_normals_and_variation(
         pts, k=params.normal_neighbors
     )
@@ -398,6 +390,8 @@ def make_loop_closure(
     The target submap holds the first visit's points, the source the
     revisit's; ICP is initialized from the trajectory's relative pose and its
     result is the measured relative pose between the two anchor bodies.
+    Only a converged alignment is a closure: the stated covariance presumes
+    one, so a run stopped at the iteration cap raises AlignmentFailureError.
     """
     window = pass_window(crossing.t1, crossing.t2, params.submap_time_window)
     pose1 = trajectory.poses[crossing.idx1]
@@ -405,10 +399,15 @@ def make_loop_closure(
     r, floor = params.delta_r_star, params.min_submap_points
     target = extract_submap(cloud, pose1, r, crossing.idx1, crossing.t1, window, floor)
     source = extract_submap(cloud, pose2, r, crossing.idx2, crossing.t2, window, floor)
-    target = preprocess_submap(target, params, with_normals=True)
-    source = preprocess_submap(source, params, with_normals=False)
+    target = preprocess_submap(target, params)
+    source = voxel_downsample(source, params.voxel_cell)
     init = lie.se3_inv(pose1) @ pose2
     xi_meas, report = icp_align(source, target, init=init, params=params)
+    if not report.converged:
+        raise AlignmentFailureError(
+            f"ICP stopped at the iteration cap after {report.iterations} "
+            "iterations without converging", report
+        )
     cov = np.diag([params.lc_sigma_phi**2] * 3 + [params.lc_sigma_rho**2] * 3)
     return (
         LoopClosureMeasurement(crossing.idx1, crossing.idx2, xi_meas, cov),

@@ -51,15 +51,10 @@ class TerrainSpec:
     bumps: list = field(default_factory=list)
 
     def depth(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        d = np.full(np.broadcast_shapes(x.shape, y.shape), self.base_depth)
-        for bx, by, amp, sig in self.bumps:
-            d = d - amp * _exp_normal(-((x - bx) ** 2 + (y - by) ** 2) / (2.0 * sig**2))
-        return d
+        return self.depth_grad(x, y)[0]
 
     def depth_grad(self, x, y):
-        """``(depth, d depth / dx, d depth / dy)``; the depth is ``depth(x, y)``."""
+        """``(depth, d depth / dx, d depth / dy)``."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         d = np.full(np.broadcast_shapes(x.shape, y.shape), self.base_depth, dtype=float)

@@ -39,6 +39,8 @@ class Trajectory:
         t = np.asarray(t, dtype=float)
         if np.any(t < self.times[0]) or np.any(t > self.times[-1]):
             raise ValueError("query time outside trajectory span")
+        if len(self) == 1:  # every query time is the node's own
+            return np.broadcast_to(self.poses[0], t.shape + (4, 4)).copy()
         hi = np.clip(np.searchsorted(self.times, t, side="right"), 1, len(self) - 1)
         lo = hi - 1
         span = self.times[hi] - self.times[lo]

@@ -6,7 +6,8 @@ dense solver check), the continuous-time WNOA error kinematics with their
 closed-form transition matrix and the process noise as one 12 x 12 matrix,
 the se(3) hat/vee maps, the SE(3) right Jacobian, the log of each relative pose error, the terrain
 gradient on its own pass over the bumps, the world-frame crop that masks
-the whole cloud, and voxel grouping by a row-wise ``np.unique``.
+the whole cloud, voxel grouping by a row-wise ``np.unique``, and the ICP
+cost with one branch per error kind.
 """
 
 import numpy as np
@@ -192,3 +193,38 @@ def voxel_downsample(points, cell):
     sums = np.zeros((len(counts), 3))
     np.add.at(sums, inverse, points)
     return sums / counts[:, None]
+
+
+# ---------------------------------------------------------------------------
+# ICP cost, one branch per error kind
+
+
+def icp_cost(src, tgt, nrm, use_plane, sigma):
+    """Mixed alignment cost of fixed correspondences ``(objective, H, b)``.
+
+    Point-to-plane errors where ``use_plane``, point-to-point errors
+    elsewhere, each weighted by ``1 / sigma**2``.  ``H`` and ``b`` are the
+    Gauss-Newton normal equations under the update q -> exp(dphi) q + drho.
+    """
+    w = 1.0 / sigma**2
+    obj = 0.0
+    H = np.zeros((6, 6))
+    b = np.zeros(6)
+    if np.any(use_plane):
+        q = src[use_plane]
+        n = nrm[use_plane]
+        r = np.einsum("ni,ni->n", n, q - tgt[use_plane])
+        obj += w * np.sum(r**2)
+        A = np.hstack([np.cross(q, n), n])
+        H += w * A.T @ A
+        b += w * A.T @ r
+    if np.any(~use_plane):
+        q = src[~use_plane]
+        r = q - tgt[~use_plane]
+        obj += w * np.sum(r**2)
+        A = np.zeros((len(q), 3, 6))
+        A[:, :, :3] = -lie.skew(q)
+        A[:, :, 3:] = np.eye(3)
+        H += w * np.einsum("nij,nik->jk", A, A)
+        b += w * np.einsum("nij,ni->j", A, r)
+    return 0.5 * obj, H, b

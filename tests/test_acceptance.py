@@ -368,15 +368,13 @@ def test_criterion_08_icp_suite(rng):
         )
         z -= 0.8 * np.exp(-((xy[:, 0] + 1.4) ** 2 + (xy[:, 1] - 1.1) ** 2) / 1.2)
         pts = np.column_stack([xy, z])
-        target = frontend.preprocess_submap(
-            frontend.Submap(pts), CFG.frontend_params(), with_normals=True
-        )
+        target = frontend.preprocess_submap(pts, CFG.frontend_params())
         angle_axis = trial_rng.normal(size=3)
         angle_axis *= trial_rng.uniform(0, np.deg2rad(10.0)) / np.linalg.norm(angle_axis)
         trans = trial_rng.normal(size=3)
         trans *= trial_rng.uniform(0, 0.5) / np.linalg.norm(trans)
         true = lie.se3_exp(np.concatenate([angle_axis, trans]))
-        source = frontend.Submap(points=(target.points - true[:3, 3]) @ true[:3, :3])
+        source = (target.points - true[:3, 3]) @ true[:3, :3]
         try:
             T, report = frontend.icp_align(source, target, np.eye(4), CFG.frontend_params())
         except frontend.AlignmentFailureError:

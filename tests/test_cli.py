@@ -1,6 +1,7 @@
 import hashlib
 import json
 import tempfile
+import warnings
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
@@ -264,6 +265,25 @@ class TestCloseloops:
         assert report["crossings"] == []
         assert set(report["inputs"]) == {"prior.csv", "profiles.csv"}
 
+    def test_one_node_prior(self, tmp_path, capsys):
+        # the profiles at the one node's time register at its pose
+        d = write_straight_line(tmp_path / "line")
+        prior = dataio.read_trajectory(d / "prior.csv")
+        dataio.write_trajectory(d / "prior.csv", Trajectory(prior.times[:1], prior.poses[:1]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["closeloops", "--dataset", str(d)]) == 0
+        err = capsys.readouterr().err
+        assert "no path crossings" in err and "outside the trajectory span" in err
+        assert dataio.read_loop_closures(d / "loopclosures.csv").shape == (0, 20)
+
+    def test_negative_outliers_rejected(self, dataset, capsys):
+        d, cfg = dataset
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["closeloops", "--dataset", str(d), "--config", cfg, "--outliers", "-1"])
+        assert exit_.value.code == cli.EXIT_VALIDATION
+        assert "argument --outliers: must not be negative, got -1" in capsys.readouterr().err
+
     def test_outliers_beyond_no_crossings_rejected(self, tmp_path, capsys):
         # as with fewer closures than --outliers asks to replace: nothing to
         # replace is an error, not a silent no-op
@@ -420,6 +440,14 @@ class TestSmooth:
         assert report["loop_closures"] == 0
         # re-smooth with all closures for downstream tests
         assert cli.main(["smooth", "--dataset", str(d), "--config", cfg]) == 0
+
+    def test_negative_loop_closures_rejected(self, dataset, capsys):
+        d, cfg = dataset
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["smooth", "--dataset", str(d), "--config", cfg, "--loop-closures", "-3"])
+        assert exit_.value.code == cli.EXIT_VALIDATION
+        assert "argument --loop-closures: must not be negative, got -3" in (
+            capsys.readouterr().err)
 
     def test_no_robust_flag(self, dataset):
         d, cfg = dataset

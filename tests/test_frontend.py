@@ -11,6 +11,7 @@ from lcsmooth.trajectory import Trajectory
 
 from conftest import CFG, random_pose
 from oracles import crop_world as crop_world_full_mask
+from oracles import icp_cost as icp_cost_two_branch
 from oracles import voxel_downsample as voxel_downsample_unique
 
 PARAMS = CFG.frontend_params()
@@ -181,8 +182,8 @@ class TestExtractSubmap:
         pts = np.tile(anchor[:3, 3], (150, 1))
         cloud = frontend.PointCloud(pts, np.zeros(150))
         sm = frontend.extract_submap(cloud, anchor, 5.0, 0, 0.0, 20.0, min_points=100)
-        assert len(sm) == 150
-        assert np.abs(sm.points).max() < 1e-12
+        assert sm.shape == (150, 3)
+        assert np.abs(sm).max() < 1e-12
 
     def test_boundary_exclusion(self):
         anchor = np.eye(4)
@@ -358,8 +359,7 @@ class TestNormals:
 
     def test_target_plane_mask(self, rng):
         pts = self.corner(rng)
-        raw = frontend.Submap(pts)
-        target = frontend.preprocess_submap(raw, PARAMS, with_normals=True)
+        target = frontend.preprocess_submap(pts, PARAMS)
         down = frontend.voxel_downsample(pts, PARAMS.voxel_cell)
         normals, variation, valid = frontend.estimate_normals_and_variation(
             down, PARAMS.normal_neighbors
@@ -368,35 +368,51 @@ class TestNormals:
         assert np.array_equal(target.normals, normals)
         assert np.array_equal(target.planar, (variation < PARAMS.variation_threshold) & valid)
         assert 0 < target.planar.sum() < len(target)
-        source = frontend.preprocess_submap(raw, PARAMS, with_normals=False)
-        assert source.normals is None and source.planar is None
 
 
 class TestIcpCost:
-    """Normal equations of the mixed cost against finite differences of its
-    objective under the update q -> exp(dphi) q + drho."""
+    """Normal equations of the row-form cost against finite differences of its
+    objective under the update q -> exp(dphi) q + drho, and against the
+    two-branch reference cost."""
 
     SIGMA = 0.025
 
     @staticmethod
-    def correspondences(rng, n=200):
-        """Random source points and unit normals, half of them planar."""
+    def correspondences(rng, n=200, planar=0.5):
+        """Random source points and unit normals, a ``planar`` share of them planar."""
         src = rng.normal(size=(n, 3)) * 2.0
         nrm = rng.normal(size=(n, 3))
         nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
-        return src, nrm, rng.permutation(n) < n // 2
+        return src, nrm, rng.permutation(n) < int(planar * n)
 
-    @staticmethod
-    def objective_at(delta, src, *corr):
+    @classmethod
+    def cost(cls, src, tgt, nrm, use_plane):
+        """``_icp_cost`` of the rows of the correspondences ``src`` -> ``tgt``."""
+        index, t, d = frontend._icp_rows(tgt, nrm, use_plane)
+        return frontend._icp_cost(src[index], t, d, cls.SIGMA)
+
+    @classmethod
+    def objective_at(cls, delta, src, *corr):
         moved = src @ lie.so3_exp(delta[:3]).T + delta[3:]
-        return frontend._icp_cost(moved, *corr, jacobians=False)[0]
+        return cls.cost(moved, *corr)[0]
+
+    @pytest.mark.parametrize("planar", [1.0, 0.0, 0.5])
+    def test_rows_match_two_branch_reference(self, rng, planar):
+        src, nrm, use_plane = self.correspondences(rng, planar=planar)
+        tgt = src + rng.normal(size=src.shape) * 0.05
+        got = self.cost(src, tgt, nrm, use_plane)
+        ref = icp_cost_two_branch(src, tgt, nrm, use_plane, self.SIGMA)
+        for g, r in zip(got, ref):
+            if planar == 1.0:
+                assert np.array_equal(g, r)
+            else:
+                assert np.abs(g - r).max() <= 1e-12 * np.abs(r).max()
 
     def test_gradient_matches_central_differences(self, rng):
         src, nrm, use_plane = self.correspondences(rng)
         tgt = src + rng.normal(size=src.shape) * 0.05
-        corr = (tgt, nrm, use_plane, self.SIGMA)
-        obj, H, b = frontend._icp_cost(src, *corr)
-        assert frontend._icp_cost(src, *corr, jacobians=False) == (obj, None, None)
+        corr = (tgt, nrm, use_plane)
+        obj, H, b = self.cost(src, *corr)
         h = 1e-6
         fd = np.array([
             (self.objective_at(h * e, src, *corr) - self.objective_at(-h * e, src, *corr))
@@ -411,8 +427,8 @@ class TestIcpCost:
         slide = rng.normal(size=src.shape) * 0.3
         slide -= np.einsum("ni,ni->n", slide, nrm)[:, None] * nrm
         tgt = src + np.where(use_plane[:, None], slide, 0.0)
-        corr = (tgt, nrm, use_plane, self.SIGMA)
-        obj, H, _ = frontend._icp_cost(src, *corr)
+        corr = (tgt, nrm, use_plane)
+        obj, H, _ = self.cost(src, *corr)
         assert obj < 1e-20
         h = 1e-4
         E = h * np.eye(6)
@@ -432,11 +448,11 @@ class TestIcpCost:
 class TestIcp:
     def prepared_target(self, rng, pts=None):
         pts = bumpy_surface(rng) if pts is None else pts
-        return frontend.preprocess_submap(frontend.Submap(pts), PARAMS, with_normals=True)
+        return frontend.preprocess_submap(pts, PARAMS)
 
     def test_self_alignment_is_identity(self, rng):
         target = self.prepared_target(rng)
-        source = frontend.Submap(points=target.points.copy())
+        source = target.points.copy()
         T, report = frontend.icp_align(source, target, np.eye(4), PARAMS)
         assert report.converged
         assert report.iterations == 1
@@ -449,8 +465,7 @@ class TestIcp:
         true = lie.se3_exp(
             np.array([0.03, -0.05, 0.12, 0.3, -0.2, 0.1])
         )
-        src_pts = (target.points - true[:3, 3]) @ true[:3, :3]
-        source = frontend.Submap(points=src_pts)
+        source = (target.points - true[:3, 3]) @ true[:3, :3]
         T, report = frontend.icp_align(source, target, np.eye(4), PARAMS)
         err = lie.se3_log(lie.se3_inv(true) @ T)
         assert report.converged
@@ -462,10 +477,10 @@ class TestIcp:
         target = self.prepared_target(rng, pts[pts[:, 0] < 2.0])
         src_region = pts[pts[:, 0] > -2.0]
         src = src_region + rng.normal(size=src_region.shape) * 0.01
-        source = frontend.Submap(points=frontend.voxel_downsample(src, 0.05))
+        source = frontend.voxel_downsample(src, 0.05)
         T, report = frontend.icp_align(source, target, np.eye(4), PARAMS)
         assert report.converged
-        dist, _ = cKDTree(target.points).query(source.points @ T[:3, :3].T + T[:3, 3])
+        dist, _ = cKDTree(target.points).query(source @ T[:3, :3].T + T[:3, 3])
         inliers, _ = frontend._frmsd_select(dist, PARAMS)
         assert 0.4 < len(inliers) / len(dist) <= 1.0
         xi = lie.se3_log(T)
@@ -474,7 +489,7 @@ class TestIcp:
     def test_objective_trace_inner_monotone(self, rng):
         target = self.prepared_target(rng)
         true = lie.se3_exp(np.array([0.05, 0.02, -0.1, 0.2, 0.3, -0.1]))
-        source = frontend.Submap(points=(target.points - true[:3, 3]) @ true[:3, :3])
+        source = (target.points - true[:3, 3]) @ true[:3, :3]
         _, report = frontend.icp_align(source, target, np.eye(4), PARAMS)
         assert len(report.step_objectives) == report.iterations
         # each safeguarded update may not increase the fixed-correspondence cost
@@ -485,7 +500,7 @@ class TestIcp:
         # re-expressing the target in a moved frame left-composes the result
         target = self.prepared_target(rng)
         true = lie.se3_exp(np.array([0.02, -0.03, 0.08, 0.2, -0.1, 0.15]))
-        source = frontend.Submap(points=(target.points - true[:3, 3]) @ true[:3, :3])
+        source = (target.points - true[:3, 3]) @ true[:3, :3]
         T0, _ = frontend.icp_align(source, target, np.eye(4), PARAMS)
         G = lie.se3_exp(np.array([0.1, 0.2, -0.3, 1.0, -2.0, 0.5]))
         moved_pts = target.points @ G[:3, :3].T + G[:3, 3]
@@ -495,13 +510,22 @@ class TestIcp:
 
     def test_failure_on_tiny_source(self, rng):
         target = self.prepared_target(rng)
-        with pytest.raises(frontend.AlignmentFailureError):
-            frontend.icp_align(frontend.Submap(np.zeros((3, 3))), target, np.eye(4), PARAMS)
+        with pytest.raises(frontend.AlignmentFailureError) as failure:
+            frontend.icp_align(np.zeros((3, 3)), target, np.eye(4), PARAMS)
+        assert failure.value.icp is None
 
-    def test_requires_target_normals(self, rng):
-        raw = frontend.Submap(points=bumpy_surface(rng, 500))
-        with pytest.raises(ValueError, match="normals"):
-            frontend.icp_align(raw, raw, np.eye(4), PARAMS)
+    def test_divergence_raises_with_the_run(self):
+        # no pose fits a cube of random points onto the bump surface; this
+        # draw's alignment error grows three iterations in a row
+        rng = np.random.default_rng(1)
+        source = rng.uniform(-4.0, 4.0, size=(800, 3))
+        target = self.prepared_target(rng)
+        with pytest.raises(frontend.AlignmentFailureError, match="in a row") as failure:
+            frontend.icp_align(source, target, np.eye(4), PARAMS)
+        icp = failure.value.icp
+        assert failure.value.outcome == "alignment_failure"
+        assert not icp.converged
+        assert icp.iterations == len(icp.step_objectives) >= frontend.DIVERGENCE_LIMIT
 
 
 class TestMakeLoopClosure:
@@ -548,7 +572,22 @@ class TestMakeLoopClosure:
 
     def test_insufficient_overlap_raises(self, rng):
         traj, cloud, crossing, *_ = self.make_scene(rng)
-        with pytest.raises(frontend.InsufficientOverlapError):
+        with pytest.raises(frontend.InsufficientOverlapError) as failure:
             frontend.make_loop_closure(
                 traj, cloud, crossing, replace(PARAMS, min_submap_points=10**6)
             )
+        assert failure.value.outcome == "insufficient_overlap"
+        assert failure.value.icp is None
+
+    def test_iteration_cap_raises_with_the_run(self, rng):
+        # the stated covariance presumes a converged alignment
+        drift_xi = np.array([0.0, 0.0, 0.02, 0.3, -0.2, 0.0])
+        traj, cloud, crossing, *_ = self.make_scene(rng, drift_xi)
+        params = replace(PARAMS, submap_time_window=30.0, max_iterations=2)
+        with pytest.raises(frontend.AlignmentFailureError) as failure:
+            frontend.make_loop_closure(traj, cloud, crossing, params)
+        assert str(failure.value) == (
+            "ICP stopped at the iteration cap after 2 iterations without converging")
+        icp = failure.value.icp
+        assert not icp.converged
+        assert icp.iterations == len(icp.step_objectives) == 2

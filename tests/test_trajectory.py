@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,15 @@ def test_pose_at_nodes_and_midpoints(rng):
     mid = traj.pose_at(2.5)
     expect = lie.interpolate(poses[2], poses[3], 0.5)
     assert np.allclose(mid, expect)
+
+
+def test_pose_at_one_node(rng):
+    pose = random_pose(rng)
+    traj = Trajectory(times=np.array([3.0]), poses=pose[None])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert np.array_equal(traj.pose_at(3.0), pose)
+        assert np.array_equal(traj.pose_at([3.0, 3.0]), [pose, pose])
 
 
 def test_pose_at_out_of_span(rng):
