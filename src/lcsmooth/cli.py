@@ -142,7 +142,6 @@ class PipelineConfig:
             if f is None:
                 raise ValueError(f"unknown configuration key '{key}'")
             setattr(cfg, f.name, _parse_value(key, raw, getattr(cfg, f.name)))
-        cfg.validate()
         return cfg
 
     def validate(self):
@@ -161,6 +160,8 @@ class PipelineConfig:
                 raise ValueError(f"configuration key '{self._key(name)}' must be positive")
         if self.frontend_min_inlier_fraction > 1:
             raise ValueError("configuration key 'frontend.min_inlier_fraction' must be at most 1")
+        if self.sim_seed < 0:
+            raise ValueError("configuration key 'sim.seed' must not be negative")
         return self
 
     # derived objects -------------------------------------------------
@@ -245,7 +246,7 @@ def load_config(path, seed):
     )
     if seed is not None:
         cfg.sim_seed = seed
-    return cfg
+    return cfg.validate()
 
 
 # ---------------------------------------------------------------------------
@@ -455,13 +456,13 @@ def build_parser():
     sp = sub.add_parser("simulate", help="generate a synthetic survey dataset")
     sp.add_argument("--out", required=True)
     sp.add_argument("--config")
-    sp.add_argument("--seed", type=int)
+    sp.add_argument("--seed", type=nonnegative_int)
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("closeloops", help="detect crossings and align submaps")
     sp.add_argument("--dataset", required=True)
     sp.add_argument("--config")
-    sp.add_argument("--seed", type=int)
+    sp.add_argument("--seed", type=nonnegative_int)
     sp.add_argument("--outliers", type=nonnegative_int, default=0,
                     help="replace N closures with sampled outliers")
     sp.set_defaults(func=cmd_closeloops)
@@ -470,7 +471,7 @@ def build_parser():
     sp.add_argument("--dataset", required=True)
     sp.add_argument("--loopclosures")
     sp.add_argument("--config")
-    sp.add_argument("--seed", type=int)
+    sp.add_argument("--seed", type=nonnegative_int)
     sp.add_argument("--loop-closures", type=nonnegative_int, default=None,
                     help="keep only the first K loop closures")
     sp.add_argument("--no-robust", action="store_true")
@@ -483,7 +484,7 @@ def build_parser():
     sp.add_argument("--loopclosures")
     sp.add_argument("--out")
     sp.add_argument("--config")
-    sp.add_argument("--seed", type=int)
+    sp.add_argument("--seed", type=nonnegative_int)
     sp.set_defaults(func=cmd_evaluate)
     return p
 

@@ -101,7 +101,7 @@ def relative_pose(pose_a, pose_b, xi):
     -J_r^-1(e) Ad(Xi^-1), taken through J_r^-1(e) = J_l^-1(e) Ad(exp e)
     (Barfoot 2017, ch. 7) and exp e = T_b^-1 T_a Xi: -J_l^-1(e) Ad(T_b^-1 T_a).
     """
-    T_ba = lie.se3_inv(pose_b) @ pose_a
+    T_ba = lie.between(pose_b, pose_a)
     e = lie.se3_log(T_ba @ xi)
     Jl_inv = lie.left_jacobian_inv(e)
     return e, -Jl_inv @ lie.adjoint(T_ba), Jl_inv

@@ -254,6 +254,20 @@ def se3_inv(T):
     return make_pose(Ct, -(Ct @ T[..., :3, 3:4])[..., 0])
 
 
+def between(T_a, T_b):
+    """Relative pose T_a^-1 T_b: rotation C_a^T C_b, translation C_a^T (r_b - r_a).
+
+    The positions are subtracted before the rotation is applied, which is
+    exact for nearby poses however far from the origin they lie; the
+    product se3_inv(T_a) @ T_b cancels terms as large as the coordinates.
+    """
+    T_a = np.asarray(T_a, dtype=float)
+    T_b = np.asarray(T_b, dtype=float)
+    Ct = np.swapaxes(T_a[..., :3, :3], -1, -2)
+    dr = T_b[..., :3, 3:4] - T_a[..., :3, 3:4]
+    return make_pose(Ct @ T_b[..., :3, :3], (Ct @ dr)[..., 0])
+
+
 def se3_exp(xi):
     """Closed-form exponential map from (...,6) twists to (...,4,4) poses."""
     xi = np.asarray(xi, dtype=float)

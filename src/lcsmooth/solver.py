@@ -87,8 +87,7 @@ class SolveReport:
     ``objective_trace`` holds the objective at each iterate with that
     iterate's refreshed weights; ``step_objectives`` holds, per accepted
     step, the (before, after) values under the weights the step was
-    computed with, which the solver guarantees to be non-increasing, up to
-    rounding on a final undamped step below the step tolerance.
+    computed with, which the solver guarantees to be non-increasing.
     ``stop_reason`` says why the iteration ended: "converged",
     "max_iterations", "damping_limit" (no damping up to the cap decreased
     the objective) or "singular" (the normal equations stayed unsolvable up
@@ -185,7 +184,7 @@ def build_graph(
     """
     times = np.asarray(times, dtype=float)
     prior_poses = np.asarray(prior_poses, dtype=float)
-    rel_xi = lie.se3_inv(prior_poses[:-1]) @ prior_poses[1:]
+    rel_xi = lie.between(prior_poses[:-1], prior_poses[1:])
     v = lie.se3_log(rel_xi) / np.diff(times)[:, None]
     varpis = np.vstack([v, v[-1:]]) if len(v) else np.zeros((1, 6))
     graph = FactorGraph(
@@ -288,7 +287,7 @@ def _linearize(graph) -> dict[str, _Factors]:
     # -J_r^-1(e) = -J_l^-1(e) Ad(exp e) taken from the factors' pose blocks:
     # -J Ad(T^-1 Y) for the prior, J_a Ad(Xi) for a loop closure.
     M0 = -np.eye(12)
-    T0_inv_Y = lie.se3_inv(P[0]) @ graph.prior_poses[0]
+    T0_inv_Y = lie.between(P[0], graph.prior_poses[0])
     M0[:6, :6] = -terms["prior"].J_a[0, :6, :6] @ lie.adjoint(T0_inv_Y)
     terms["prior"].W = np.linalg.inv(M0 @ graph.prior_cov @ M0.T)[None]
     M = terms["loop"].J_a @ lie.adjoint(loop_xi)
@@ -446,11 +445,14 @@ def _solve_normal(Hdiag, Hoff, loop_idx, V, g, lam):
     the damped normal matrix is not, or when the solution is not finite.
     """
     N = len(Hdiag)
-    r = -g.reshape(-1, 12)
     K, pos = np.unique(loop_idx, return_inverse=True)
     pos = pos.reshape(loop_idx.shape)
     m = len(K)
     what = "interior chain matrix"
+    # the right-hand side split in two: r_K on K, r_I zero there
+    r_I = -g.reshape(N, 12)
+    r_K = r_I[K]
+    r_I[K] = 0.0
 
     # the lower band of the interior matrix A_II, Fortran-ordered so that
     # LAPACK factors it in place: the damped chain matrix, then identity on
@@ -469,11 +471,7 @@ def _solve_normal(Hdiag, Hoff, loop_idx, V, g, lam):
         cb = scipy.linalg.cholesky_banded(cb, overwrite_ab=True, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(what, f"{what} not positive definite: {exc}") from exc
-    if not m:
-        delta = scipy.linalg.cho_solve_banded(
-            (cb, True), r.reshape(-1, 1), overwrite_b=True, check_finite=False
-        )
-    else:
+    if m:
         isK = np.ones(N + 2, dtype=bool)  # node k at k + 1; padded at both ends
         isK[1:-1] = False
         isK[K + 1] = True
@@ -485,7 +483,6 @@ def _solve_normal(Hdiag, Hoff, loop_idx, V, g, lam):
         left = ~isK[K + 2]  # node k+1 is interior, the first node of a segment
         right = ~isK[K]  # node k-1 is interior, the last node of a segment
         first, last = K[left] + 1, K[right] - 1
-        r_I = np.where(isK[1:-1, None], 0.0, r)
         # the 13 right-hand-side columns, Fortran-ordered so that the sweep
         # runs in place
         F = np.zeros((12 * N, 13), order="F")
@@ -505,7 +502,6 @@ def _solve_normal(Hdiag, Hoff, loop_idx, V, g, lam):
         Rt = np.swapaxes(R, -1, -2)
         Sd = Hdiag[K] + lam * np.eye(12) - Rt @ R
         Sd[left] -= M[:, :, 1:]
-        r_K = r[K].copy()
         r_K[left] -= M[:, :, 0]
         r_K[right] -= (Rt[right] @ F[last, :, :1])[..., 0]
         # between K nodes k < k' with a segment in between, F at k' - 1 holds
@@ -516,25 +512,19 @@ def _solve_normal(Hdiag, Hoff, loop_idx, V, g, lam):
         So = np.where(adjacent, next_c[:-1], 0.0) - F_end @ R[1:]
         d_K = _solve_closure_nodes(Sd, So, pos, V, r_K)
 
-        # interior back-substitution: A_II d_I = r_I - A_IK d_K
+        # A_II d_I = r_I - A_IK d_K; A_II is the identity on K, so the
+        # back-substitution carries d_K through exactly
         r_I[first] -= (next_t[left] @ d_K[left, :, None])[..., 0]
         r_I[last] -= (prev_c[right] @ d_K[right, :, None])[..., 0]
-        delta = scipy.linalg.cho_solve_banded(
-            (cb, True), r_I.reshape(-1, 1), overwrite_b=True, check_finite=False
-        ).reshape(N, 12)
-        delta[K] = d_K
-    delta = delta.ravel()
+        r_I[K] = d_K
+    delta = scipy.linalg.cho_solve_banded(
+        (cb, True), r_I.reshape(-1, 1), overwrite_b=True, check_finite=False
+    ).ravel()
     if not np.all(np.isfinite(delta)):
         raise NotPositiveDefiniteError(
             "normal-equation solution", "non-finite normal-equation solution"
         )
     return delta
-
-
-def _moved(graph, xy):
-    """A copy of the graph with every pose moved by ``xy`` in plane."""
-    G = lie.make_pose(np.eye(3), [*xy, 0.0])
-    return replace(graph.copy(), poses=G @ graph.poses, prior_poses=G @ graph.prior_poses)
 
 
 def solve(graph: FactorGraph, config: SolverConfig):
@@ -543,18 +533,13 @@ def solve(graph: FactorGraph, config: SolverConfig):
     Weights (process-noise discretization, measurement folds, robust
     loop-closure weights) are refreshed at each iteration's linearization
     point and held fixed while the step is evaluated.  A trial step is
-    accepted only if the fixed-weight objective does not increase, or if it
-    is an undamped step below the step tolerance; otherwise the damping
-    factor escalates by 10x up to the cap, after which the best iterate so
-    far is returned with ``converged=False`` and ``stop_reason``
+    accepted only if the fixed-weight objective does not increase; otherwise
+    the damping factor escalates by 10x up to the cap, after which the best
+    iterate so far is returned with ``converged=False`` and ``stop_reason``
     "damping_limit", or "singular" if the normal equations stayed unsolvable
     up to the cap.
     """
-    graph.validate()
-    # relative-pose factors cancel position terms as large as the coordinates:
-    # solve near node 0, at a multiple of 1,024 m, so that moving back is exact
-    origin = 1024.0 * np.round(graph.poses[0, :2, 3] / 1024.0)
-    cur = _moved(graph, -origin)
+    cur = graph.validate()
     lam = config.damping
     iterations = 0
     stop, message = "max_iterations", "max iterations reached"
@@ -579,13 +564,7 @@ def solve(graph: FactorGraph, config: SolverConfig):
                 trial = update_states(cur, delta)
                 trial_terms = _linearize(trial)
                 j_trial = _quadratic(terms, trial_terms)
-                # an undamped step below the tolerance is taken even where the
-                # objective's rounding noise (it grows with the distance from
-                # the origin) hides its decrease: the iterate is already
-                # stationary
-                if j_trial <= j_base * (1.0 + 1e-12) + 1e-15 or (
-                    lam == 0 and np.max(np.abs(delta)) < config.step_tolerance
-                ):
+                if j_trial <= j_base * (1.0 + 1e-12) + 1e-15:
                     accepted = True
                     break
                 del trial_terms
@@ -628,4 +607,4 @@ def solve(graph: FactorGraph, config: SolverConfig):
         stop_reason=stop,
         step_objectives=step_objectives,
     )
-    return _moved(cur, origin), report
+    return cur, report

@@ -234,7 +234,8 @@ class TestSimulate:
             "sim.turn_radius", "sim.speed", "sim.node_rate", "sim.scan_rate",
             "sim.scan_beams",
         )]
-        + [("frontend.min_inlier_fraction", "0"), ("frontend.min_inlier_fraction", "1.5")],
+        + [("frontend.min_inlier_fraction", "0"), ("frontend.min_inlier_fraction", "1.5"),
+           ("sim.seed", "-3")],
     )
     def test_out_of_range_value_names_key(self, tmp_path, capsys, key, raw):
         cfg = write_cfg(tmp_path, {key: raw})
@@ -242,6 +243,24 @@ class TestSimulate:
         assert code == cli.EXIT_VALIDATION
         assert key in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("command, paths", [
+        ("simulate", ["--out", "d"]),
+        ("closeloops", ["--dataset", "d"]),
+        ("smooth", ["--dataset", "d"]),
+        ("evaluate", ["--estimate", "d/posterior.csv", "--out", "d"]),
+    ])
+    def test_negative_seed_flag_rejected(self, tmp_path, capsys, command, paths):
+        argv = [command] + [p if p.startswith("--") else str(tmp_path / p) for p in paths]
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(argv + ["--seed", "-1"])
+        assert exit_.value.code == cli.EXIT_VALIDATION
+        assert "argument --seed: must not be negative, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    def test_seed_flag_overrides_negative_config_seed(self, tmp_path):
+        cfg = write_cfg(tmp_path, {"sim.seed": "-3"})
+        assert cli.load_config(cfg, 4).sim_seed == 4
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {"wnoa.bogus": "1.0"})

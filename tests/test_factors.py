@@ -238,6 +238,22 @@ class TestRelativePoseFactor:
     def test_jacobians_vs_finite_differences_off_so3(self, rng):
         assert relative_pose_fd_error(rng, 0.05, off=1e-9) <= 1e-7
 
+    def test_exact_at_survey_coordinates(self, rng):
+        # at UTM magnitudes the error and both blocks are, bit for bit, those
+        # of the same poses moved back to the origin: the positions are
+        # subtracted first, which is exact for nearby poses, and so is the
+        # move back, within a factor of two of the offset
+        offset = np.array([1e6, 1e7, 0.0])
+        far = np.stack([random_pose(rng, trans_scale=10.0) for _ in range(200)])
+        far[:, :3, 3] += offset
+        near = far.copy()
+        near[:, :3, 3] -= offset
+        xi = np.stack([random_pose(rng) for _ in range(100)])
+        at_far = factors.relative_pose(far[:100], far[100:], xi)
+        at_near = factors.relative_pose(near[:100], near[100:], xi)
+        for a, b in zip(at_far, at_near):
+            assert np.array_equal(a, b)
+
 
 class TestObservableFactor:
     def test_zero_at_prior_pose(self, rng):

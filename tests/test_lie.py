@@ -176,6 +176,13 @@ class TestJacobians:
             assert np.abs(a - b).max() < 1e-12, scale
 
 
+class TestBetween:
+    def test_is_inverse_times_pose(self, rng):
+        for _ in range(100):
+            T_a, T_b = random_pose(rng, trans_scale=10.0), random_pose(rng, trans_scale=10.0)
+            assert np.abs(lie.between(T_a, T_b) - lie.se3_inv(T_a) @ T_b).max() <= 1e-12
+
+
 class TestInterpolate:
     def test_endpoints(self, rng):
         Ti, Tk = random_pose(rng), random_pose(rng)
@@ -200,6 +207,7 @@ class TestBatching:
                 lie.left_jacobian_inv(xis)[i], lie.left_jacobian_inv(xis[i])
             )
             assert np.array_equal(lie.adjoint(Ts)[i], lie.adjoint(Ts[i]))
+            assert np.array_equal(lie.between(Ts, Ts[::-1])[i], lie.between(Ts[i], Ts[19 - i]))
 
     def test_finite_outputs(self, rng):
         xis = np.stack([random_twist(rng, trans_scale=10.0) for _ in range(200)])

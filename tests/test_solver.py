@@ -674,9 +674,10 @@ class TestSolve:
     @example(x=5e5, y=5e6)
     def test_survey_coordinates(self, x, y):
         # at UTM magnitudes the posterior is the one at the origin moved by
-        # (x, y), to eight ulps of the offset; the solver works within 512 m
-        # of its own origin, so the bound never falls below eight ulps at
-        # 1,024 m
+        # (x, y), to eight ulps of the offset (and never below eight ulps at
+        # 1,024 m), and every accepted step meets the acceptance rule: the
+        # relative poses subtract positions first, so the objective carries
+        # no rounding that grows with the coordinates
         times, poses, closures = nudged_flipped_line()
         offset = np.array([x, y])
         moved = poses.copy()
@@ -691,6 +692,8 @@ class TestSolve:
         )
         assert report.converged and report_m.converged
         assert report_m.iterations == report.iterations
+        for before, after in report.step_objectives + report_m.step_objectives:
+            assert after <= before * (1 + 1e-12) + 1e-15
         expected = post.poses.copy()
         expected[:, :2, 3] += offset
         bound = 8 * np.spacing(max(abs(x), abs(y), 1024.0))
