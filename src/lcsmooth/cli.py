@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dataio, frontend, metrics, sim, solver
+from . import dataio, frontend, metrics, parallel, sim, solver
 from .trajectory import Trajectory
 from .wnoa import WnoaPsd
 
@@ -301,15 +301,22 @@ def cmd_closeloops(args):
         "outliers_injected": 0,
         "crossings": [],
     }
-    measurements = []
     params = cfg.frontend_params()
-    for c in crossings:
+
+    def close(c):
+        """The crossing's ``(closure, icp)``, or the drop that it raised."""
         try:
-            m, icp = frontend.make_loop_closure(prior, cloud, c, params)
+            return frontend.make_loop_closure(prior, cloud, c, params)
         except frontend.CrossingDropped as exc:
-            outcome, message, icp = exc.outcome, str(exc), exc.icp
+            return exc
+
+    measurements = []
+    for c, result in zip(crossings, parallel.map_ordered(close, crossings)):
+        if isinstance(result, frontend.CrossingDropped):
+            outcome, message, icp = result.outcome, str(result), result.icp
             print(f"dropped crossing ({c.t1:.1f}s, {c.t2:.1f}s): {message}", file=sys.stderr)
         else:
+            m, icp = result
             outcome, message = "closure", f"ICP converged after {icp.iterations} iterations"
             measurements.append(m)
         report_doc["crossings"].append({
@@ -385,15 +392,23 @@ def cmd_evaluate(args):
     out = Path(args.out) if args.out else Path(args.estimate).parent
     out.mkdir(parents=True, exist_ok=True)
     estimate = dataio.read_trajectory(args.estimate)
-    summary = {"estimate": str(args.estimate), "omitted": []}
+    inputs = {Path(args.estimate).name: dataio.sha256_file(args.estimate)}
+    summary = {
+        "estimate": str(args.estimate),
+        "config_hash": dataio.config_hash(cfg.to_flat()),
+        "inputs": inputs,
+        "omitted": [],
+    }
 
     closures = None
     if args.loopclosures:
         rows = dataio.read_loop_closures(args.loopclosures)
+        inputs[Path(args.loopclosures).name] = dataio.sha256_file(args.loopclosures)
         closures = dataio.place_loop_closures(args.loopclosures, rows, estimate)
 
     if args.truth:
         truth = dataio.read_trajectory(args.truth)
+        inputs[Path(args.truth).name] = dataio.sha256_file(args.truth)
         anchor = min(m.idx_l1 for m in closures) if closures else 0
         rel = metrics.relative_pose_errors(estimate, truth, anchor)
         dataio.write_rows(
@@ -407,12 +422,13 @@ def cmd_evaluate(args):
         summary["omitted"].append("relative_errors (no truth provided)")
 
     if args.profiles:
-        profiles = dataio.read_profiles(args.profiles)
+        profiles = dataio.read_profiles(args.profiles, inputs)
         cloud, _ = frontend.register_profiles(profiles, estimate)
         if closures:
             gate = cfg.eval_overlap_gate_cells * cfg.frontend_voxel_cell
-            samples = []
-            for m in closures:
+
+            def disparity(m):
+                """The closure's disparity samples, or None where a crop is empty."""
                 center = estimate.positions[m.idx_l1][:2]
                 t1, t2 = estimate.times[[m.idx_l1, m.idx_l2]]
                 window = frontend.pass_window(t1, t2, cfg.frontend_submap_time_window)
@@ -420,8 +436,9 @@ def cmd_evaluate(args):
                          for t in (t1, t2)]
                 pair = [frontend.voxel_downsample(c.points, cfg.frontend_voxel_cell)
                         for c in crops if len(c)]
-                if len(pair) == 2:
-                    samples.append(metrics.point_disparity(pair, gate))
+                return metrics.point_disparity(pair, gate) if len(pair) == 2 else None
+
+            samples = [s for s in parallel.map_ordered(disparity, closures) if s is not None]
             samples = np.concatenate(samples) if samples else np.zeros(0)
             if samples.size:
                 dataio.write_rows(out / "disparity.csv", "disparity_m", samples)

@@ -230,6 +230,13 @@ def voxel_downsample(points, cell):
     return sums / counts[:, None]
 
 
+# Points whose neighborhoods ``estimate_normals_and_variation`` gathers at
+# once: with k = 40 its temporaries take about 2.8 KB a point, so a block
+# keeps them near 3 MB, however large the submap and however many
+# crossings are aligned at once.
+_NORMAL_BLOCK = 1024
+
+
 def estimate_normals_and_variation(pts, k):
     """Neighborhood-PCA ``(normals, variation, valid)`` for each point.
 
@@ -237,20 +244,30 @@ def estimate_normals_and_variation(pts, k):
     covariance, oriented toward the origin of the points' frame; the
     variation is the smallest eigenvalue over the eigenvalue sum (0 on a
     plane, up to 1/3 for isotropic scatter).  ``valid`` is false where the
-    neighborhood is rank-deficient.
+    neighborhood is rank-deficient.  The points are taken in blocks of
+    ``_NORMAL_BLOCK``; each point's arithmetic is its own, so the blocks do
+    not change a bit of the result.
     """
     if len(pts) < k + 1:
         raise InsufficientOverlapError(f"need at least {k + 1} points for normals")
-    _, idx = cKDTree(pts).query(pts, k=k + 1)
-    nbrs = pts[idx]
-    centered = nbrs - nbrs.mean(axis=1, keepdims=True)
-    cov = np.einsum("nki,nkj->nij", centered, centered) / (k + 1)
-    evals, evecs = np.linalg.eigh(cov)
-    normals = evecs[:, :, 0]
-    total = evals.sum(axis=1)
-    variation = np.where(total > 0, evals[:, 0] / np.where(total > 0, total, 1.0), 0.0)
-    # rank >= 2 requires a healthy middle eigenvalue
-    valid = evals[:, 1] > 1e-8 * np.maximum(evals[:, 2], 1e-300)
+    tree = cKDTree(pts)
+    normals = np.empty((len(pts), 3))
+    variation = np.empty(len(pts))
+    valid = np.empty(len(pts), dtype=bool)
+    for start in range(0, len(pts), _NORMAL_BLOCK):
+        block = slice(start, start + _NORMAL_BLOCK)
+        _, idx = tree.query(pts[block], k=k + 1)
+        nbrs = pts[idx]
+        centered = nbrs - nbrs.mean(axis=1, keepdims=True)
+        cov = np.einsum("nki,nkj->nij", centered, centered) / (k + 1)
+        evals, evecs = np.linalg.eigh(cov)
+        normals[block] = evecs[:, :, 0]
+        total = evals.sum(axis=1)
+        variation[block] = np.where(
+            total > 0, evals[:, 0] / np.where(total > 0, total, 1.0), 0.0
+        )
+        # rank >= 2 requires a healthy middle eigenvalue
+        valid[block] = evals[:, 1] > 1e-8 * np.maximum(evals[:, 2], 1e-300)
     flip = np.einsum("ni,ni->n", normals, pts) > 0
     normals[flip] *= -1.0
     return normals, variation, valid

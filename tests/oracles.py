@@ -6,12 +6,14 @@ dense solver check), the continuous-time WNOA error kinematics with their
 closed-form transition matrix and the process noise as one 12 x 12 matrix,
 the se(3) hat/vee maps, the SE(3) right Jacobian, the log of each relative pose error, the terrain
 gradient on its own pass over the bumps, the world-frame crop that masks
-the whole cloud, voxel grouping by a row-wise ``np.unique``, and the ICP
-cost with one branch per error kind.
+the whole cloud, voxel grouping by a row-wise ``np.unique``, the normals
+of all points in one k-nearest-neighbor query, and the ICP cost with one
+branch per error kind.
 """
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.spatial import cKDTree
 
 from lcsmooth import frontend, lie, solver, wnoa
 
@@ -197,6 +199,23 @@ def voxel_downsample(points, cell):
 
 # ---------------------------------------------------------------------------
 # ICP cost, one branch per error kind
+
+
+def estimate_normals_and_variation(pts, k):
+    """``frontend.estimate_normals_and_variation`` with every point's
+    neighborhood gathered in one query, not in blocks."""
+    _, idx = cKDTree(pts).query(pts, k=k + 1)
+    nbrs = pts[idx]
+    centered = nbrs - nbrs.mean(axis=1, keepdims=True)
+    cov = np.einsum("nki,nkj->nij", centered, centered) / (k + 1)
+    evals, evecs = np.linalg.eigh(cov)
+    normals = evecs[:, :, 0]
+    total = evals.sum(axis=1)
+    variation = np.where(total > 0, evals[:, 0] / np.where(total > 0, total, 1.0), 0.0)
+    valid = evals[:, 1] > 1e-8 * np.maximum(evals[:, 2], 1e-300)
+    flip = np.einsum("ni,ni->n", normals, pts) > 0
+    normals[flip] *= -1.0
+    return normals, variation, valid
 
 
 def icp_cost(src, tgt, nrm, use_plane, sigma):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import tempfile
 import warnings
 from dataclasses import fields, is_dataclass
@@ -321,7 +322,7 @@ class TestCloseloops:
         d2 = tmp_path / "d_swapped"
         shutil.copytree(d, d2)
         t_l1 = np.loadtxt(d / "loopclosures.csv", delimiter=",", skiprows=1, ndmin=2)[0, 0]
-        profiles = dataio.read_profiles(d / "profiles.csv")
+        profiles = dataio.read_profiles(d / "profiles.csv", {})
         # two profiles inside the first closure's crop window change places
         i = int(np.argmin([abs(p.timestamp - t_l1) for p in profiles]))
         profiles[i], profiles[i + 3] = profiles[i + 3], profiles[i]
@@ -782,6 +783,23 @@ class TestEvaluate:
         assert "nope.csv" in capsys.readouterr().err
         assert not (out / "evaluation.json").exists()
 
+    def test_report_names_config_and_inputs(self, dataset, tmp_path):
+        d, cfg = dataset
+        out = tmp_path / "eval_inputs"
+        argv = ["evaluate", "--estimate", str(d / "prior.csv"), "--out", str(out), "--config", cfg]
+        assert cli.main(argv) == 0
+        summary = json.loads((out / "evaluation.json").read_text())
+        assert summary["config_hash"] == dataio.config_hash(cli.load_config(cfg, None).to_flat())
+        assert summary["inputs"] == {"prior.csv": sha256(d / "prior.csv")}
+        argv += ["--truth", str(d / "truth.csv"), "--profiles", str(d / "profiles.csv"),
+                 "--loopclosures", str(d / "loopclosures.csv")]
+        assert cli.main(argv) == 0
+        summary = json.loads((out / "evaluation.json").read_text())
+        assert summary["inputs"] == {
+            name: sha256(d / name)
+            for name in ("prior.csv", "truth.csv", "profiles.csv", "loopclosures.csv")
+        }
+
     def test_disparity_only_marks_omissions(self, dataset, tmp_path):
         d, cfg = dataset
         out = tmp_path / "eval_d"
@@ -794,3 +812,41 @@ class TestEvaluate:
         summary = json.loads((out / "evaluation.json").read_text())
         assert any("relative_errors" in o for o in summary["omitted"])
         assert "point_disparity" in summary
+
+
+@pytest.mark.parametrize(
+    "extra", [{}, {"frontend.icp_max_iterations": "2"}], ids=["closures", "dropped"]
+)
+def test_outputs_do_not_depend_on_cpu_count(dataset, tmp_path, capsys, monkeypatch, extra):
+    # closeloops and evaluate in one directory, on the calling thread alone
+    # and then beside a helper thread: the same bytes and the same messages
+    import shutil
+
+    d = tmp_path / "d"
+    shutil.copytree(dataset[0], d)
+    cfg = write_cfg(tmp_path, extra, name="cpus.cfg")
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        assert cli.main(["closeloops", "--dataset", str(d), "--config", cfg]) == 0
+        assert cli.main(
+            ["evaluate", "--estimate", str(d / "prior.csv"), "--truth", str(d / "truth.csv"),
+             "--profiles", str(d / "profiles.csv"), "--loopclosures", str(d / "loopclosures.csv"),
+             "--out", str(d / "eval"), "--config", cfg]
+        ) == 0
+        files = ["loopclosures.csv", "closeloops_report.json", "eval/evaluation.json",
+                 "eval/relative_errors.csv", "eval/disparity.csv"]
+        runs.append((
+            {name: (d / name).read_bytes() for name in files if (d / name).exists()},
+            capsys.readouterr(),
+        ))
+        shutil.rmtree(d / "eval")
+    (files, captured), again = runs
+    assert again == (files, captured)
+    report = json.loads(files["closeloops_report.json"])
+    outcomes = [c["outcome"] for c in report["crossings"]]
+    if extra:
+        assert outcomes == ["alignment_failure"] * 2 and "disparity.csv" not in files
+        assert captured.err.count("dropped crossing") == 2
+    else:
+        assert outcomes == ["closure"] * 2 and "eval/disparity.csv" in files

@@ -11,6 +11,7 @@ from lcsmooth.trajectory import Trajectory
 
 from conftest import CFG, random_pose
 from oracles import crop_world as crop_world_full_mask
+from oracles import estimate_normals_and_variation as normals_in_one_query
 from oracles import icp_cost as icp_cost_two_branch
 from oracles import voxel_downsample as voxel_downsample_unique
 
@@ -351,6 +352,16 @@ class TestNormals:
         _, variation, _ = frontend.estimate_normals_and_variation(pts, k=40)
         near_edge = (np.abs(pts[:, 0]) < 0.15) & (pts[:, 2] < 0.15)
         assert np.median(variation[near_edge]) > 3e-2
+
+    def test_blocks_match_one_query_bit_for_bit(self, rng):
+        n = 3000
+        assert n > 2 * frontend._NORMAL_BLOCK and n % frontend._NORMAL_BLOCK
+        xy = rng.uniform(-5.0, 5.0, size=(n, 2))
+        pts = np.column_stack([xy, 0.3 * np.sin(xy[:, 0]) + 0.01 * rng.normal(size=n)])
+        got = frontend.estimate_normals_and_variation(pts, k=CFG.frontend_normal_neighbors)
+        ref = normals_in_one_query(pts, k=CFG.frontend_normal_neighbors)
+        for a, b in zip(got, ref):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
     def test_unit_normals(self, rng):
         pts = bumpy_surface(rng, 2000)

@@ -1,3 +1,4 @@
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -240,7 +241,7 @@ class TestSynthScan:
         p2 = sim.synth_scan(truth, cfg.terrain, scanner, seed=3)
         assert all(np.array_equal(a.points, b.points) for a, b in zip(p1, p2))
 
-    def test_matches_per_profile_reference_bit_for_bit(self):
+    def test_matches_per_profile_reference_bit_for_bit(self, monkeypatch):
         cfg = sim.default_config(seed=4)
         cfg.passes, cfg.pass_length, cfg.tie_margin = 2, 14.0, 8.0
         full = sim.generate_truth(cfg)
@@ -260,14 +261,17 @@ class TestSynthScan:
         stamps = len(np.arange(truth.times[0], truth.times[-1] + 1e-9, 0.05))
         assert stamps > 2 * sim._CHUNK_PROFILES and stamps % sim._CHUNK_PROFILES
 
-        got = sim.synth_scan(truth, cfg.terrain, scanner, seed=2)
         ref = synth_scan_per_profile(truth, cfg.terrain, scanner, seed=2)
         kept = np.array([p.timestamp for p in ref])
         for t0, t1 in ((10.0, 10.9), (15.0, 15.9)):  # nodes 100-109, 150-159
             assert not np.any((kept >= t0) & (kept <= t1))
         assert max(len(p.points) for p in ref) < scanner.beams
-        assert [p.timestamp for p in got] == [p.timestamp for p in ref]
-        assert all(np.array_equal(a.points, b.points) for a, b in zip(got, ref))
+        for cpus in (1, 2):  # chunks cast on the calling thread alone, and beside a helper
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+            got = sim.synth_scan(truth, cfg.terrain, scanner, seed=2)
+            assert [p.timestamp for p in got] == [p.timestamp for p in ref]
+            assert all(np.array_equal(a.points, b.points) for a, b in zip(got, ref))
 
 
 class TestTruthSelfConsistency:
