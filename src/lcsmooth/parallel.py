@@ -14,7 +14,10 @@ def map_ordered(fn, items):
     Threads take the items in input order and the results come back in input
     order.  Where calls raise, the exception of the first failing item in
     input order is raised; no item is taken after a call has raised, and no
-    helper thread outlives the call.
+    helper thread outlives the call.  ``fn`` runs on several threads at once,
+    so it must not change state that other items read; the threads overlap
+    where it runs native code that releases the interpreter lock, such as
+    numpy's array operations and scipy's k-d tree.
     """
     items = list(items)
     try:

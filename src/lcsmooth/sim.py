@@ -262,11 +262,11 @@ def degrade(truth: Trajectory, cfg: SimConfig) -> Trajectory:
 
 
 # Profiles ray-cast together, one ``parallel.map_ordered`` item per chunk.
-# Temporaries scale with it.  On the standard survey at 10 Hz, on a 2-vCPU Xeon,
-# the calling thread and a helper cast it in 0.88 s at 256 and 0.92 s at
-# 512, and 1.0 s at 1,024; at 64 and below the threads contend for the
-# interpreter lock, 1.7 s at 64 and 2.8 s at 32, slower than one thread
-# (1.35-1.47 s at 64-256).
+# Temporaries scale with it.  On a 2-vCPU Xeon, the calling thread and a
+# helper cast the standard survey at 10 Hz in 0.88 s at 256, 0.92 s at 512
+# and 1.0 s at 1,024.  At 64 and below the two threads contend for the
+# interpreter lock and ran slower than one thread alone: 1.7 s at 64 and
+# 2.8 s at 32, against 1.35-1.47 s for one thread at 64-256.
 _CHUNK_PROFILES = 256
 
 
@@ -338,9 +338,8 @@ def synth_scan(truth: Trajectory, terrain: TerrainSpec, scanner: ScannerSpec, se
             pts_sensor = pts_sensor + rng.standard_normal(pts_sensor.shape) * (
                 scanner.noise_sigma
             )
-        for t, n, pts in zip(
-            stamps[start:start + _CHUNK_PROFILES], counts, np.split(pts_sensor, np.cumsum(counts)[:-1])
-        ):
+        chunk_stamps = stamps[start:start + _CHUNK_PROFILES]
+        for t, n, pts in zip(chunk_stamps, counts, np.split(pts_sensor, np.cumsum(counts)[:-1])):
             if n:
                 profiles.append(LaserProfile(float(t), pts))
     return profiles
