@@ -150,11 +150,11 @@ class PipelineConfig:
             "obs_sigma_rp", "obs_sigma_z", "prior_sigma_phi", "prior_sigma_rho",
             "prior_sigma_omega", "prior_sigma_nu", "robust_sigma_phi_out",
             "robust_sigma_rho_out", "solver_max_iterations", "solver_step_tolerance",
-            "frontend_delta_r_star", "frontend_voxel_cell", "frontend_normal_neighbors",
-            "frontend_icp_max_iterations", "frontend_icp_rot_tol", "frontend_icp_trans_tol",
-            "frontend_min_inlier_fraction", "sim_passes", "sim_pass_length",
-            "sim_lane_spacing", "sim_tie_margin", "sim_turn_radius", "sim_node_rate",
-            "sim_speed", "sim_scan_rate", "sim_scan_beams",
+            "frontend_delta_r_star", "frontend_min_time_separation", "frontend_voxel_cell",
+            "frontend_normal_neighbors", "frontend_icp_max_iterations", "frontend_icp_rot_tol",
+            "frontend_icp_trans_tol", "frontend_min_inlier_fraction", "sim_passes",
+            "sim_pass_length", "sim_lane_spacing", "sim_tie_margin", "sim_turn_radius",
+            "sim_node_rate", "sim_speed", "sim_scan_rate", "sim_scan_beams",
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"configuration key '{self._key(name)}' must be positive")
@@ -250,11 +250,19 @@ def load_config(path, seed):
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each gets the parsed flags and the validated configuration
 
 
-def cmd_simulate(args):
-    cfg = load_config(args.config, args.seed)
+def _report_head(cfg, **paths):
+    """The head of a stage report: the hash of the configuration the stage
+    ran with, and ``inputs``, the sha256 of each given file keyed by role."""
+    return {
+        "config_hash": dataio.config_hash(cfg.to_flat()),
+        "inputs": {role: dataio.sha256_file(path) for role, path in paths.items() if path},
+    }
+
+
+def cmd_simulate(args, cfg):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     scfg = cfg.sim_config()
@@ -281,12 +289,11 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
-def cmd_closeloops(args):
-    cfg = load_config(args.config, args.seed)
+def cmd_closeloops(args, cfg):
     dataset = Path(args.dataset)
+    head = _report_head(cfg, prior=dataset / "prior.csv", profiles=dataset / "profiles.csv")
     prior = dataio.read_trajectory(dataset / "prior.csv")
-    inputs = {"prior.csv": dataio.sha256_file(dataset / "prior.csv")}
-    profiles = dataio.read_profiles(dataset / "profiles.csv", inputs)
+    profiles = dataio.read_profiles(dataset / "profiles.csv", head["inputs"]["profiles"])
     cloud, rejected = frontend.register_profiles(profiles, prior)
     if rejected:
         print(f"warning: {rejected} profiles outside the trajectory span", file=sys.stderr)
@@ -295,12 +302,7 @@ def cmd_closeloops(args):
     )
     if not crossings:
         print("warning: no path crossings found", file=sys.stderr)
-    report_doc = {
-        "config_hash": dataio.config_hash(cfg.to_flat()),
-        "inputs": inputs,
-        "outliers_injected": 0,
-        "crossings": [],
-    }
+    report_doc = {**head, "outliers_injected": 0, "crossings": []}
     params = cfg.frontend_params()
 
     def close(c):
@@ -337,21 +339,17 @@ def cmd_closeloops(args):
     return EXIT_OK
 
 
-def cmd_smooth(args):
-    cfg = load_config(args.config, args.seed)
+def cmd_smooth(args, cfg):
     if args.no_robust:
         cfg.robust_enabled = False
     dataset = Path(args.dataset)
-    prior = dataio.read_trajectory(dataset / "prior.csv")
     lc_path = Path(args.loopclosures) if args.loopclosures else dataset / "loopclosures.csv"
+    head = _report_head(cfg, prior=dataset / "prior.csv", loopclosures=lc_path)
+    prior = dataio.read_trajectory(dataset / "prior.csv")
     # the closures that --loop-closures cuts get no node
     rows = dataio.read_loop_closures(lc_path)[: args.loop_closures]
     prior = dataio.insert_closure_nodes(lc_path, rows, prior)
     measurements = dataio.place_loop_closures(lc_path, rows, prior)
-    inputs = {
-        "prior.csv": dataio.sha256_file(dataset / "prior.csv"),
-        lc_path.name: dataio.sha256_file(lc_path),
-    }
     graph = solver.build_graph(
         prior.times,
         prior.poses,
@@ -366,8 +364,7 @@ def cmd_smooth(args):
     out_traj = Trajectory(times=posterior.times, poses=posterior.poses)
     dataio.write_trajectory(dataset / "posterior.csv", out_traj)
     report_doc = {
-        "config_hash": dataio.config_hash(cfg.to_flat()),
-        "inputs": inputs,
+        **head,
         "loop_closures": len(measurements),
         "robust": cfg.robust_enabled,
         "failed": failed,
@@ -387,28 +384,24 @@ def cmd_smooth(args):
     return EXIT_OK
 
 
-def cmd_evaluate(args):
-    cfg = load_config(args.config, args.seed)
+def cmd_evaluate(args, cfg):
+    summary = {
+        "estimate": str(args.estimate),
+        **_report_head(cfg, estimate=args.estimate, truth=args.truth,
+                       profiles=args.profiles, loopclosures=args.loopclosures),
+        "omitted": [],
+    }
     out = Path(args.out) if args.out else Path(args.estimate).parent
     out.mkdir(parents=True, exist_ok=True)
     estimate = dataio.read_trajectory(args.estimate)
-    inputs = {Path(args.estimate).name: dataio.sha256_file(args.estimate)}
-    summary = {
-        "estimate": str(args.estimate),
-        "config_hash": dataio.config_hash(cfg.to_flat()),
-        "inputs": inputs,
-        "omitted": [],
-    }
 
     closures = None
     if args.loopclosures:
         rows = dataio.read_loop_closures(args.loopclosures)
-        inputs[Path(args.loopclosures).name] = dataio.sha256_file(args.loopclosures)
         closures = dataio.place_loop_closures(args.loopclosures, rows, estimate)
 
     if args.truth:
         truth = dataio.read_trajectory(args.truth)
-        inputs[Path(args.truth).name] = dataio.sha256_file(args.truth)
         anchor = min(m.idx_l1 for m in closures) if closures else 0
         rel = metrics.relative_pose_errors(estimate, truth, anchor)
         dataio.write_rows(
@@ -421,34 +414,34 @@ def cmd_evaluate(args):
     else:
         summary["omitted"].append("relative_errors (no truth provided)")
 
-    if args.profiles:
-        profiles = dataio.read_profiles(args.profiles, inputs)
-        cloud, _ = frontend.register_profiles(profiles, estimate)
-        if closures:
-            gate = cfg.eval_overlap_gate_cells * cfg.frontend_voxel_cell
-
-            def disparity(m):
-                """The closure's disparity samples, or None where a crop is empty."""
-                center = estimate.positions[m.idx_l1][:2]
-                t1, t2 = estimate.times[[m.idx_l1, m.idx_l2]]
-                window = frontend.pass_window(t1, t2, cfg.frontend_submap_time_window)
-                crops = [frontend.crop_world(cloud, center, cfg.frontend_delta_r_star, t, window)
-                         for t in (t1, t2)]
-                pair = [frontend.voxel_downsample(c.points, cfg.frontend_voxel_cell)
-                        for c in crops if len(c)]
-                return metrics.point_disparity(pair, gate) if len(pair) == 2 else None
-
-            samples = [s for s in parallel.map_ordered(disparity, closures) if s is not None]
-            samples = np.concatenate(samples) if samples else np.zeros(0)
-            if samples.size:
-                dataio.write_rows(out / "disparity.csv", "disparity_m", samples)
-                summary["point_disparity"] = metrics.summarize(samples)
-            else:
-                summary["omitted"].append("point_disparity (no overlap samples)")
-        else:
-            summary["omitted"].append("point_disparity (no loop closures given)")
-    else:
+    if not args.profiles:
         summary["omitted"].append("point_disparity (no profiles provided)")
+    elif not closures:
+        # the cloud only feeds the closure crops
+        summary["omitted"].append("point_disparity (no loop closures given)")
+    else:
+        profiles = dataio.read_profiles(args.profiles, summary["inputs"]["profiles"])
+        cloud, _ = frontend.register_profiles(profiles, estimate)
+        gate = cfg.eval_overlap_gate_cells * cfg.frontend_voxel_cell
+
+        def disparity(m):
+            """The closure's disparity samples, or None where a crop is empty."""
+            center = estimate.positions[m.idx_l1][:2]
+            t1, t2 = estimate.times[[m.idx_l1, m.idx_l2]]
+            window = frontend.pass_window(t1, t2, cfg.frontend_submap_time_window)
+            crops = [frontend.crop_world(cloud, center, cfg.frontend_delta_r_star, t, window)
+                     for t in (t1, t2)]
+            pair = [frontend.voxel_downsample(c.points, cfg.frontend_voxel_cell)
+                    for c in crops if len(c)]
+            return metrics.point_disparity(pair, gate) if len(pair) == 2 else None
+
+        samples = [s for s in parallel.map_ordered(disparity, closures) if s is not None]
+        samples = np.concatenate(samples) if samples else np.zeros(0)
+        if samples.size:
+            dataio.write_rows(out / "disparity.csv", "disparity_m", samples)
+            summary["point_disparity"] = metrics.summarize(samples)
+        else:
+            summary["omitted"].append("point_disparity (no overlap samples)")
 
     dataio.write_manifest(out / "evaluation.json", summary)
     print(json.dumps(summary, indent=2, sort_keys=True))
@@ -469,39 +462,36 @@ def build_parser():
         description="Fuse loop closures into a dead-reckoned trajectory estimate.",
     )
     sub = p.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config")
+    common.add_argument("--seed", type=nonnegative_int)
 
-    sp = sub.add_parser("simulate", help="generate a synthetic survey dataset")
+    sp = sub.add_parser("simulate", parents=[common], help="generate a synthetic survey dataset")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--config")
-    sp.add_argument("--seed", type=nonnegative_int)
     sp.set_defaults(func=cmd_simulate)
 
-    sp = sub.add_parser("closeloops", help="detect crossings and align submaps")
+    sp = sub.add_parser("closeloops", parents=[common],
+                        help="detect crossings and align submaps")
     sp.add_argument("--dataset", required=True)
-    sp.add_argument("--config")
-    sp.add_argument("--seed", type=nonnegative_int)
     sp.add_argument("--outliers", type=nonnegative_int, default=0,
                     help="replace N closures with sampled outliers")
     sp.set_defaults(func=cmd_closeloops)
 
-    sp = sub.add_parser("smooth", help="batch-smooth the prior with loop closures")
+    sp = sub.add_parser("smooth", parents=[common],
+                        help="batch-smooth the prior with loop closures")
     sp.add_argument("--dataset", required=True)
     sp.add_argument("--loopclosures")
-    sp.add_argument("--config")
-    sp.add_argument("--seed", type=nonnegative_int)
     sp.add_argument("--loop-closures", type=nonnegative_int, default=None,
                     help="keep only the first K loop closures")
     sp.add_argument("--no-robust", action="store_true")
     sp.set_defaults(func=cmd_smooth)
 
-    sp = sub.add_parser("evaluate", help="trajectory and map-quality metrics")
+    sp = sub.add_parser("evaluate", parents=[common], help="trajectory and map-quality metrics")
     sp.add_argument("--estimate", required=True)
     sp.add_argument("--truth")
     sp.add_argument("--profiles")
     sp.add_argument("--loopclosures")
     sp.add_argument("--out")
-    sp.add_argument("--config")
-    sp.add_argument("--seed", type=nonnegative_int)
     sp.set_defaults(func=cmd_evaluate)
     return p
 
@@ -509,7 +499,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, load_config(args.config, args.seed))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -184,17 +184,14 @@ def _load_csv(path, what):
     return data
 
 
-def read_profiles(path, digests):
+def read_profiles(path, digest):
     """The profiles of a ``t, x, y, z`` CSV, one per run of equal stamps.
 
-    The rows come from the binary copy beside the CSV when it holds them for
-    the CSV's current bytes; otherwise the CSV is parsed and the copy
-    written.  The copy is a cache: the profiles, and every error, are those
-    of the CSV.  The CSV's sha256 is stored in the dict ``digests`` under
-    the file's name.
+    ``digest`` is the sha256 of the CSV's current bytes (``sha256_file``).
+    The rows come from the binary copy beside the CSV when it holds them
+    under that digest; otherwise the CSV is parsed and the copy written.
+    The copy is a cache: the profiles, and every error, are those of the CSV.
     """
-    digest = sha256_file(path)
-    digests[Path(path).name] = digest
     data = _read_copy(path, digest)
     if data is None:
         data = _load_csv(path, "profile")

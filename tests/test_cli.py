@@ -229,8 +229,9 @@ class TestSimulate:
             "obs.sigma_rp", "obs.sigma_z", "prior.sigma_phi", "prior.sigma_rho",
             "prior.sigma_omega", "prior.sigma_nu", "robust.sigma_phi_out",
             "robust.sigma_rho_out", "solver.max_iterations", "solver.step_tolerance",
-            "frontend.delta_r_star", "frontend.voxel_cell", "frontend.normal_neighbors",
-            "frontend.icp_max_iterations", "frontend.icp_rot_tol", "frontend.icp_trans_tol",
+            "frontend.delta_r_star", "frontend.min_time_separation", "frontend.voxel_cell",
+            "frontend.normal_neighbors", "frontend.icp_max_iterations", "frontend.icp_rot_tol",
+            "frontend.icp_trans_tol",
             "sim.passes", "sim.pass_length", "sim.lane_spacing", "sim.tie_margin",
             "sim.turn_radius", "sim.speed", "sim.node_rate", "sim.scan_rate",
             "sim.scan_beams",
@@ -283,7 +284,7 @@ class TestCloseloops:
         assert dataio.read_loop_closures(d / "loopclosures.csv").shape == (0, 20)
         report = json.loads((d / "closeloops_report.json").read_text())
         assert report["crossings"] == []
-        assert set(report["inputs"]) == {"prior.csv", "profiles.csv"}
+        assert set(report["inputs"]) == {"prior", "profiles"}
 
     def test_one_node_prior(self, tmp_path, capsys):
         # the profiles at the one node's time register at its pose
@@ -322,7 +323,7 @@ class TestCloseloops:
         d2 = tmp_path / "d_swapped"
         shutil.copytree(d, d2)
         t_l1 = np.loadtxt(d / "loopclosures.csv", delimiter=",", skiprows=1, ndmin=2)[0, 0]
-        profiles = dataio.read_profiles(d / "profiles.csv", {})
+        profiles = dataio.read_profiles(d / "profiles.csv", sha256(d / "profiles.csv"))
         # two profiles inside the first closure's crop window change places
         i = int(np.argmin([abs(p.timestamp - t_l1) for p in profiles]))
         profiles[i], profiles[i + 3] = profiles[i + 3], profiles[i]
@@ -359,7 +360,7 @@ class TestCloseloops:
         d, cfg = dataset
         report = json.loads((d / "closeloops_report.json").read_text())
         assert report["inputs"] == {
-            "prior.csv": sha256(d / "prior.csv"), "profiles.csv": sha256(d / "profiles.csv")
+            "prior": sha256(d / "prior.csv"), "profiles": sha256(d / "profiles.csv")
         }
         assert report["config_hash"] == dataio.config_hash(cli.load_config(cfg, None).to_flat())
         assert report["outliers_injected"] == 0
@@ -445,8 +446,8 @@ class TestSmooth:
             assert after <= before * (1 + 1e-12) + 1e-15
         assert report["damping_final"] >= 0.0
         assert report["inputs"] == {
-            "prior.csv": sha256(d / "prior.csv"),
-            "loopclosures.csv": sha256(d / "loopclosures.csv"),
+            "prior": sha256(d / "prior.csv"),
+            "loopclosures": sha256(d / "loopclosures.csv"),
         }
         assert report["config_hash"] == dataio.config_hash(cli.load_config(cfg, None).to_flat())
         assert {f.name for f in fields(solver.SolveReport)} <= report.keys()
@@ -783,6 +784,20 @@ class TestEvaluate:
         assert "nope.csv" in capsys.readouterr().err
         assert not (out / "evaluation.json").exists()
 
+    @pytest.mark.parametrize("missing", ["estimate", "truth", "profiles", "loopclosures"])
+    def test_missing_input_writes_nothing(self, dataset, tmp_path, capsys, missing):
+        # every input is hashed before one is parsed or --out is created
+        d, cfg = dataset
+        paths = {role: d / f"{role}.csv" for role in ("truth", "profiles", "loopclosures")}
+        paths["estimate"] = d / "prior.csv"
+        paths[missing] = tmp_path / "nope.csv"
+        out = tmp_path / "eval_missing"
+        argv = ["evaluate", "--out", str(out), "--config", cfg]
+        argv += [arg for role, path in paths.items() for arg in (f"--{role}", str(path))]
+        assert cli.main(argv) == cli.EXIT_IO
+        assert "nope.csv" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_report_names_config_and_inputs(self, dataset, tmp_path):
         d, cfg = dataset
         out = tmp_path / "eval_inputs"
@@ -790,15 +805,54 @@ class TestEvaluate:
         assert cli.main(argv) == 0
         summary = json.loads((out / "evaluation.json").read_text())
         assert summary["config_hash"] == dataio.config_hash(cli.load_config(cfg, None).to_flat())
-        assert summary["inputs"] == {"prior.csv": sha256(d / "prior.csv")}
+        assert summary["inputs"] == {"estimate": sha256(d / "prior.csv")}
         argv += ["--truth", str(d / "truth.csv"), "--profiles", str(d / "profiles.csv"),
                  "--loopclosures", str(d / "loopclosures.csv")]
         assert cli.main(argv) == 0
         summary = json.loads((out / "evaluation.json").read_text())
         assert summary["inputs"] == {
-            name: sha256(d / name)
-            for name in ("prior.csv", "truth.csv", "profiles.csv", "loopclosures.csv")
+            "estimate": sha256(d / "prior.csv"),
+            **{role: sha256(d / f"{role}.csv") for role in ("truth", "profiles", "loopclosures")},
         }
+
+    def test_inputs_sharing_a_name_keep_a_digest_each(self, dataset, tmp_path):
+        # two different files called x.csv, one the estimate and one the truth
+        import shutil
+
+        d, cfg = dataset
+        for sub, name in (("a", "truth.csv"), ("b", "prior.csv")):
+            (tmp_path / sub).mkdir()
+            shutil.copyfile(d / name, tmp_path / sub / "x.csv")
+        assert cli.main(["evaluate", "--estimate", str(tmp_path / "b" / "x.csv"),
+                         "--truth", str(tmp_path / "a" / "x.csv"), "--config", cfg]) == 0
+        summary = json.loads((tmp_path / "b" / "evaluation.json").read_text())
+        assert summary["inputs"] == {
+            "estimate": sha256(d / "prior.csv"), "truth": sha256(d / "truth.csv")
+        }
+
+    def test_profiles_without_closures_are_not_read(self, dataset, tmp_path, monkeypatch):
+        # the cloud only feeds the closure crops: with no closures given, the
+        # profiles are neither read nor registered, yet their digest is kept
+        d, cfg = dataset
+        argv = ["evaluate", "--estimate", str(d / "prior.csv"), "--truth", str(d / "truth.csv"),
+                "--config", cfg]
+        assert cli.main(argv + ["--out", str(tmp_path / "plain")]) == 0
+        calls = []
+        monkeypatch.setattr(dataio, "read_profiles", lambda *a: calls.append("read"))
+        monkeypatch.setattr(frontend, "register_profiles", lambda *a: calls.append("register"))
+        argv += ["--profiles", str(d / "profiles.csv"), "--out", str(tmp_path / "spied")]
+        assert cli.main(argv) == 0
+        assert calls == []
+        plain, spied = (json.loads((tmp_path / run / "evaluation.json").read_text())
+                        for run in ("plain", "spied"))
+        assert spied.pop("omitted") == ["point_disparity (no loop closures given)"]
+        assert plain.pop("omitted") == ["point_disparity (no profiles provided)"]
+        assert spied["inputs"].pop("profiles") == sha256(d / "profiles.csv")
+        assert spied == plain
+        assert sorted(p.name for p in (tmp_path / "spied").iterdir()) == [
+            "evaluation.json", "relative_errors.csv"]
+        assert ((tmp_path / "spied" / "relative_errors.csv").read_bytes()
+                == (tmp_path / "plain" / "relative_errors.csv").read_bytes())
 
     def test_disparity_only_marks_omissions(self, dataset, tmp_path):
         d, cfg = dataset

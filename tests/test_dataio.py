@@ -165,6 +165,11 @@ class TestWritersMatchSavetxt:
         assert (tmp_path / "lc.csv").read_bytes() == expect
 
 
+def read_profiles(path):
+    """``dataio.read_profiles`` given the sha256 of the CSV's current bytes."""
+    return dataio.read_profiles(path, hashlib.sha256(path.read_bytes()).hexdigest())
+
+
 class TestProfilesCsv:
     def test_roundtrip(self, rng, tmp_path):
         profiles = [
@@ -173,7 +178,7 @@ class TestProfilesCsv:
         ]
         path = tmp_path / "profiles.csv"
         dataio.write_profiles(path, profiles)
-        back = dataio.read_profiles(path, {})
+        back = read_profiles(path)
         assert len(back) == len(profiles)
         for a, b in zip(profiles, back):
             assert b.timestamp == a.timestamp
@@ -184,7 +189,7 @@ class TestProfilesCsv:
         dataio.write_profiles(path, [])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert dataio.read_profiles(path, {}) == []
+            assert read_profiles(path) == []
 
     def test_malformed_rejected(self, tmp_path):
         path = tmp_path / "profiles.csv"
@@ -192,7 +197,7 @@ class TestProfilesCsv:
             path.write_text("t,x,y,z\n" + body)
             expect = f"{re.escape(str(path))}: malformed profile CSV"
             with pytest.raises(ValueError, match=expect):
-                dataio.read_profiles(path, {})
+                read_profiles(path)
 
 
 def stored(path):
@@ -224,14 +229,14 @@ class TestProfilesCopy:
     def test_hit_equals_miss(self, rng, tmp_path):
         path = tmp_path / "profiles.csv"
         dataio.write_profiles(path, awkward_profiles(rng))
-        hit = dataio.read_profiles(path, {})
+        hit = read_profiles(path)
         copy = path.with_name("profiles.csv.npz")
         copy.unlink()
-        miss = dataio.read_profiles(path, {})
+        miss = read_profiles(path)
         assert_same_profiles(hit, miss)
         # the miss wrote the copy again, and the next read is a hit on it
         assert stored(path)[0] == dataio.sha256_file(path)
-        assert_same_profiles(dataio.read_profiles(path, {}), miss)
+        assert_same_profiles(read_profiles(path), miss)
 
     def test_hit_reads_the_copy(self, rng, tmp_path):
         # a copy under the CSV's digest is what the read returns: the CSV is
@@ -240,7 +245,7 @@ class TestProfilesCopy:
         dataio.write_profiles(path, awkward_profiles(rng)[-1:])
         digest, rows = stored(path)
         np.savez(f"{path}.npz", sha256=digest, rows=rows + [0.0, 1.0, 0.0, 0.0])
-        (back,) = dataio.read_profiles(path, {})
+        (back,) = read_profiles(path)
         assert np.array_equal(back.points[:, 0], rows[:, 1] + 1.0)
 
     @pytest.mark.parametrize("edit", ["one_byte", "reordered"])
@@ -257,7 +262,7 @@ class TestProfilesCopy:
             profiles[1], profiles[4] = profiles[4], profiles[1]
             dataio.write_profiles(path, profiles)
             path.with_name("profiles.csv.npz").write_bytes(old_copy)
-        back = dataio.read_profiles(path, {})
+        back = read_profiles(path)
         digest, rows = stored(path)
         assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
         expect = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
@@ -274,7 +279,7 @@ class TestProfilesCopy:
         path = tmp_path / "profiles.csv"
         dataio.write_profiles(path, awkward_profiles(rng))
         miss_copy = path.with_name("profiles.csv.npz").read_bytes()
-        expect = dataio.read_profiles(path, {})
+        expect = read_profiles(path)
         digest, rows = stored(path)
         copy = path.with_name("profiles.csv.npz")
         bad = {
@@ -298,7 +303,7 @@ class TestProfilesCopy:
                 np.savez(f, **{"sha256": digest, **bad[kind]})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert_same_profiles(dataio.read_profiles(path, {}), expect)
+            assert_same_profiles(read_profiles(path), expect)
         assert copy.read_bytes() == miss_copy
 
     def test_unwritable_copy_is_skipped(self, rng, tmp_path):
@@ -306,7 +311,7 @@ class TestProfilesCopy:
         (tmp_path / "profiles.csv.npz").mkdir()
         profiles = awkward_profiles(rng)
         dataio.write_profiles(path, profiles)
-        assert_same_profiles(dataio.read_profiles(path, {}), profiles)
+        assert_same_profiles(read_profiles(path), profiles)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["profiles.csv", "profiles.csv.npz"]
         assert (tmp_path / "profiles.csv.npz").is_dir()
 
@@ -324,12 +329,12 @@ class TestProfilesCopy:
         dataio.write_profiles(path, awkward_profiles(rng))
         path.write_text("t,x,y,z\n" + body)
         with pytest.raises(error, match=f"{re.escape(str(path))}: {match}"):
-            dataio.read_profiles(path, {})
+            read_profiles(path)
 
     def test_header_only_writes_no_copy(self, tmp_path):
         path = tmp_path / "profiles.csv"
         dataio.write_profiles(path, [])
-        assert dataio.read_profiles(path, {}) == []
+        assert read_profiles(path) == []
         assert [p.name for p in tmp_path.iterdir()] == ["profiles.csv"]
 
     def test_digest_reported_and_chunked(self, rng, tmp_path):
@@ -337,10 +342,12 @@ class TestProfilesCopy:
         dataio.write_profiles(path, [frontend.LaserProfile(0.0, rng.normal(size=(40_000, 3)))])
         assert path.stat().st_size > 2 * (1 << 20)  # more than two chunks
         expect = hashlib.sha256(path.read_bytes()).hexdigest()
-        for _ in range(2):  # a miss, then a hit
-            digests = {"prior.csv": "kept"}
-            dataio.read_profiles(path, digests)
-            assert digests == {"prior.csv": "kept", "profiles.csv": expect}
+        assert dataio.sha256_file(path) == expect
+        path.with_name("profiles.csv.npz").unlink()
+        for _ in range(2):  # a miss that writes the copy under the digest, then a hit
+            (back,) = dataio.read_profiles(path, expect)
+            assert stored(path)[0] == expect
+            assert back.points.tobytes() == stored(path)[1][:, 1:].tobytes()
         (tmp_path / "empty").write_bytes(b"")
         assert dataio.sha256_file(tmp_path / "empty") == hashlib.sha256(b"").hexdigest()
 
