@@ -47,6 +47,13 @@ def _parse_value(key, raw, default):
 
 _SOLVER = solver.SolverConfig()
 _SIM = sim.SimConfig()
+# every number must be positive but these: the keys that may be 0, and
+# the keys of either sign
+_NONNEGATIVE = {
+    "solver.damping", "sim.seed", "sim.scan_noise", "sim.vel_psd", "sim.white_psd_yaw",
+    "sim.white_psd_xy", "frontend.frmsd_lambda", "frontend.variation_threshold",
+}
+_SIGNED = {"sim.vel_bias_x", "sim.vel_bias_y", "sim.heading_bias"}
 
 
 @dataclass
@@ -56,7 +63,10 @@ class PipelineConfig:
     Units follow the hyperparameter conventions of the estimation problem:
     PSDs in rad^2 s^-3 / m^2 s^-3, sigmas in the unit noted per field.
     The ``solver.*``, ``robust.*`` and ``sim.*`` defaults are those of
-    ``solver.SolverConfig`` and ``sim.SimConfig``.
+    ``solver.SolverConfig`` and ``sim.SimConfig``.  A ``frontend.*`` or
+    ``sim.*`` key sets the ``frontend.FrontendParams`` or ``sim.SimConfig``
+    field of its name, but for the degree keys ``*.lc_sigma_phi`` and the
+    ``sim.scan_*`` keys of ``sim.ScannerSpec``.
     """
 
     # motion-prior PSDs
@@ -145,23 +155,17 @@ class PipelineConfig:
         return cfg
 
     def validate(self):
-        for name in (
-            "wnoa_q_omega", "wnoa_q_nu", "rel_sigma_phi", "rel_sigma_rho",
-            "obs_sigma_rp", "obs_sigma_z", "prior_sigma_phi", "prior_sigma_rho",
-            "prior_sigma_omega", "prior_sigma_nu", "robust_sigma_phi_out",
-            "robust_sigma_rho_out", "solver_max_iterations", "solver_step_tolerance",
-            "frontend_delta_r_star", "frontend_min_time_separation", "frontend_voxel_cell",
-            "frontend_normal_neighbors", "frontend_icp_max_iterations", "frontend_icp_rot_tol",
-            "frontend_icp_trans_tol", "frontend_min_inlier_fraction", "sim_passes",
-            "sim_pass_length", "sim_lane_spacing", "sim_tie_margin", "sim_turn_radius",
-            "sim_node_rate", "sim_speed", "sim_scan_rate", "sim_scan_beams",
-        ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"configuration key '{self._key(name)}' must be positive")
+        """``self``; a ValueError names the first key out of its range."""
+        for f in fields(self):
+            key, value = self._key(f.name), getattr(self, f.name)
+            if isinstance(value, bool) or key in _SIGNED:
+                continue
+            if key in _NONNEGATIVE and value < 0:
+                raise ValueError(f"configuration key '{key}' must not be negative")
+            if key not in _NONNEGATIVE and value <= 0:
+                raise ValueError(f"configuration key '{key}' must be positive")
         if self.frontend_min_inlier_fraction > 1:
             raise ValueError("configuration key 'frontend.min_inlier_fraction' must be at most 1")
-        if self.sim_seed < 0:
-            raise ValueError("configuration key 'sim.seed' must not be negative")
         return self
 
     # derived objects -------------------------------------------------
@@ -194,46 +198,29 @@ class PipelineConfig:
             damping=self.solver_damping,
         )
 
+    def _by_name(self, cls, section):
+        """{field: value} for each field of ``cls`` with a ``section.<field>`` key."""
+        values = vars(self)
+        return {f.name: values[f"{section}_{f.name}"] for f in fields(cls)
+                if f"{section}_{f.name}" in values}
+
     def frontend_params(self):
-        return frontend.FrontendParams(
-            voxel_cell=self.frontend_voxel_cell,
-            normal_neighbors=self.frontend_normal_neighbors,
-            variation_threshold=self.frontend_variation_threshold,
-            max_iterations=self.frontend_icp_max_iterations,
-            rot_tol=self.frontend_icp_rot_tol,
-            trans_tol=self.frontend_icp_trans_tol,
-            frmsd_lambda=self.frontend_frmsd_lambda,
-            min_inlier_fraction=self.frontend_min_inlier_fraction,
-            delta_r_star=self.frontend_delta_r_star,
-            submap_time_window=self.frontend_submap_time_window,
-            min_submap_points=self.frontend_min_submap_points,
-            lc_sigma_phi=np.deg2rad(self.frontend_lc_sigma_phi),
-            lc_sigma_rho=self.frontend_lc_sigma_rho,
-        )
+        return frontend.FrontendParams(**{
+            **self._by_name(frontend.FrontendParams, "frontend"),
+            "lc_sigma_phi": np.deg2rad(self.frontend_lc_sigma_phi),
+        })
 
     def sim_config(self):
-        cfg = sim.SimConfig(seed=self.sim_seed)
-        cfg.passes = self.sim_passes
-        cfg.pass_length = self.sim_pass_length
-        cfg.lane_spacing = self.sim_lane_spacing
-        cfg.tie_margin = self.sim_tie_margin
-        cfg.turn_radius = self.sim_turn_radius
-        cfg.speed = self.sim_speed
-        cfg.node_rate = self.sim_node_rate
-        cfg.scanner = sim.ScannerSpec(
-            rate=self.sim_scan_rate,
-            beams=self.sim_scan_beams,
-            fov_deg=self.sim_scan_fov,
-            noise_sigma=self.sim_scan_noise,
-        )
-        cfg.vel_bias_x = self.sim_vel_bias_x
-        cfg.vel_bias_y = self.sim_vel_bias_y
-        cfg.vel_psd = self.sim_vel_psd
-        cfg.white_psd_yaw = self.sim_white_psd_yaw
-        cfg.white_psd_xy = self.sim_white_psd_xy
-        cfg.heading_bias = self.sim_heading_bias
-        cfg.lc_sigma_phi = np.deg2rad(self.sim_lc_sigma_phi)
-        cfg.lc_sigma_rho = self.sim_lc_sigma_rho
+        cfg = sim.SimConfig(**{
+            **self._by_name(sim.SimConfig, "sim"),
+            "lc_sigma_phi": np.deg2rad(self.sim_lc_sigma_phi),
+            "scanner": sim.ScannerSpec(
+                rate=self.sim_scan_rate,
+                beams=self.sim_scan_beams,
+                fov_deg=self.sim_scan_fov,
+                noise_sigma=self.sim_scan_noise,
+            ),
+        })
         cfg.terrain = sim.survey_terrain(cfg)
         return cfg
 
@@ -263,14 +250,14 @@ def _report_head(cfg, **paths):
 
 
 def cmd_simulate(args, cfg):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     scfg = cfg.sim_config()
     truth = sim.generate_truth(scfg)
     prior = sim.degrade(truth, scfg)
     profiles = sim.synth_scan(
         truth, scfg.terrain, scfg.scanner, seed=scfg.seed + 1
     )
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     dataio.write_trajectory(out / "truth.csv", truth)
     dataio.write_trajectory(out / "prior.csv", prior)
     dataio.write_profiles(out / "profiles.csv", profiles)
@@ -410,6 +397,9 @@ def cmd_evaluate(args, cfg):
             np.column_stack([rel.times, rel.attitude_deg, rel.displacement]),
         )
         summary["relative_displacement"] = metrics.summarize(rel.displacement, estimate)
+        if "percent_distance_traveled" not in summary["relative_displacement"]:
+            summary["omitted"].append(
+                "percent_distance_traveled (the estimate has no planar path length)")
         summary["anchor_index"] = int(anchor)
     else:
         summary["omitted"].append("relative_errors (no truth provided)")

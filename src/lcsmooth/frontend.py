@@ -101,15 +101,15 @@ class Crossing:
 
 @dataclass
 class FrontendParams:
-    """The ``frontend.*`` tunables of ``make_loop_closure``; ``max_iterations``,
-    ``rot_tol`` and ``trans_tol`` are the ICP ones, ``lc_sigma_phi`` is in rad."""
+    """The ``frontend.*`` tunables of ``make_loop_closure``, each named as its
+    key; ``lc_sigma_phi`` is in rad."""
 
     voxel_cell: float
     normal_neighbors: int
     variation_threshold: float
-    max_iterations: int
-    rot_tol: float
-    trans_tol: float
+    icp_max_iterations: int
+    icp_rot_tol: float
+    icp_trans_tol: float
     frmsd_lambda: float
     min_inlier_fraction: float
     delta_r_star: float
@@ -320,7 +320,7 @@ def icp_align(source, target: Submap, init, params: FrontendParams):
 
     Per iteration: single nearest-neighbor association, FRMSD inlier
     selection, then one safeguarded Gauss-Newton update of the pose.  Terminates when
-    the pose differential drops below (rot_tol, trans_tol) or at the
+    the pose differential drops below (icp_rot_tol, icp_trans_tol) or at the
     iteration cap.  Raises AlignmentFailureError when the robust alignment
     error grows for ``DIVERGENCE_LIMIT`` consecutive iterations or the
     inlier set collapses, with the run so far as its ``icp``.  A run that
@@ -339,7 +339,7 @@ def icp_align(source, target: Submap, init, params: FrontendParams):
     prev_score = np.inf
     diverging = 0
 
-    for it in range(params.max_iterations):
+    for it in range(params.icp_max_iterations):
         src = source @ T[:3, :3].T + T[:3, 3]
         dist, nn = tree.query(src)
         inliers, score = _frmsd_select(dist, params)
@@ -374,8 +374,8 @@ def icp_align(source, target: Submap, init, params: FrontendParams):
         report.iterations = it + 1
         report.step_objectives.append((float(obj0), float(obj1)))
         if (
-            np.linalg.norm(delta[:3]) < params.rot_tol
-            and np.linalg.norm(delta[3:]) < params.trans_tol
+            np.linalg.norm(delta[:3]) < params.icp_rot_tol
+            and np.linalg.norm(delta[3:]) < params.icp_trans_tol
         ):
             report.converged = True
             break

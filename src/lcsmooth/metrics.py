@@ -96,7 +96,8 @@ def percent_distance_traveled(final_planar_error, trajectory: Trajectory):
 
 def summarize(samples, trajectory: Trajectory | None = None):
     """Quantile table for error samples, plus drift figures when samples are
-    per-node displacement errors of ``trajectory``."""
+    per-node displacement errors of ``trajectory``; a trajectory without
+    planar path length gets no ``percent_distance_traveled``."""
     samples = np.asarray(samples, dtype=float)
     report = {
         "count": int(samples.size),
@@ -107,7 +108,8 @@ def summarize(samples, trajectory: Trajectory | None = None):
         if len(trajectory) != samples.size:
             raise ValueError("per-node samples must match the trajectory length")
         report["final"] = float(samples[-1])
-        report["percent_distance_traveled"] = percent_distance_traveled(
-            float(samples[-1]), trajectory
-        )
+        if trajectory.planar_length() > 0:
+            report["percent_distance_traveled"] = percent_distance_traveled(
+                report["final"], trajectory
+            )
     return report

@@ -34,6 +34,19 @@ def sha256(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+# the README's two exceptions to "every number must be positive", the keys
+# that may be 0 and the keys of either sign, written out here so that the
+# README and cli._NONNEGATIVE / cli._SIGNED cannot drift apart unseen
+NONNEGATIVE_KEYS = {
+    "solver.damping", "sim.seed", "sim.scan_noise", "sim.vel_psd", "sim.white_psd_yaw",
+    "sim.white_psd_xy", "frontend.frmsd_lambda", "frontend.variation_threshold",
+}
+SIGNED_KEYS = {"sim.vel_bias_x", "sim.vel_bias_y", "sim.heading_bias"}
+NUMERIC_KEYS = [
+    key for key, raw in cli.PipelineConfig().to_flat().items() if raw not in ("true", "false")
+]
+
+
 def write_cfg(tmp_path, extra=None, name="pipeline.cfg"):
     values = dict(SMALL_SIM)
     if extra:
@@ -220,24 +233,12 @@ class TestSimulate:
         cfg = cli.PipelineConfig.from_flat({"robust.enabled": raw})
         assert cfg.robust_enabled is (raw.lower() in ("true", "1", "yes", "on"))
 
-    # every key that the README says must be positive, written out here so
-    # that the README and PipelineConfig.validate cannot drift apart unseen
+    # 0 for each key that must be positive, -1 for each that may be 0
     @pytest.mark.parametrize(
         "key, raw",
-        [(key, "0") for key in (
-            "wnoa.q_omega", "wnoa.q_nu", "rel.sigma_phi", "rel.sigma_rho",
-            "obs.sigma_rp", "obs.sigma_z", "prior.sigma_phi", "prior.sigma_rho",
-            "prior.sigma_omega", "prior.sigma_nu", "robust.sigma_phi_out",
-            "robust.sigma_rho_out", "solver.max_iterations", "solver.step_tolerance",
-            "frontend.delta_r_star", "frontend.min_time_separation", "frontend.voxel_cell",
-            "frontend.normal_neighbors", "frontend.icp_max_iterations", "frontend.icp_rot_tol",
-            "frontend.icp_trans_tol",
-            "sim.passes", "sim.pass_length", "sim.lane_spacing", "sim.tie_margin",
-            "sim.turn_radius", "sim.speed", "sim.node_rate", "sim.scan_rate",
-            "sim.scan_beams",
-        )]
-        + [("frontend.min_inlier_fraction", "0"), ("frontend.min_inlier_fraction", "1.5"),
-           ("sim.seed", "-3")],
+        [(key, "0") for key in NUMERIC_KEYS if key not in NONNEGATIVE_KEYS | SIGNED_KEYS]
+        + [(key, "-1") for key in sorted(NONNEGATIVE_KEYS)]
+        + [("frontend.min_inlier_fraction", "1.5")],
     )
     def test_out_of_range_value_names_key(self, tmp_path, capsys, key, raw):
         cfg = write_cfg(tmp_path, {key: raw})
@@ -258,6 +259,18 @@ class TestSimulate:
             cli.main(argv + ["--seed", "-1"])
         assert exit_.value.code == cli.EXIT_VALIDATION
         assert "argument --seed: must not be negative, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    def test_range_exceptions_accepted(self, tmp_path):
+        # a misspelt key in either set would be rejected as unknown
+        values = {key: "0" for key in NONNEGATIVE_KEYS} | {key: "-1" for key in SIGNED_KEYS}
+        cli.load_config(write_cfg(tmp_path, values), None)
+
+    def test_failed_simulation_leaves_no_out(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {"sim.turn_radius": "10"})
+        code = cli.main(["simulate", "--out", str(tmp_path / "d"), "--config", cfg])
+        assert code == cli.EXIT_VALIDATION
+        assert "turn radius too large for waypoint spacing" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
     def test_seed_flag_overrides_negative_config_seed(self, tmp_path):
@@ -748,6 +761,19 @@ class TestEvaluate:
         assert f"error: {lc}: data row 2 holds a closure time more than half a sample " \
             "period from every node\n" in capsys.readouterr().err
         assert not (tmp_path / "evaluation.json").exists()
+
+    def test_hovering_vehicle_has_no_percent_distance(self, tmp_path):
+        hover = Trajectory(np.arange(50) * 0.1, np.tile(np.eye(4), (50, 1, 1)))
+        dataio.write_trajectory(tmp_path / "hover.csv", hover)
+        assert cli.main(
+            ["evaluate", "--estimate", str(tmp_path / "hover.csv"),
+             "--truth", str(tmp_path / "hover.csv")]
+        ) == cli.EXIT_OK
+        summary = json.loads((tmp_path / "evaluation.json").read_text())
+        assert summary["relative_displacement"]["final"] == 0.0
+        assert "percent_distance_traveled" not in summary["relative_displacement"]
+        assert "percent_distance_traveled (the estimate has no planar path length)" \
+            in summary["omitted"]
 
     def test_closure_crops_do_not_share_points(self, tmp_path):
         # a hovering vehicle that sees one point per second, each in its own

@@ -594,7 +594,7 @@ class TestMakeLoopClosure:
         # the stated covariance presumes a converged alignment
         drift_xi = np.array([0.0, 0.0, 0.02, 0.3, -0.2, 0.0])
         traj, cloud, crossing, *_ = self.make_scene(rng, drift_xi)
-        params = replace(PARAMS, submap_time_window=30.0, max_iterations=2)
+        params = replace(PARAMS, submap_time_window=30.0, icp_max_iterations=2)
         with pytest.raises(frontend.AlignmentFailureError) as failure:
             frontend.make_loop_closure(traj, cloud, crossing, params)
         assert str(failure.value) == (

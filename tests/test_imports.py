@@ -307,10 +307,12 @@ def test_guard_finds_an_unread_field():
 # ``IcpReport`` and ``SolveReport`` both declare ``converged``; the package
 # reads both (``closeloops_report.json`` and ``smooth_report.json``)
 SHARED_FIELD_OWNERS = {"converged": {"SolveReport", "IcpReport"}}
-# ``cmd_smooth`` writes every field of these to its report through
-# ``dataclasses.asdict``, which loads no attribute; ``tests/test_cli.py``
-# checks that the report holds each of them
-SERIALIZED = {"SolveReport"}
+# ``cmd_smooth`` writes every field of ``SolveReport`` to its report through
+# ``dataclasses.asdict``, and ``PipelineConfig.to_flat`` every field of
+# ``PipelineConfig`` to ``config.cfg`` through ``getattr``; neither loads an
+# attribute.  ``tests/test_cli.py`` checks that the report holds each field,
+# and pins the hash of the flat configuration
+SERIALIZED = {"SolveReport", "PipelineConfig"}
 
 
 def test_every_field_is_read():
