@@ -378,8 +378,6 @@ def cmd_evaluate(args, cfg):
                        profiles=args.profiles, loopclosures=args.loopclosures),
         "omitted": [],
     }
-    out = Path(args.out) if args.out else Path(args.estimate).parent
-    out.mkdir(parents=True, exist_ok=True)
     estimate = dataio.read_trajectory(args.estimate)
 
     closures = None
@@ -387,12 +385,12 @@ def cmd_evaluate(args, cfg):
         rows = dataio.read_loop_closures(args.loopclosures)
         closures = dataio.place_loop_closures(args.loopclosures, rows, estimate)
 
+    tables = {}  # file name: (header, rows)
     if args.truth:
         truth = dataio.read_trajectory(args.truth)
         anchor = min(m.idx_l1 for m in closures) if closures else 0
         rel = metrics.relative_pose_errors(estimate, truth, anchor)
-        dataio.write_rows(
-            out / "relative_errors.csv",
+        tables["relative_errors.csv"] = (
             "t,att_x_deg,att_y_deg,att_z_deg,displacement_m",
             np.column_stack([rel.times, rel.attitude_deg, rel.displacement]),
         )
@@ -423,16 +421,21 @@ def cmd_evaluate(args, cfg):
                      for t in (t1, t2)]
             pair = [frontend.voxel_downsample(c.points, cfg.frontend_voxel_cell)
                     for c in crops if len(c)]
-            return metrics.point_disparity(pair, gate) if len(pair) == 2 else None
+            return metrics.point_disparity(*pair, gate) if len(pair) == 2 else None
 
         samples = [s for s in parallel.map_ordered(disparity, closures) if s is not None]
         samples = np.concatenate(samples) if samples else np.zeros(0)
         if samples.size:
-            dataio.write_rows(out / "disparity.csv", "disparity_m", samples)
+            tables["disparity.csv"] = ("disparity_m", samples)
             summary["point_disparity"] = metrics.summarize(samples)
         else:
             summary["omitted"].append("point_disparity (no overlap samples)")
 
+    # created only now, so that a run that failed above leaves nothing behind
+    out = Path(args.out) if args.out else Path(args.estimate).parent
+    out.mkdir(parents=True, exist_ok=True)
+    for name, (header, rows) in tables.items():
+        dataio.write_rows(out / name, header, rows)
     dataio.write_manifest(out / "evaluation.json", summary)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return EXIT_OK

@@ -3,8 +3,8 @@
 Relative pose errors anchor both trajectories at a common node, so the
 metrics are invariant to any global left-composition and need no alignment
 step.  Map self-consistency is measured by point disparity: the nearest
-neighbor distance from each point of one pass to the union of the others,
-restricted to the overlap region.
+neighbor distance from each point of one pass to the other pass, restricted
+to the overlap region.
 """
 
 from __future__ import annotations
@@ -51,27 +51,18 @@ def relative_pose_errors(estimate: Trajectory, truth: Trajectory, anchor: int):
     )
 
 
-def point_disparity(passes, overlap_gate):
-    """Directed nearest-neighbor distances between overlapping passes, pooled.
+def point_disparity(a, b, overlap_gate):
+    """Nearest-neighbor distances between two overlapping passes, both ways.
 
-    For each point in each pass, the distance to its nearest neighbor among
-    the union of all other passes is a disparity sample; points farther than
-    ``overlap_gate`` from every other pass are treated as non-overlapping
-    and excluded.  Returns the pooled samples (possibly empty).
+    The distance from each point of either pass to its nearest neighbor in
+    the other is a disparity sample; points farther than ``overlap_gate``
+    from the other pass are treated as non-overlapping and excluded.
+    Returns the ``a`` -> ``b`` samples, then the ``b`` -> ``a`` samples
+    (possibly none).  Neither pass may be empty.
     """
-    clouds = [np.asarray(p, dtype=float).reshape(-1, 3) for p in passes]
-    if len(clouds) < 2:
-        raise ValueError("point disparity needs at least two passes")
-    samples = []
-    for i, cloud in enumerate(clouds):
-        others = np.vstack([c for j, c in enumerate(clouds) if j != i])
-        if len(others) == 0 or len(cloud) == 0:
-            continue
-        d, _ = cKDTree(others).query(cloud)
-        samples.append(d[d <= overlap_gate])
-    if not samples:
-        return np.zeros(0)
-    return np.concatenate(samples)
+    a, b = (np.asarray(p, dtype=float).reshape(-1, 3) for p in (a, b))
+    d = np.concatenate([cKDTree(b).query(a)[0], cKDTree(a).query(b)[0]])
+    return d[d <= overlap_gate]
 
 
 def nearest_rank_quantiles(samples):
@@ -84,14 +75,6 @@ def nearest_rank_quantiles(samples):
         rank = max(1, int(np.ceil(q * len(samples))))
         out[q] = float(samples[rank - 1])
     return out
-
-
-def percent_distance_traveled(final_planar_error, trajectory: Trajectory):
-    """Final planar error as a percentage of the cumulative planar path length."""
-    length = trajectory.planar_length()
-    if length <= 0:
-        raise ValueError("trajectory has no planar path length")
-    return 100.0 * final_planar_error / length
 
 
 def summarize(samples, trajectory: Trajectory | None = None):
@@ -108,8 +91,7 @@ def summarize(samples, trajectory: Trajectory | None = None):
         if len(trajectory) != samples.size:
             raise ValueError("per-node samples must match the trajectory length")
         report["final"] = float(samples[-1])
-        if trajectory.planar_length() > 0:
-            report["percent_distance_traveled"] = percent_distance_traveled(
-                report["final"], trajectory
-            )
+        length = trajectory.planar_length()
+        if length > 0:
+            report["percent_distance_traveled"] = 100.0 * report["final"] / length
     return report

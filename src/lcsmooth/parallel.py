@@ -9,7 +9,7 @@ import threading
 
 def map_ordered(fn, items):
     """``[fn(x) for x in items]``, worked by the calling thread next to one
-    helper thread per extra usable CPU; on one CPU, a plain loop.
+    helper thread per extra usable CPU (none on one CPU).
 
     Threads take the items in input order and the results come back in input
     order.  Where calls raise, the exception of the first failing item in
@@ -25,8 +25,6 @@ def map_ordered(fn, items):
     except AttributeError:  # a platform without CPU affinity
         cpus = os.cpu_count() or 1
     helpers = min(cpus, len(items)) - 1
-    if helpers < 1:
-        return [fn(x) for x in items]
     todo = queue.SimpleQueue()
     for i in range(len(items)):
         todo.put(i)

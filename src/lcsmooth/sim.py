@@ -379,7 +379,7 @@ def inject_outliers(measurements, count, seed):
     (-pi, pi] per axis.
     """
     if count > len(measurements):
-        raise ValueError("cannot replace more measurements than exist")
+        raise ValueError(f"cannot replace {count} of {len(measurements)} loop closures")
     rng = np.random.default_rng(seed)
     out = list(measurements)
     if count == 0:

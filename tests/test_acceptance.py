@@ -419,7 +419,7 @@ def test_criterion_09_self_consistency_trend(standard):
                     cloud, center, 5.0, t_center=traj.times[idx], window=20.0
                 )
                 passes.append(frontend.voxel_downsample(crop.points, 0.05))
-            samples.append(metrics.point_disparity(passes, gate))
+            samples.append(metrics.point_disparity(*passes, gate))
         return float(np.median(np.concatenate(samples)))
 
     med_prior = median_disparity(prior)

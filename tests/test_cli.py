@@ -326,7 +326,7 @@ class TestCloseloops:
         assert code == cli.EXIT_VALIDATION
         err = capsys.readouterr().err
         assert "no path crossings" in err
-        assert "cannot replace more measurements than exist" in err
+        assert "cannot replace 1 of 0 loop closures" in err
         assert not (d / "loopclosures.csv").exists()
 
     def test_profile_order_in_file_does_not_matter(self, dataset, tmp_path):
@@ -810,18 +810,29 @@ class TestEvaluate:
         assert "nope.csv" in capsys.readouterr().err
         assert not (out / "evaluation.json").exists()
 
-    @pytest.mark.parametrize("missing", ["estimate", "truth", "profiles", "loopclosures"])
-    def test_missing_input_writes_nothing(self, dataset, tmp_path, capsys, missing):
-        # every input is hashed before one is parsed or --out is created
+    @pytest.mark.parametrize("bad", ["estimate", "truth", "profiles", "loopclosures",
+                                     "estimate-nan", "profiles-columns"])
+    def test_missing_input_writes_nothing(self, dataset, tmp_path, capsys, bad):
+        # every input is hashed, then read and measured, before --out is
+        # created: a missing input (exit 4) or an invalid one (exit 2) leaves none
+        import shutil
+
         d, cfg = dataset
         paths = {role: d / f"{role}.csv" for role in ("truth", "profiles", "loopclosures")}
         paths["estimate"] = d / "prior.csv"
-        paths[missing] = tmp_path / "nope.csv"
-        out = tmp_path / "eval_missing"
+        role, _, defect = bad.partition("-")
+        broken = tmp_path / "bad.csv"
+        if defect == "nan":  # a NaN in data row 2
+            shutil.copyfile(paths[role], broken)
+            set_fields(broken, 2, {1: "nan"})
+        elif defect == "columns":  # three columns where four belong
+            broken.write_text("t,x,y\n0,1,2\n")
+        paths[role] = broken
+        out = tmp_path / "eval_bad"
         argv = ["evaluate", "--out", str(out), "--config", cfg]
         argv += [arg for role, path in paths.items() for arg in (f"--{role}", str(path))]
-        assert cli.main(argv) == cli.EXIT_IO
-        assert "nope.csv" in capsys.readouterr().err
+        assert cli.main(argv) == (cli.EXIT_VALIDATION if defect else cli.EXIT_IO)
+        assert "bad.csv" in capsys.readouterr().err
         assert not out.exists()
 
     def test_report_names_config_and_inputs(self, dataset, tmp_path):

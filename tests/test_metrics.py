@@ -70,7 +70,7 @@ class TestRelativePoseErrors:
 class TestPointDisparity:
     def test_identical_clouds_zero(self, rng):
         cloud = rng.uniform(size=(500, 3))
-        d = metrics.point_disparity([cloud, cloud.copy()], overlap_gate=1.0)
+        d = metrics.point_disparity(cloud, cloud.copy(), overlap_gate=1.0)
         assert np.abs(d).max() == 0.0
 
     def test_plane_shift_recovers_offset(self, rng):
@@ -78,20 +78,20 @@ class TestPointDisparity:
         a = np.column_stack([xy, np.zeros(len(xy))])
         b = a.copy()
         b[:, 2] += 0.05
-        d = metrics.point_disparity([a, b], overlap_gate=0.5)
+        d = metrics.point_disparity(a, b, overlap_gate=0.5)
         # interior points see the out-of-plane shift
         assert abs(np.median(d) - 0.05) < 0.01
 
     def test_overlap_gate_excludes_distant_points(self, rng):
         a = rng.uniform(0, 1, size=(200, 3))
         b = a + np.array([50.0, 0.0, 0.0])
-        d = metrics.point_disparity([a, b], overlap_gate=0.25)
+        d = metrics.point_disparity(a, b, overlap_gate=0.25)
         assert d.size == 0
 
     def test_tree_matches_brute_force(self, rng):
         a = rng.uniform(size=(300, 3))
         b = rng.uniform(size=(400, 3))
-        d = metrics.point_disparity([a, b], overlap_gate=np.inf)
+        d = metrics.point_disparity(a, b, overlap_gate=np.inf)
         brute = np.concatenate(
             [
                 np.min(np.linalg.norm(a[:, None] - b[None], axis=2), axis=1),
@@ -99,10 +99,6 @@ class TestPointDisparity:
             ]
         )
         assert np.array_equal(np.sort(d), np.sort(brute))
-
-    def test_needs_two_passes(self, rng):
-        with pytest.raises(ValueError):
-            metrics.point_disparity([rng.uniform(size=(10, 3))], 1.0)
 
 
 class TestSummaries:
@@ -127,7 +123,8 @@ class TestSummaries:
         poses = np.tile(np.eye(4), (n, 1, 1))
         poses[:, 0, 3] = np.arange(n) * 2.0  # 20 m planar path
         traj = Trajectory(times=np.arange(n, dtype=float), poses=poses)
-        assert metrics.percent_distance_traveled(0.5, traj) == pytest.approx(2.5)
+        rep = metrics.summarize(np.linspace(0.0, 0.5, n), traj)
+        assert rep["percent_distance_traveled"] == pytest.approx(2.5)
 
     def test_summarize_per_node(self, rng):
         traj = make_trajectory(rng, n=30)

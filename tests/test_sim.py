@@ -299,7 +299,7 @@ class TestTruthSelfConsistency:
                 cloud, truth.positions[c.idx1][:2], 5.0, t_center=t, window=15.0
             )
             passes.append(crop.points)
-        d = metrics.point_disparity(passes, overlap_gate=1.0)
+        d = metrics.point_disparity(*passes, overlap_gate=1.0)
         assert np.median(d) <= 2.0 * noise
 
 
