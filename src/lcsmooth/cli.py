@@ -256,11 +256,14 @@ def cmd_simulate(args, cfg):
     profiles = sim.synth_scan(
         truth, scfg.terrain, scfg.scanner, seed=scfg.seed + 1
     )
+    # the profile file's rows: each profile's stamp once per point
+    stamps = np.repeat([p.timestamp for p in profiles], [len(p.points) for p in profiles])
+    points = np.vstack([p.points for p in profiles]) if profiles else np.zeros((0, 3))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dataio.write_trajectory(out / "truth.csv", truth)
     dataio.write_trajectory(out / "prior.csv", prior)
-    dataio.write_profiles(out / "profiles.csv", profiles)
+    dataio.write_profiles(out / "profiles.csv", stamps, points)
     flat = cfg.to_flat()
     dataio.write_config(out / "config.cfg", flat)
     manifest = {
@@ -268,7 +271,7 @@ def cmd_simulate(args, cfg):
         "config_hash": dataio.config_hash(flat),
         "nodes": len(truth),
         "profiles": len(profiles),
-        "points": int(sum(len(p.points) for p in profiles)),
+        "points": len(points),
         "files": ["truth.csv", "prior.csv", "profiles.csv", "config.cfg"],
     }
     dataio.write_manifest(out / "manifest.json", manifest)
@@ -280,8 +283,8 @@ def cmd_closeloops(args, cfg):
     dataset = Path(args.dataset)
     head = _report_head(cfg, prior=dataset / "prior.csv", profiles=dataset / "profiles.csv")
     prior = dataio.read_trajectory(dataset / "prior.csv")
-    profiles = dataio.read_profiles(dataset / "profiles.csv", head["inputs"]["profiles"])
-    cloud, rejected = frontend.register_profiles(profiles, prior)
+    stamps, points = dataio.read_profiles(dataset / "profiles.csv", head["inputs"]["profiles"])
+    cloud, rejected = frontend.register_profiles(stamps, points, prior)
     if rejected:
         print(f"warning: {rejected} profiles outside the trajectory span", file=sys.stderr)
     crossings = frontend.detect_crossings(
@@ -313,9 +316,12 @@ def cmd_closeloops(args, cfg):
             "icp": None if icp is None else asdict(icp),
         })
     if args.outliers:
-        measurements = sim.inject_outliers(
-            measurements, args.outliers, seed=cfg.sim_seed + 2
-        )
+        injected = sim.inject_outliers(measurements, args.outliers, seed=cfg.sim_seed + 2)
+        closed = [e for e in report_doc["crossings"] if e["outcome"] == "closure"]
+        for m, new, entry in zip(measurements, injected, closed):
+            if new is not m:  # the entry keeps the ICP run of the closure replaced
+                entry["outcome"] = "outlier_injected"
+        measurements = injected
         report_doc["outliers_injected"] = args.outliers
     dataio.write_loop_closures(
         dataset / "loopclosures.csv", measurements, prior.times
@@ -408,8 +414,8 @@ def cmd_evaluate(args, cfg):
         # the cloud only feeds the closure crops
         summary["omitted"].append("point_disparity (no loop closures given)")
     else:
-        profiles = dataio.read_profiles(args.profiles, summary["inputs"]["profiles"])
-        cloud, _ = frontend.register_profiles(profiles, estimate)
+        stamps, points = dataio.read_profiles(args.profiles, summary["inputs"]["profiles"])
+        cloud, _ = frontend.register_profiles(stamps, points, estimate)
         gate = cfg.eval_overlap_gate_cells * cfg.frontend_voxel_cell
 
         def disparity(m):

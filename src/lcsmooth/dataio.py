@@ -27,7 +27,6 @@ import numpy as np
 
 from . import lie
 from .factors import LoopClosureMeasurement
-from .frontend import LaserProfile
 from .trajectory import Trajectory
 
 _FMT = "%.17g"
@@ -85,18 +84,15 @@ def read_trajectory(path) -> Trajectory:
 # Profiles CSV: t, x, y, z (one point per row, grouped by timestamp)
 
 
-def write_profiles(path, profiles):
-    """The CSV, then the binary copy of its rows beside it (see ``read_profiles``)."""
-    rows = np.empty((sum(len(p.points) for p in profiles), 4))
-    start = 0
+def write_profiles(path, stamps, points):
+    """The CSV of the rows, then their binary copy beside it (see ``read_profiles``)."""
+    rows = np.column_stack([stamps, points])
+    bits = rows[:, 0].view(np.int64)  # runs of equal bits: a -0.0 beside 0.0 keeps its sign
+    starts = np.flatnonzero(np.r_[len(rows) > 0, bits[1:] != bits[:-1]])
     with open(path, "w") as f:
         f.write("t,x,y,z\n")
-        for p in profiles:
-            _write_block(f, _FMT % p.timestamp + ",", p.points)
-            stop = start + len(p.points)
-            rows[start:stop, 0] = p.timestamp
-            rows[start:stop, 1:] = p.points
-            start = stop
+        for start, stop in zip(starts, [*starts[1:], len(rows)]):
+            _write_block(f, _FMT % rows[start, 0] + ",", rows[start:stop, 1:])
     if len(rows):
         _write_copy(path, sha256_file(path), rows)
 
@@ -185,27 +181,22 @@ def _load_csv(path, what):
 
 
 def read_profiles(path, digest):
-    """The profiles of a ``t, x, y, z`` CSV, one per run of equal stamps.
+    """The ``(stamps, points)`` rows of a ``t, x, y, z`` CSV.
 
     ``digest`` is the sha256 of the CSV's current bytes (``sha256_file``).
     The rows come from the binary copy beside the CSV when it holds them
     under that digest; otherwise the CSV is parsed and the copy written.
-    The copy is a cache: the profiles, and every error, are those of the CSV.
+    The copy is a cache: the rows, and every error, are those of the CSV.
     """
     data = _read_copy(path, digest)
     if data is None:
         data = _load_csv(path, "profile")
         if data.size == 0:
-            return []
+            return np.zeros(0), np.zeros((0, 3))
         if data.shape[1] != 4:
             raise ValueError(f"{path}: expected 4 columns, found {data.shape[1]}")
         _write_copy(path, digest, data)
-    profiles = []
-    # consecutive rows with the same stamp form one profile
-    boundaries = np.flatnonzero(np.diff(data[:, 0]) != 0) + 1
-    for chunk in np.split(data, boundaries):
-        profiles.append(LaserProfile(float(chunk[0, 0]), chunk[:, 1:4]))
-    return profiles
+    return data[:, 0], data[:, 1:]
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +220,19 @@ def write_loop_closures(path, measurements, times):
 
 
 def read_loop_closures(path):
-    """The rows of a loop-closure CSV, as an (L, 20) array."""
+    """The rows of a loop-closure CSV, as an (L, 20) array; each rotation
+    block a rotation to 1e-6 and each variance positive."""
     data = _load_csv(path, "loop-closure")
     if data.size and data.shape[1] != 20:
         raise ValueError(f"{path}: expected 20 columns, found {data.shape[1]}")
-    return data.reshape(-1, 20)
+    rows = data.reshape(-1, 20)
+    C = rows[:, 2:11].reshape(-1, 3, 3)
+    off = np.abs(np.swapaxes(C, 1, 2) @ C - np.eye(3)).max(axis=(1, 2))
+    _reject_rows(path, (off > 1e-6) | (np.linalg.det(C) <= 0), "holds a rotation block "
+                 "that is not a rotation (max|C^T C - I| above 1e-6, or det C not positive)")
+    _reject_rows(path, np.any(rows[:, 14:20] <= 0, axis=1),
+                 "holds a variance that is not positive")
+    return rows
 
 
 def insert_closure_nodes(path, rows, trajectory):

@@ -25,7 +25,8 @@ from . import lie
 
 @dataclass(frozen=True)
 class LoopClosureMeasurement:
-    """Relative pose between two trajectory nodes with 6x6 covariance."""
+    """Relative pose between two trajectory nodes with 6x6 covariance;
+    ``solver.FactorGraph.validate`` checks it."""
 
     idx_l1: int
     idx_l2: int
@@ -35,11 +36,6 @@ class LoopClosureMeasurement:
     def __post_init__(self):
         object.__setattr__(self, "xi_meas", np.asarray(self.xi_meas, dtype=float))
         object.__setattr__(self, "cov", np.asarray(self.cov, dtype=float))
-        if not self.idx_l1 < self.idx_l2:
-            raise ValueError("loop closure requires idx_l1 < idx_l2")
-        if self.cov.shape != (6, 6):
-            raise ValueError("loop closure covariance must be 6x6")
-        require_spd(self.cov, "loop closure covariance")
 
 
 class NonFiniteInputError(ValueError):

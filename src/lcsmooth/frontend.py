@@ -1,6 +1,6 @@
 """Laser point-cloud front end.
 
-Registers raw line-scanner profiles onto a trajectory estimate, finds
+Registers raw line-scanner profile rows onto a trajectory estimate, finds
 path crossings, extracts body-frame submaps around them, and aligns submap
 pairs with a mixed point-to-point / point-to-plane ICP to produce
 loop-closure measurements.
@@ -41,21 +41,6 @@ class AlignmentFailureError(CrossingDropped):
     """ICP rejected the alignment (too few points or inliers, diverging, capped)."""
 
     outcome = "alignment_failure"
-
-
-@dataclass
-class LaserProfile:
-    """One line-scanner return: sensor-frame points captured at a single time."""
-
-    timestamp: float
-    points: np.ndarray
-
-    def __post_init__(self):
-        self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if self.points.size == 0 or self.points.shape[-1] != 3:
-            raise ValueError("profile needs at least one 3D point")
-        if not np.all(np.isfinite(self.points)):
-            raise ValueError("profile points must be finite")
 
 
 @dataclass
@@ -127,26 +112,29 @@ class IcpReport:
     step_objectives: list = field(default_factory=list)
 
 
-def register_profiles(profiles, trajectory: Trajectory):
-    """Map sensor-frame profiles into the world frame along the trajectory.
+def register_profiles(stamps, points, trajectory: Trajectory):
+    """Map sensor-frame profile rows into the world frame along the trajectory.
 
-    The sensor frame is the body frame.  The trajectory is interpolated at
-    each profile timestamp; profiles whose timestamps fall outside the
-    trajectory span are rejected.  Returns the world-frame cloud (with
-    per-point capture times, profiles in stable timestamp order) and the
-    rejected count.
+    ``stamps`` (N,) and ``points`` (N, 3) are the rows of the profile file:
+    consecutive rows with one stamp form a profile.  The sensor frame is the
+    body frame.  The trajectory is interpolated at each profile's stamp;
+    profiles whose stamps fall outside the trajectory span are rejected.
+    Returns the world-frame cloud (with per-point capture times, profiles in
+    stable stamp order) and the rejected count.
     """
-    stamps = np.array([p.timestamp for p in profiles])
-    in_span = (stamps >= trajectory.times[0]) & (stamps <= trajectory.times[-1])
+    starts = np.flatnonzero(np.diff(stamps, prepend=np.nan) != 0)
+    stops = np.append(starts[1:], len(stamps))
+    t = stamps[starts]
+    in_span = (t >= trajectory.times[0]) & (t <= trajectory.times[-1])
     rejected = int(np.sum(~in_span))
-    order = np.flatnonzero(in_span)[np.argsort(stamps[in_span], kind="stable")]
+    order = np.flatnonzero(in_span)[np.argsort(t[in_span], kind="stable")]
     if not len(order):
         return PointCloud(np.zeros((0, 3)), np.zeros(0)), rejected
-    kept = [profiles[i] for i in order]
-    poses = trajectory.pose_at(stamps[order])
-    pts = [p.points @ T[:3, :3].T + T[:3, 3] for T, p in zip(poses, kept)]
-    times = [np.full(len(p.points), p.timestamp) for p in kept]
-    return PointCloud(np.vstack(pts), np.concatenate(times)), rejected
+    poses = trajectory.pose_at(t[order])
+    # one product per profile: the bits of each point are its profile's own
+    pts = [points[starts[i]:stops[i]] @ T[:3, :3].T + T[:3, 3] for T, i in zip(poses, order)]
+    times = np.repeat(t[order], (stops - starts)[order])
+    return PointCloud(np.vstack(pts), times), rejected
 
 
 def detect_crossings(trajectory: Trajectory, delta_r_star, min_time_separation):

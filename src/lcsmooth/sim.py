@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import lie, parallel
 from .factors import LoopClosureMeasurement
-from .frontend import LaserProfile
 from .trajectory import Trajectory
 
 
@@ -259,6 +259,14 @@ def degrade(truth: Trajectory, cfg: SimConfig) -> Trajectory:
 
 # ---------------------------------------------------------------------------
 # Synthetic laser scans
+
+
+class LaserProfile(NamedTuple):
+    """One line-scanner return: the sensor-frame hits of the rays cast at
+    ``timestamp``, each a finite point, at least one."""
+
+    timestamp: float
+    points: np.ndarray
 
 
 # Profiles ray-cast together, one ``parallel.map_ordered`` item per chunk.

@@ -158,6 +158,8 @@ class FactorGraph:
         require_spd(self.r_rel, "relative-pose covariance")
         require_spd(self.r_obs, "observable covariance")
         for i, m in enumerate(self.loop_closures):
+            if m.xi_meas.shape != (4, 4) or m.cov.shape != (6, 6):
+                raise ValueError(f"loop closure {i}: relative pose must be 4x4, covariance 6x6")
             if not (np.all(np.isfinite(m.xi_meas)) and np.all(np.isfinite(m.cov))):
                 raise NonFiniteInputError(
                     f"loop closure {i}: non-finite relative pose or covariance", i

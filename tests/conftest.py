@@ -66,6 +66,15 @@ def flipped_closure_line(orthonormal):
     return times, poses, closures
 
 
+def profile_rows(profiles):
+    """The ``(stamps, points)`` rows of per-profile records such as
+    ``sim.synth_scan``'s, in the form that the profile file holds."""
+    if not profiles:
+        return np.zeros(0), np.zeros((0, 3))
+    stamps = np.concatenate([np.full(len(p.points), p.timestamp) for p in profiles])
+    return stamps, np.vstack([p.points for p in profiles])
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -5,10 +5,10 @@ least-squares problem (the oracle of the structured Schur step and of the
 dense solver check), the continuous-time WNOA error kinematics with their
 closed-form transition matrix and the process noise as one 12 x 12 matrix,
 the se(3) hat/vee maps, the SE(3) right Jacobian, the log of each relative pose error, the terrain
-gradient on its own pass over the bumps, the world-frame crop that masks
-the whole cloud, voxel grouping by a row-wise ``np.unique``, the normals
-of all points in one k-nearest-neighbor query, and the ICP cost with one
-branch per error kind.
+gradient on its own pass over the bumps, profile registration one profile
+record at a time, the world-frame crop that masks the whole cloud, voxel
+grouping by a row-wise ``np.unique``, the normals of all points in one
+k-nearest-neighbor query, and the ICP cost with one branch per error kind.
 """
 
 import numpy as np
@@ -177,6 +177,22 @@ def relative_error_vectors(estimate, truth, anchor):
     d_truth = lie.se3_inv(truth.poses[anchor]) @ truth.poses
     d_est = lie.se3_inv(estimate.poses[anchor]) @ estimate.poses
     return lie.se3_log(lie.se3_inv(d_truth) @ d_est)
+
+
+def register_profiles(profiles, trajectory):
+    """``frontend.register_profiles`` over per-profile records (``.timestamp``,
+    ``.points``): one product per record, records in stable stamp order."""
+    stamps = np.array([p.timestamp for p in profiles])
+    in_span = (stamps >= trajectory.times[0]) & (stamps <= trajectory.times[-1])
+    rejected = int(np.sum(~in_span))
+    order = np.flatnonzero(in_span)[np.argsort(stamps[in_span], kind="stable")]
+    if not len(order):
+        return frontend.PointCloud(np.zeros((0, 3)), np.zeros(0)), rejected
+    kept = [profiles[i] for i in order]
+    poses = trajectory.pose_at(stamps[order])
+    pts = [p.points @ T[:3, :3].T + T[:3, 3] for T, p in zip(poses, kept)]
+    times = [np.full(len(p.points), p.timestamp) for p in kept]
+    return frontend.PointCloud(np.vstack(pts), np.concatenate(times)), rejected
 
 
 def crop_world(cloud, center_xy, radius, t_center, window):

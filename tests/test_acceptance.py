@@ -22,6 +22,7 @@ from conftest import (
     fd_jacobian,
     moderate_state,
     perturb,
+    profile_rows,
     random_pose,
     random_twist,
     stack_samples,
@@ -57,8 +58,8 @@ def standard():
     cfg = sim.default_config(seed=4)
     truth = sim.generate_truth(cfg)
     prior = sim.degrade(truth, cfg)
-    profiles = sim.synth_scan(truth, cfg.terrain, cfg.scanner, seed=cfg.seed + 1)
-    cloud, _ = frontend.register_profiles(profiles, prior)
+    profiles = profile_rows(sim.synth_scan(truth, cfg.terrain, cfg.scanner, seed=cfg.seed + 1))
+    cloud, _ = frontend.register_profiles(*profiles, prior)
     crossings = frontend.detect_crossings(
         prior, CFG.frontend_delta_r_star, CFG.frontend_min_time_separation
     )
@@ -409,7 +410,7 @@ def test_criterion_09_self_consistency_trend(standard):
     gate = 1.0
 
     def median_disparity(traj):
-        cloud, _ = frontend.register_profiles(standard["profiles"], traj)
+        cloud, _ = frontend.register_profiles(*standard["profiles"], traj)
         samples = []
         for m in standard["measurements"]:
             center = traj.positions[m.idx_l1][:2]

@@ -15,7 +15,7 @@ from lcsmooth import cli, dataio, frontend, lie, sim, solver
 from lcsmooth.factors import LoopClosureMeasurement
 from lcsmooth.trajectory import Trajectory
 
-from conftest import flipped_closure_line
+from conftest import flipped_closure_line, profile_rows
 
 
 SMALL_SIM = {
@@ -109,8 +109,24 @@ def write_straight_line(directory):
     traj = Trajectory(times=np.arange(n) * 0.1, poses=poses)
     dataio.write_trajectory(directory / "prior.csv", traj)
     profiles = sim.synth_scan(traj, sim.TerrainSpec(), sim.ScannerSpec(beams=4), seed=0)
-    dataio.write_profiles(directory / "profiles.csv", profiles)
+    dataio.write_profiles(directory / "profiles.csv", *profile_rows(profiles))
     return directory
+
+
+NOT_A_ROTATION = ("holds a rotation block that is not a rotation "
+                  "(max|C^T C - I| above 1e-6, or det C not positive)")
+NOT_POSITIVE = "holds a variance that is not positive"
+# values of a loop-closure row that no closure can hold: {column: text}, and
+# the problem that names them
+BAD_CLOSURE_VALUES = [
+    (dict.fromkeys(range(2, 11), "0"), NOT_A_ROTATION),
+    (dict(zip(range(2, 11), "2 0 0 0 2 0 0 0 2".split())), NOT_A_ROTATION),
+    (dict(zip(range(2, 11), "1 0 0 0 1 0 0 0 -1".split())), NOT_A_ROTATION),
+    ({14: "0"}, NOT_POSITIVE),
+    ({19: "-1e-4"}, NOT_POSITIVE),
+]
+BAD_CLOSURE_IDS = ["zero_rotation", "rotation_x2", "reflection", "zero_variance",
+                   "negative_variance"]
 
 
 def set_fields(path, row, values):
@@ -336,11 +352,14 @@ class TestCloseloops:
         d2 = tmp_path / "d_swapped"
         shutil.copytree(d, d2)
         t_l1 = np.loadtxt(d / "loopclosures.csv", delimiter=",", skiprows=1, ndmin=2)[0, 0]
-        profiles = dataio.read_profiles(d / "profiles.csv", sha256(d / "profiles.csv"))
+        stamps, points = dataio.read_profiles(d / "profiles.csv", sha256(d / "profiles.csv"))
+        starts = np.flatnonzero(np.diff(stamps, prepend=np.nan))
+        profiles = np.split(np.arange(len(stamps)), starts[1:])  # the rows of each
         # two profiles inside the first closure's crop window change places
-        i = int(np.argmin([abs(p.timestamp - t_l1) for p in profiles]))
+        i = int(np.argmin(np.abs(stamps[starts] - t_l1)))
         profiles[i], profiles[i + 3] = profiles[i + 3], profiles[i]
-        dataio.write_profiles(d2 / "profiles.csv", profiles)
+        rows = np.concatenate(profiles)
+        dataio.write_profiles(d2 / "profiles.csv", stamps[rows], points[rows])
         assert (d2 / "profiles.csv").read_bytes() != (d / "profiles.csv").read_bytes()
         # the binary copy of the old order stays beside the new file: stale
         shutil.copyfile(d / "profiles.csv.npz", d2 / "profiles.csv.npz")
@@ -364,10 +383,18 @@ class TestCloseloops:
         clean = dataio.read_loop_closures(d / "loopclosures.csv")
         dirty = dataio.read_loop_closures(d2 / "loopclosures.csv")
         # the rotation and position columns
-        different = sum(not np.allclose(a[2:14], b[2:14]) for a, b in zip(clean, dirty))
-        assert different == 1
+        different = [not np.allclose(a[2:14], b[2:14]) for a, b in zip(clean, dirty)]
+        assert sum(different) == 1
         report = json.loads((d2 / "closeloops_report.json").read_text())
         assert report["outliers_injected"] == 1
+        # the replaced closure's crossing says so, and keeps its ICP run
+        injected = [c for c in report["crossings"] if c["outcome"] == "outlier_injected"]
+        assert len(injected) == 1
+        assert [injected[0]["t1"], injected[0]["t2"]] == dirty[np.argmax(different), :2].tolist()
+        assert injected[0]["icp"]["converged"] is True
+        clean_report = json.loads((d / "closeloops_report.json").read_text())
+        for entry, clean_entry in zip(report["crossings"], clean_report["crossings"]):
+            assert entry == {**clean_entry, "outcome": entry["outcome"]}
 
     def test_report(self, dataset):
         d, cfg = dataset
@@ -572,20 +599,22 @@ class TestSmooth:
     @pytest.mark.parametrize(
         "fields, problem",
         [
+            *BAD_CLOSURE_VALUES,
             ({1: "7.0"}, "holds a closure time outside the trajectory's time span"),
             ({0: "4.0", 1: "1.0"},
              "holds a t_l1 that does not land on an earlier node than its t_l2"),
             ({0: "3.98"}, "holds a t_l1 that does not land on an earlier node than its t_l2"),
         ],
-        ids=["outside_span", "t_l1_after_t_l2", "t_l1_on_t_l2_node"],
+        ids=[*BAD_CLOSURE_IDS, "outside_span", "t_l1_after_t_l2", "t_l1_on_t_l2_node"],
     )
     def test_bad_closure_row_names_file_and_row(self, tmp_path, capsys, fields, problem):
         write_flipped_line(tmp_path)
         lc = tmp_path / "loopclosures.csv"
         set_fields(lc, 2, fields)
         assert cli.main(["smooth", "--dataset", str(tmp_path)]) == cli.EXIT_VALIDATION
-        assert f"error: {lc}: data row 2 {problem}\n" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {lc}: data row 2 {problem}\n"
         assert not (tmp_path / "posterior.csv").exists()
+        assert not (tmp_path / "smooth_report.json").exists()
 
     def test_zero_quaternion_rejected(self, tmp_path, capsys):
         write_flipped_line(tmp_path)
@@ -762,6 +791,17 @@ class TestEvaluate:
             "period from every node\n" in capsys.readouterr().err
         assert not (tmp_path / "evaluation.json").exists()
 
+    @pytest.mark.parametrize("fields, problem", BAD_CLOSURE_VALUES, ids=BAD_CLOSURE_IDS)
+    def test_bad_closure_values_rejected(self, tmp_path, capsys, fields, problem):
+        write_flipped_line(tmp_path)
+        lc = tmp_path / "loopclosures.csv"
+        set_fields(lc, 2, fields)
+        out = tmp_path / "eval"
+        assert cli.main(["evaluate", "--estimate", str(tmp_path / "prior.csv"),
+                         "--loopclosures", str(lc), "--out", str(out)]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {lc}: data row 2 {problem}\n"
+        assert not out.exists()
+
     def test_hovering_vehicle_has_no_percent_distance(self, tmp_path):
         hover = Trajectory(np.arange(50) * 0.1, np.tile(np.eye(4), (50, 1, 1)))
         dataio.write_trajectory(tmp_path / "hover.csv", hover)
@@ -783,10 +823,8 @@ class TestEvaluate:
         hover = Trajectory(times, np.tile(np.eye(4), (61, 1, 1)))
         dataio.write_trajectory(tmp_path / "prior.csv", hover)
         x = 0.08 * np.random.default_rng(0).permutation(61)
-        dataio.write_profiles(
-            tmp_path / "profiles.csv",
-            [frontend.LaserProfile(t, [xk, 0.0, -10.0]) for t, xk in zip(times, x)],
-        )
+        points = np.column_stack([x, np.zeros(61), np.full(61, -10.0)])
+        dataio.write_profiles(tmp_path / "profiles.csv", times, points)
         closure = LoopClosureMeasurement(15, 45, np.eye(4), np.eye(6))
         dataio.write_loop_closures(tmp_path / "loopclosures.csv", [closure], times)
         assert cli.main(

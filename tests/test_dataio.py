@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lcsmooth import dataio, frontend, lie
+from lcsmooth import dataio, lie
 from lcsmooth.factors import LoopClosureMeasurement
 from lcsmooth.trajectory import Trajectory
 
@@ -117,27 +117,32 @@ AWKWARD = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308, 3.0, -42.
            1e16, 0.1, 1.0 / 3.0, 1.7e9, 1.7e9 + 0.05, 1700000000.1234567]
 
 
-def awkward_profiles(rng):
-    """Profiles whose stamps and points are AWKWARD values."""
+def awkward_rows(rng):
+    """Profile rows ``(stamps, points)`` whose values are AWKWARD: a 0.0
+    profile beside a -0.0 one, then profiles of 1 to 50 points."""
     values = np.array(AWKWARD)
-    profiles = [frontend.LaserProfile(t, rng.choice(values, size=(k, 3)))
-                for t, k in ((-0.0, 1), (5e-324, 2), (3.0, 1), (1.7e9, 4),
-                             (1.7e9 + 0.05, 1), (1e308, 3))]
-    profiles.append(frontend.LaserProfile(1700000000.1234567, rng.normal(size=(50, 3)) * 1e3))
-    return profiles
+    spec = ((0.0, 2), (-0.0, 1), (5e-324, 2), (3.0, 1), (1.7e9, 4), (1.7e9 + 0.05, 1),
+            (1e308, 3), (1700000000.1234567, 50))
+    stamps = np.concatenate([np.full(k, t) for t, k in spec])
+    points = np.vstack([rng.choice(values, size=(len(stamps) - 50, 3)),
+                        rng.normal(size=(50, 3)) * 1e3])
+    return stamps, points
+
+
+def no_rows():
+    return np.zeros(0), np.zeros((0, 3))
 
 
 class TestWritersMatchSavetxt:
     def test_profiles(self, rng, tmp_path):
-        profiles = awkward_profiles(rng)
-        stamped = np.vstack([np.column_stack([np.full(len(p.points), p.timestamp), p.points])
-                             for p in profiles])
-        dataio.write_profiles(tmp_path / "p.csv", profiles)
-        expect = savetxt_bytes(tmp_path / "ref.csv", "t,x,y,z", stamped)
+        stamps, points = awkward_rows(rng)
+        dataio.write_profiles(tmp_path / "p.csv", stamps, points)
+        expect = savetxt_bytes(tmp_path / "ref.csv", "t,x,y,z", np.column_stack([stamps, points]))
         assert (tmp_path / "p.csv").read_bytes() == expect
+        assert b"\n0," in expect and b"\n-0," in expect
 
     def test_no_profiles(self, tmp_path):
-        dataio.write_profiles(tmp_path / "p.csv", [])
+        dataio.write_profiles(tmp_path / "p.csv", *no_rows())
         expect = savetxt_bytes(tmp_path / "ref.csv", "t,x,y,z", np.zeros((0, 4)))
         assert (tmp_path / "p.csv").read_bytes() == expect == b"t,x,y,z\n"
 
@@ -172,24 +177,21 @@ def read_profiles(path):
 
 class TestProfilesCsv:
     def test_roundtrip(self, rng, tmp_path):
-        profiles = [
-            frontend.LaserProfile(0.05 * k, rng.normal(size=(rng.integers(1, 6), 3)))
-            for k in range(10)
-        ]
+        stamps = np.repeat(0.05 * np.arange(10), rng.integers(1, 6, size=10))
+        points = rng.normal(size=(len(stamps), 3))
         path = tmp_path / "profiles.csv"
-        dataio.write_profiles(path, profiles)
-        back = read_profiles(path)
-        assert len(back) == len(profiles)
-        for a, b in zip(profiles, back):
-            assert b.timestamp == a.timestamp
-            assert np.array_equal(a.points, b.points)
+        dataio.write_profiles(path, stamps, points)
+        back_stamps, back_points = read_profiles(path)
+        assert np.array_equal(back_stamps, stamps)
+        assert np.array_equal(back_points, points)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "profiles.csv"
-        dataio.write_profiles(path, [])
+        dataio.write_profiles(path, *no_rows())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert read_profiles(path) == []
+            stamps, points = read_profiles(path)
+        assert stamps.shape == (0,) and points.shape == (0, 3)
 
     def test_malformed_rejected(self, tmp_path):
         path = tmp_path / "profiles.csv"
@@ -206,11 +208,10 @@ def stored(path):
         return str(copy["sha256"]), copy["rows"]
 
 
-def assert_same_profiles(a, b):
-    assert len(a) == len(b)
-    for p, q in zip(a, b):
-        assert np.float64(p.timestamp).tobytes() == np.float64(q.timestamp).tobytes()
-        assert p.points.tobytes() == q.points.tobytes()
+def assert_same_rows(a, b):
+    """Equal ``(stamps, points)`` rows, to the bit."""
+    for x, y in zip(a, b, strict=True):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
 class TestProfilesCopy:
@@ -219,7 +220,7 @@ class TestProfilesCopy:
 
     def test_rows_equal_loadtxt_bit_for_bit(self, rng, tmp_path):
         path = tmp_path / "profiles.csv"
-        dataio.write_profiles(path, awkward_profiles(rng))
+        dataio.write_profiles(path, *awkward_rows(rng))
         digest, rows = stored(path)
         assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
         expect = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
@@ -228,47 +229,47 @@ class TestProfilesCopy:
 
     def test_hit_equals_miss(self, rng, tmp_path):
         path = tmp_path / "profiles.csv"
-        dataio.write_profiles(path, awkward_profiles(rng))
+        dataio.write_profiles(path, *awkward_rows(rng))
         hit = read_profiles(path)
         copy = path.with_name("profiles.csv.npz")
         copy.unlink()
         miss = read_profiles(path)
-        assert_same_profiles(hit, miss)
+        assert_same_rows(hit, miss)
         # the miss wrote the copy again, and the next read is a hit on it
         assert stored(path)[0] == dataio.sha256_file(path)
-        assert_same_profiles(read_profiles(path), miss)
+        assert_same_rows(read_profiles(path), miss)
 
     def test_hit_reads_the_copy(self, rng, tmp_path):
         # a copy under the CSV's digest is what the read returns: the CSV is
         # not parsed again
         path = tmp_path / "profiles.csv"
-        dataio.write_profiles(path, awkward_profiles(rng)[-1:])
+        stamps, points = awkward_rows(rng)
+        dataio.write_profiles(path, stamps[-50:], points[-50:])
         digest, rows = stored(path)
         np.savez(f"{path}.npz", sha256=digest, rows=rows + [0.0, 1.0, 0.0, 0.0])
-        (back,) = read_profiles(path)
-        assert np.array_equal(back.points[:, 0], rows[:, 1] + 1.0)
+        _, back = read_profiles(path)
+        assert np.array_equal(back[:, 0], rows[:, 1] + 1.0)
 
     @pytest.mark.parametrize("edit", ["one_byte", "reordered"])
     def test_stale_copy_ignored_and_replaced(self, rng, tmp_path, edit):
         path = tmp_path / "profiles.csv"
-        profiles = [frontend.LaserProfile(0.1 * k, rng.normal(size=(3, 3))) for k in range(6)]
-        dataio.write_profiles(path, profiles)
+        stamps, points = np.repeat(0.1 * np.arange(6), 3), rng.normal(size=(18, 3))
+        dataio.write_profiles(path, stamps, points)
         old_copy = path.with_name("profiles.csv.npz").read_bytes()
         if edit == "one_byte":
             text = path.read_bytes()
             i = text.index(b"1", len(b"t,x,y,z\n"))
             path.write_bytes(text[:i] + b"2" + text[i + 1:])
         else:
-            profiles[1], profiles[4] = profiles[4], profiles[1]
-            dataio.write_profiles(path, profiles)
+            swapped = np.r_[0:3, 12:15, 6:12, 3:6, 15:18]  # profiles 1 and 4
+            dataio.write_profiles(path, stamps[swapped], points[swapped])
             path.with_name("profiles.csv.npz").write_bytes(old_copy)
         back = read_profiles(path)
         digest, rows = stored(path)
         assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
         expect = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         assert rows.tobytes() == expect.tobytes()
-        assert np.array_equal(np.concatenate([p.points for p in back]), expect[:, 1:])
-        assert [p.timestamp for p in back] == list(dict.fromkeys(expect[:, 0]))
+        assert_same_rows(back, (expect[:, 0], expect[:, 1:]))
 
     @pytest.mark.parametrize(
         "kind",
@@ -277,7 +278,7 @@ class TestProfilesCopy:
     )
     def test_bad_copy_is_a_miss(self, rng, tmp_path, kind):
         path = tmp_path / "profiles.csv"
-        dataio.write_profiles(path, awkward_profiles(rng))
+        dataio.write_profiles(path, *awkward_rows(rng))
         miss_copy = path.with_name("profiles.csv.npz").read_bytes()
         expect = read_profiles(path)
         digest, rows = stored(path)
@@ -303,15 +304,15 @@ class TestProfilesCopy:
                 np.savez(f, **{"sha256": digest, **bad[kind]})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert_same_profiles(read_profiles(path), expect)
+            assert_same_rows(read_profiles(path), expect)
         assert copy.read_bytes() == miss_copy
 
     def test_unwritable_copy_is_skipped(self, rng, tmp_path):
         path = tmp_path / "profiles.csv"
         (tmp_path / "profiles.csv.npz").mkdir()
-        profiles = awkward_profiles(rng)
-        dataio.write_profiles(path, profiles)
-        assert_same_profiles(read_profiles(path), profiles)
+        rows = awkward_rows(rng)
+        dataio.write_profiles(path, *rows)
+        assert_same_rows(read_profiles(path), rows)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["profiles.csv", "profiles.csv.npz"]
         assert (tmp_path / "profiles.csv.npz").is_dir()
 
@@ -326,28 +327,28 @@ class TestProfilesCopy:
     )
     def test_csv_errors_unchanged_beside_an_old_copy(self, rng, tmp_path, body, error, match):
         path = tmp_path / "profiles.csv"
-        dataio.write_profiles(path, awkward_profiles(rng))
+        dataio.write_profiles(path, *awkward_rows(rng))
         path.write_text("t,x,y,z\n" + body)
         with pytest.raises(error, match=f"{re.escape(str(path))}: {match}"):
             read_profiles(path)
 
     def test_header_only_writes_no_copy(self, tmp_path):
         path = tmp_path / "profiles.csv"
-        dataio.write_profiles(path, [])
-        assert read_profiles(path) == []
+        dataio.write_profiles(path, *no_rows())
+        assert_same_rows(read_profiles(path), no_rows())
         assert [p.name for p in tmp_path.iterdir()] == ["profiles.csv"]
 
     def test_digest_reported_and_chunked(self, rng, tmp_path):
         path = tmp_path / "profiles.csv"
-        dataio.write_profiles(path, [frontend.LaserProfile(0.0, rng.normal(size=(40_000, 3)))])
+        dataio.write_profiles(path, np.zeros(40_000), rng.normal(size=(40_000, 3)))
         assert path.stat().st_size > 2 * (1 << 20)  # more than two chunks
         expect = hashlib.sha256(path.read_bytes()).hexdigest()
         assert dataio.sha256_file(path) == expect
         path.with_name("profiles.csv.npz").unlink()
         for _ in range(2):  # a miss that writes the copy under the digest, then a hit
-            (back,) = dataio.read_profiles(path, expect)
+            _, back = dataio.read_profiles(path, expect)
             assert stored(path)[0] == expect
-            assert back.points.tobytes() == stored(path)[1][:, 1:].tobytes()
+            assert back.tobytes() == stored(path)[1][:, 1:].tobytes()
         (tmp_path / "empty").write_bytes(b"")
         assert dataio.sha256_file(tmp_path / "empty") == hashlib.sha256(b"").hexdigest()
 

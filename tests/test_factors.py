@@ -216,9 +216,12 @@ class TestLoopClosureFactor:
         lhs = lie.left_jacobian_inv(e) @ lie.adjoint(lie.se3_exp(e))
         assert np.abs(lhs + J_a @ lie.adjoint(xi)).max() <= 1e-12
 
-    def test_requires_ordered_indices(self):
-        with pytest.raises(ValueError, match="idx_l1 < idx_l2"):
-            factors.LoopClosureMeasurement(3, 3, np.eye(4), LC_COV)
+    def test_requires_ordered_indices(self, psd, rng):
+        # the graph checks a closure, not the measurement's constructor
+        meas = factors.LoopClosureMeasurement(3, 3, np.eye(4), LC_COV)
+        states = [moderate_state(rng) for _ in range(4)]
+        with pytest.raises(ValueError, match="loop closure 0 references invalid nodes"):
+            graph_of(states, psd, [meas])
 
 
 class TestRelativePoseFactor:

@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from lcsmooth import frontend, lie
+from lcsmooth import frontend, lie, sim
 from lcsmooth.trajectory import Trajectory
 
-from conftest import CFG, random_pose
+from conftest import CFG, profile_rows, random_pose
 from oracles import crop_world as crop_world_full_mask
 from oracles import estimate_normals_and_variation as normals_in_one_query
 from oracles import icp_cost as icp_cost_two_branch
+from oracles import register_profiles as register_per_record
 from oracles import voxel_downsample as voxel_downsample_unique
 
 PARAMS = CFG.frontend_params()
@@ -81,9 +82,7 @@ class TestRegisterProfiles:
         poses = np.tile(np.eye(4), (3, 1, 1))
         traj = Trajectory(times=np.array([0.0, 1.0, 2.0]), poses=poses)
         pts = np.array([[1.0, 2.0, 3.0], [0.5, 0.5, 0.5]])
-        cloud, rejected = frontend.register_profiles(
-            [frontend.LaserProfile(1.0, pts)], traj
-        )
+        cloud, rejected = frontend.register_profiles(np.array([1.0, 1.0]), pts, traj)
         assert rejected == 0
         assert np.allclose(cloud.points, pts)
         assert np.allclose(cloud.times, [1.0, 1.0])
@@ -93,27 +92,22 @@ class TestRegisterProfiles:
         poses[1, :3, 3] = [10.0, 0.0, 0.0]
         traj = Trajectory(times=np.array([0.0, 1.0]), poses=poses)
         pts = np.array([[0.0, 1.0, 5.0]])
-        cloud, _ = frontend.register_profiles([frontend.LaserProfile(1.0, pts)], traj)
+        cloud, _ = frontend.register_profiles(np.array([1.0]), pts, traj)
         assert np.allclose(cloud.points, [[10.0, 1.0, 5.0]])
 
     def test_midpoint_interpolation(self):
         poses = np.tile(np.eye(4), (2, 1, 1))
         poses[1, :3, 3] = [4.0, 2.0, 0.0]
         traj = Trajectory(times=np.array([0.0, 1.0]), poses=poses)
-        cloud, _ = frontend.register_profiles(
-            [frontend.LaserProfile(0.5, np.zeros((1, 3)))], traj
-        )
+        cloud, _ = frontend.register_profiles(np.array([0.5]), np.zeros((1, 3)), traj)
         assert np.allclose(cloud.points, [[2.0, 1.0, 0.0]])
 
     def test_out_of_span_rejected_with_count(self):
         poses = np.tile(np.eye(4), (2, 1, 1))
         traj = Trajectory(times=np.array([0.0, 1.0]), poses=poses)
-        profs = [
-            frontend.LaserProfile(-0.5, np.zeros((1, 3))),
-            frontend.LaserProfile(0.5, np.zeros((1, 3))),
-            frontend.LaserProfile(1.5, np.zeros((1, 3))),
-        ]
-        cloud, rejected = frontend.register_profiles(profs, traj)
+        # three profiles, the first of two points
+        stamps = np.array([-0.5, -0.5, 0.5, 1.5])
+        cloud, rejected = frontend.register_profiles(stamps, np.zeros((4, 3)), traj)
         assert rejected == 2
         assert len(cloud) == 1
 
@@ -121,15 +115,20 @@ class TestRegisterProfiles:
         poses = np.stack([random_pose(rng) for _ in range(4)])
         traj = Trajectory(times=np.arange(4.0), poses=poses)
         profs = [
-            frontend.LaserProfile(t, rng.normal(size=(k, 3)))
+            sim.LaserProfile(t, rng.normal(size=(k, 3)))
             for t, k in ((0.5, 2), (2.5, 1), (1.5, 3), (2.5, 2), (0.5, 1))
         ]
-        cloud, _ = frontend.register_profiles(profs, traj)
+        cloud, _ = frontend.register_profiles(*profile_rows(profs), traj)
         in_order = [profs[i] for i in (0, 4, 2, 1, 3)]
-        expect, _ = frontend.register_profiles(in_order, traj)
+        expect, _ = frontend.register_profiles(*profile_rows(in_order), traj)
         assert np.array_equal(cloud.times, [0.5, 0.5, 0.5, 1.5, 1.5, 1.5, 2.5, 2.5, 2.5])
         assert np.array_equal(cloud.points, expect.points)
         assert np.array_equal(cloud.times, expect.times)
+
+    def test_no_rows(self):
+        traj = Trajectory(times=np.array([0.0, 1.0]), poses=np.tile(np.eye(4), (2, 1, 1)))
+        cloud, rejected = frontend.register_profiles(np.zeros(0), np.zeros((0, 3)), traj)
+        assert rejected == 0 and len(cloud) == 0 and cloud.points.shape == (0, 3)
 
     def test_exactly_invertible(self, rng):
         n = 10
@@ -137,10 +136,44 @@ class TestRegisterProfiles:
         traj = Trajectory(times=np.arange(n, dtype=float), poses=poses)
         pts = rng.normal(size=(5, 3)) * 3.0
         t = 4.3  # between nodes: the pose is interpolated
-        cloud, _ = frontend.register_profiles([frontend.LaserProfile(t, pts)], traj)
+        cloud, _ = frontend.register_profiles(np.full(len(pts), t), pts, traj)
         inv = lie.se3_inv(traj.pose_at(t))
         back = cloud.points @ inv[:3, :3].T + inv[:3, 3]
         assert np.abs(back - pts).max() <= 1e-12
+
+
+def reference_cases(rng):
+    """Profile records for ``register_profiles`` and their trajectory, by case."""
+    poses = np.stack([random_pose(rng, trans_scale=10.0) for _ in range(6)])
+    traj = Trajectory(times=np.arange(6.0), poses=poses)
+
+    def records(spec):
+        return [sim.LaserProfile(t, rng.normal(size=(k, 3)) * 5.0) for t, k in spec]
+
+    cfg = sim.default_config(seed=4)
+    cfg.passes, cfg.pass_length, cfg.tie_margin = 2, 14.0, 8.0
+    truth = sim.generate_truth(cfg)
+    scan = sim.synth_scan(truth, cfg.terrain, sim.ScannerSpec(beams=16), seed=1)
+    return {
+        "out_of_order": (records(((3.7, 4), (0.2, 2), (4.9, 3), (1.1, 5), (2.5, 1))), traj),
+        # two runs of one stamp, apart in the rows: two products, not one
+        "shared_stamp": (records(((2.5, 3), (1.25, 2), (2.5, 4), (0.5, 1))), traj),
+        "one_point": (records(((t, 1) for t in (4.5, 0.0, 2.75, 5.0, 1.5))), traj),
+        "outside_span": (records(((-0.5, 2), (3.3, 3), (5.0, 1), (6.5, 2), (0.0, 2))), traj),
+        "survey": (scan, sim.degrade(truth, cfg)),
+    }
+
+
+@pytest.mark.parametrize(
+    "case", ["out_of_order", "shared_stamp", "one_point", "outside_span", "survey"])
+def test_register_profiles_matches_per_record_reference(case):
+    profiles, traj = reference_cases(np.random.default_rng(7))[case]
+    cloud, rejected = frontend.register_profiles(*profile_rows(profiles), traj)
+    expect, expect_rejected = register_per_record(profiles, traj)
+    assert np.array_equal(cloud.points, expect.points)
+    assert np.array_equal(cloud.times, expect.times)
+    assert rejected == expect_rejected
+    assert len(cloud) > 0
 
 
 class TestDetectCrossings:

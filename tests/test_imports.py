@@ -2,8 +2,9 @@
 everything the package defines is reached from the package or the
 benchmark, not only from the tests; for each parameter with a default, some
 call in the package or the benchmark passes it and some call omits it;
-the package or the benchmark reads every field of each dataclass; and every
-module of the package parses under the oldest Python it declares."""
+the package or the benchmark reads every field of each dataclass; neither
+the file formats nor the simulator import the front end; and every module
+of the package parses under the oldest Python it declares."""
 
 import ast
 from pathlib import Path
@@ -48,6 +49,26 @@ def test_guard_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def package_imports(source):
+    """The package modules that ``source`` imports from, by name."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            out |= {node.module} if node.module else {a.name for a in node.names}
+    return out
+
+
+def test_guard_finds_a_package_import():
+    source = "from . import lie, parallel\nfrom .frontend import PointCloud\nimport numpy\n"
+    assert package_imports(source) == {"lie", "parallel", "frontend"}
+
+
+@pytest.mark.parametrize("name", ["dataio", "sim"])
+def test_data_layers_do_not_import_the_front_end(name):
+    # laser profiles cross them as (stamps, points) rows, no front-end type
+    assert "frontend" not in package_imports((PACKAGE / f"{name}.py").read_text())
 
 
 def _references(node, module):

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from lcsmooth import frontend, lie, sim
-from lcsmooth.frontend import LaserProfile
 from lcsmooth.trajectory import Trajectory
 
+from conftest import profile_rows
 from oracles import terrain_grad
 
 
@@ -55,7 +55,7 @@ def synth_scan_per_profile(truth, terrain, scanner, seed=0):
             pts_sensor = pts_sensor + rng.standard_normal(pts_sensor.shape) * (
                 scanner.noise_sigma
             )
-        profiles.append(LaserProfile(float(t), pts_sensor))
+        profiles.append(sim.LaserProfile(float(t), pts_sensor))
     return profiles
 
 
@@ -220,7 +220,7 @@ class TestSynthScan:
     def test_registered_profiles_reproduce_terrain(self, cfg, truth):
         scanner = sim.ScannerSpec(beams=16, noise_sigma=0.0)
         profiles = sim.synth_scan(truth, cfg.terrain, scanner, seed=0)
-        cloud, _ = frontend.register_profiles(profiles[::50], truth)
+        cloud, _ = frontend.register_profiles(*profile_rows(profiles[::50]), truth)
         depth = cfg.terrain.depth(cloud.points[:, 0], cloud.points[:, 1])
         assert np.abs(cloud.points[:, 2] - depth).max() <= 1e-8
 
@@ -230,7 +230,7 @@ class TestSynthScan:
         cfg.scanner = sim.ScannerSpec(beams=33, noise_sigma=0.0)
         truth = sim.generate_truth(cfg)
         profiles = sim.synth_scan(truth, cfg.terrain, cfg.scanner, seed=0)
-        cloud, _ = frontend.register_profiles(profiles, truth)
+        cloud, _ = frontend.register_profiles(*profile_rows(profiles), truth)
         near = np.linalg.norm(cloud.points[:, :2] - [-5.0, 0.0], axis=1) < 0.3
         assert near.any()
         assert cloud.points[near, 2].min() < 10.0 - 1.5
@@ -291,7 +291,7 @@ class TestTruthSelfConsistency:
         )
         truth = sim.generate_truth(cfg)
         profiles = sim.synth_scan(truth, cfg.terrain, cfg.scanner, seed=5)
-        cloud, _ = frontend.register_profiles(profiles, truth)
+        cloud, _ = frontend.register_profiles(*profile_rows(profiles), truth)
         c = frontend.detect_crossings(truth, 5.0, 20.0)[0]
         passes = []
         for t in (c.t1, c.t2):

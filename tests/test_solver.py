@@ -736,10 +736,24 @@ class TestSolve:
     @pytest.mark.parametrize("field", ["xi_meas", "cov"])
     def test_validation_rejects_non_finite_closure(self, rng, field):
         g = small_graph(rng, n=6, loops=((0, 5), (1, 4)))
-        # the measurement's own constructor rejects a non-finite covariance,
-        # so the value is written into the array after construction
+        # written into the array of a built graph, which validate reads again
         getattr(g.loop_closures[1], field)[0, 0] = np.inf
         with pytest.raises(factors.NonFiniteInputError, match="loop closure 1"):
+            g.validate()
+
+    @pytest.mark.parametrize(
+        "xi, cov, match",
+        [
+            (np.eye(3), LC_COV, "loop closure 1: relative pose must be 4x4, covariance 6x6"),
+            (np.eye(4), LC_COV[:3, :3], "loop closure 1: relative pose must be 4x4, covariance 6x6"),
+            (np.eye(4), -LC_COV, "loop closure 1 covariance is not positive definite"),
+        ],
+        ids=["pose_shape", "cov_shape", "cov_not_spd"],
+    )
+    def test_validation_rejects_bad_closure(self, rng, xi, cov, match):
+        g = small_graph(rng, n=6, loops=((0, 5), (1, 4)))
+        g.loop_closures[1] = factors.LoopClosureMeasurement(1, 4, xi, cov)
+        with pytest.raises(ValueError, match=match):
             g.validate()
 
     def test_validation_rejects_bad_loop_index(self, rng):
