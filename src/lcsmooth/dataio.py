@@ -175,9 +175,24 @@ def _load_csv(path, what):
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as exc:
-        raise ValueError(f"{path}: malformed {what} CSV: {exc}") from exc
+        raise ValueError(f"{path}: malformed {what} CSV: {_malformed_row(path, exc)}") from exc
     _reject_rows(path, ~np.all(np.isfinite(data), axis=1), "holds a non-finite value")
     return data
+
+
+def _malformed_row(path, exc):
+    """The first data row of ``path`` that is not as many numbers as its
+    header has columns, named; ``exc``, np.loadtxt's error, if every row is."""
+    with open(path) as f:
+        width = len(f.readline().split(","))
+        for row, line in enumerate(filter(str.strip, f), 1):
+            try:
+                if len([float(x) for x in line.split(",")]) == width:
+                    continue
+            except ValueError:
+                pass
+            return f"data row {row} does not hold {width} numbers"
+    return exc
 
 
 def read_profiles(path, digest):

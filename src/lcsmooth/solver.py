@@ -5,9 +5,10 @@ process factor, a relative-pose factor captured from the initializing
 trajectory, and a roll/pitch/depth factor, plus one prior factor on node 0
 and one factor per loop-closure measurement.  Each factor type is evaluated
 in one call to its batched function in :mod:`lcsmooth.factors`; the solver
-attaches the weights (process noise, measurement-noise folds, robust
-loop-closure weights) and keeps one uniform record per type, from which the
-objective and the normal equations are built.  Each trial step is
+attaches square-root weights, whiteners S of weight S^T S (process noise,
+measurement-noise folds, robust weights w as sqrt(w)), and keeps one uniform
+record per type, from which the objective 0.5 |S e|^2 and the normal
+equations are built; no weight matrix is formed.  Each trial step is
 linearized once, and an accepted trial's terms, with its robust weights,
 are the next step's.
 
@@ -23,12 +24,12 @@ non-increasing across accepted iterations; a step that cannot be computed
 (NotPositiveDefiniteError) raises the damping.
 
 Memory per node and iteration, in doubles: a linearization holds about 540
-(errors, Jacobians and weights, most of them the 12 x 12 process blocks),
+(errors, Jacobians and whiteners, most of them the 12 x 12 process blocks),
 the normal equations 300 (two 12 x 12 blocks and the gradient), and the step
 about 470 (the 24-row band of its Cholesky factor, its 13 sweep columns and
 the right-hand side).  Each is allocated once and dropped after its last
-reader: once the normal equations are formed, the iteration keeps only the
-errors and weights of its terms, which the trial objective reads, so the
+reader: the normal equations whiten the Jacobians in their places and
+leave the errors and whiteners, which the trial objective reads, so the
 Jacobians are gone before a trial linearization forms its own; the normal
 equations live until the step is accepted, for the retries at higher
 damping; the sweep columns are gone before the closure-node factorization.
@@ -55,8 +56,8 @@ class NotPositiveDefiniteError(RuntimeError):
 
     ``matrix`` names what failed: "interior chain matrix" or "closure-node
     Schur complement" when that matrix is not positive definite (numerically),
-    "normal-equation solution" when the step came out non-finite.  The solver
-    answers it by raising the damping.
+    "normal-equation solution" when the step came out non-finite, "measurement
+    fold" when a whitener does not exist.  The solver raises the damping.
     """
 
     def __init__(self, matrix, message):
@@ -206,21 +207,20 @@ def build_graph(
 
 
 def robust_weight(error, sigma_phi_out, sigma_rho_out):
-    """Redescending weight in (0, 1] from the fixed-covariance Mahalanobis distance.
+    """Redescending weight in [0, 1] from the fixed-covariance Mahalanobis distance.
 
     Welsch-style form w = 2^(-eps^2), scaled so a unit Mahalanobis distance
     halves the weight.  A quadratic-tail weight (Cauchy 1/(1+eps^2)) leaves a
     constant residual influence per outlier (w * eps^2 saturates), which
     measurably drags the posterior at moderate outlier offsets; the
-    exponential tail drives the influence to zero instead.
+    exponential tail drives it to zero instead (to exactly 0 past eps^2 ~ 1075).
     """
     error = np.asarray(error, dtype=float)
     eps_sq = (
         np.sum(error[..., :3] ** 2, axis=-1) / sigma_phi_out**2
         + np.sum(error[..., 3:] ** 2, axis=-1) / sigma_rho_out**2
     )
-    # floored so the scaled weight matrix stays positive definite
-    return np.maximum(np.exp2(-eps_sq), 1e-12)
+    return np.exp2(-eps_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -236,14 +236,14 @@ class _Factors:
     and ``J_b`` are the (m, d, c) Jacobians of the slots, acting on the
     first c columns of the node's 12-wide block (``J_b`` is None for a unary
     factor, and both are None once the normal equations are formed), and
-    ``W`` the (m, d, d) weights.
+    ``S`` the (m, d, d) whiteners, the factor's weight being S^T S.
     """
 
     e: np.ndarray
     J_a: np.ndarray | None
     J_b: np.ndarray | None
     idx: np.ndarray
-    W: np.ndarray | None = None
+    S: np.ndarray | None = None
 
     def slots(self):
         """(Jacobian, nodes) per node slot."""
@@ -263,9 +263,9 @@ def _linearize(graph) -> dict[str, _Factors]:
     loop_idx = np.array([(m.idx_l1, m.idx_l2) for m in lc], dtype=int).reshape(-1, 2)
     loop_xi = np.array([m.xi_meas for m in lc]).reshape(-1, 4, 4)
     dts = np.diff(graph.times)
-    # the process weight before the Jacobians: its temporaries are gone by
+    # the process whitener before the Jacobians: its temporaries are gone by
     # the time the Jacobians are formed
-    W_wnoa = process_weight(V[:-1], graph.psd, dts)
+    U_wnoa = process_weight(V[:-1], graph.psd, dts)
 
     terms = {}
     terms["prior"] = _Factors(
@@ -273,7 +273,7 @@ def _linearize(graph) -> dict[str, _Factors]:
         nodes[:1, None],
     )
     terms["wnoa"] = _Factors(
-        *factors.wnoa(P[:-1], V[:-1], P[1:], V[1:], dts), chain, W_wnoa
+        *factors.wnoa(P[:-1], V[:-1], P[1:], V[1:], dts), chain, U_wnoa
     )
     terms["loop"] = _Factors(
         *factors.relative_pose(P[loop_idx[:, 0]], P[loop_idx[:, 1]], loop_xi), loop_idx
@@ -285,46 +285,51 @@ def _linearize(graph) -> dict[str, _Factors]:
         *factors.observable(P[1:], graph.prior_poses[1:]), nodes[1:, None]
     )
 
-    # Noise Jacobians folded into the weights, R = M S M^T, M's pose block
+    # Noise Jacobians folded into the whiteners of M cov M^T, M's pose block
     # -J_r^-1(e) = -J_l^-1(e) Ad(exp e) taken from the factors' pose blocks:
     # -J Ad(T^-1 Y) for the prior, J_a Ad(Xi) for a loop closure.
     M0 = -np.eye(12)
     T0_inv_Y = lie.between(P[0], graph.prior_poses[0])
     M0[:6, :6] = -terms["prior"].J_a[0, :6, :6] @ lie.adjoint(T0_inv_Y)
-    terms["prior"].W = np.linalg.inv(M0 @ graph.prior_cov @ M0.T)[None]
+    terms["prior"].S = _whitener(M0, graph.prior_cov)[None]
     M = terms["loop"].J_a @ lie.adjoint(loop_xi)
-    cov = np.array([m.cov for m in lc]).reshape(-1, 6, 6)
-    terms["loop"].W = np.linalg.inv(M @ cov @ np.swapaxes(M, -1, -2))
-    terms["rel"].W = np.broadcast_to(np.linalg.inv(graph.r_rel), (k, 6, 6))
-    terms["obs"].W = np.broadcast_to(np.linalg.inv(graph.r_obs), (k, 3, 3))
+    terms["loop"].S = _whitener(M, np.array([m.cov for m in lc]).reshape(-1, 6, 6))
+    terms["rel"].S = np.broadcast_to(_whitener(np.eye(6), graph.r_rel), (k, 6, 6))
+    terms["obs"].S = np.broadcast_to(_whitener(np.eye(3), graph.r_obs), (k, 3, 3))
     return terms
 
 
+def _whitener(M, cov):
+    """S = (M C)^-1, C C^T = cov: S^T S = (M cov M^T)^-1, with no squaring of
+    the conditioning.  Raises NotPositiveDefiniteError where M C is singular."""
+    try:
+        return np.linalg.inv(M @ np.linalg.cholesky(cov))
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError("measurement fold", "measurement fold singular") from exc
+
+
 def _with_loop_weights(terms, robust_weights):
-    """The terms with each loop-closure weight scaled by its robust weight."""
-    loop = terms["loop"]
-    w = np.asarray(robust_weights, dtype=float)[:, None, None]
-    return {**terms, "loop": replace(loop, W=loop.W * w)}
+    """The terms with each loop-closure whitener scaled by the square root of
+    its robust weight."""
+    sqrt_w = np.sqrt(np.asarray(robust_weights, dtype=float))[:, None, None]
+    return {**terms, "loop": replace(terms["loop"], S=terms["loop"].S * sqrt_w)}
 
 
 def _reweight(terms, config):
     """The linearized terms with robust loop weights from their own loop
     errors applied, and those weights."""
     e = terms["loop"].e
-    if config.robust_cost:
-        w = robust_weight(e, config.sigma_phi_out, config.sigma_rho_out)
-    else:
-        w = np.ones(len(e))
+    w = (robust_weight(e, config.sigma_phi_out, config.sigma_rho_out) if config.robust_cost
+         else np.ones(len(e)))
     return _with_loop_weights(terms, w), w
 
 
 def _quadratic(terms, errors=None):
-    """0.5 * e^T W e, with the weights of ``terms`` and the errors of
+    """0.5 * |S e|^2, with the whiteners of ``terms`` and the errors of
     ``errors`` (by default those of ``terms``)."""
     errors = terms if errors is None else errors
     return 0.5 * sum(
-        np.einsum("ki,kij,kj->", errors[name].e, f.W, errors[name].e)
-        for name, f in terms.items()
+        np.sum((f.S @ errors[name].e[..., None]) ** 2) for name, f in terms.items()
     )
 
 
@@ -335,37 +340,38 @@ def _normal_equations(terms, n):
     block-tridiagonal matrix, returned as stacked diagonal blocks ``Hdiag``
     (n, 12, 12) and upper off-diagonal blocks ``Hoff`` (n-1, 12, 12).  Each
     loop closure l contributes a PSD rank-6 term u_l u_l^T, where u_l holds
-    ``V[l, 0]`` = H_l1^T L_w in the pose rows of node ``loop_idx[l, 0]`` and
-    ``V[l, 1]`` = H_l2^T L_w in those of node ``loop_idx[l, 1]`` (L_w L_w^T
-    is the loop weight, robust weight included).  ``V`` is (L, 2, 6, 6), so
-    storage is O(n + L).  The right-hand side ``g = Gamma^T W e`` covers all
-    factors.
+    ``V[l, 0]`` = (S H_l1)^T in the pose rows of node ``loop_idx[l, 0]`` and
+    ``V[l, 1]`` = (S H_l2)^T in those of node ``loop_idx[l, 1]`` (S the
+    closure's whitener, robust weight included).  ``V`` is (L, 2, 6, 6), so
+    storage is O(n + L).  The right-hand side ``g = Gamma^T S^T S e`` covers
+    all factors.  Each Jacobian J of ``terms`` is replaced by S J.
     """
     Hdiag = np.zeros((n, 12, 12))
     Hoff = np.zeros((max(n - 1, 0), 12, 12))
     g = np.zeros((n, 12))
     loop = terms["loop"]
     for f in terms.values():
+        # whitened Jacobians replace the Jacobians, which are then freed
+        f.J_a = f.S @ f.J_a
+        if f.J_b is not None:
+            f.J_b = f.S @ f.J_b
         if f is loop or not len(f.e):
             continue
         # chain factors: the nodes of a slot are consecutive, so each adds
         # into a slice, and a pair factor's second node follows its first,
-        # so the first slot's J^T W also gives the coupling block; one
-        # slot's J^T W is alive at a time
+        # so the first slot's B^T also gives the coupling block
+        Se = f.S @ f.e[..., None]
         c = f.J_a.shape[-1]
-        for (J, nodes), J_next in zip(f.slots(), (f.J_b, None)):
-            JtW = np.swapaxes(J, -1, -2) @ f.W
+        for (B, nodes), B_next in zip(f.slots(), (f.J_b, None)):
+            Bt = np.swapaxes(B, -1, -2)
             s = slice(nodes[0], nodes[0] + len(nodes))
-            Hdiag[s, :c, :c] += JtW @ J
-            g[s, :c] += (JtW @ f.e[..., None])[..., 0]
-            if J_next is not None:
-                Hoff[s, :c, :c] += JtW @ J_next
-            del JtW
+            Hdiag[s, :c, :c] += Bt @ B
+            g[s, :c] += (Bt @ Se)[..., 0]
+            if B_next is not None:
+                Hoff[s, :c, :c] += Bt @ B_next
 
-    Ht = np.stack([loop.J_a, loop.J_b], axis=1).swapaxes(-1, -2)
-    V = Ht @ np.linalg.cholesky(loop.W)[:, None]
-    HtWe = (Ht @ (loop.W @ loop.e[..., None])[:, None])[..., 0]
-    np.add.at(g[:, :6], loop.idx, HtWe)
+    V = np.stack([loop.J_a, loop.J_b], axis=1).swapaxes(-1, -2)
+    np.add.at(g[:, :6], loop.idx, (V @ (loop.S @ loop.e[..., None])[:, None])[..., 0])
     return Hdiag, Hoff, loop.idx, V, g.ravel()
 
 
@@ -409,11 +415,7 @@ def _solve_closure_nodes(Sd, So, pos, V, r_K):
 
 def update_states(graph: FactorGraph, delta_x) -> FactorGraph:
     """Apply the stacked correction: T <- T exp(-dxi^), varpi <- varpi + dvarpi."""
-    delta_x = np.asarray(delta_x, dtype=float)
-    n = graph.num_nodes
-    if delta_x.shape != (12 * n,):
-        raise ValueError("delta_x dimension mismatch")
-    d = delta_x.reshape(n, 12)
+    d = np.asarray(delta_x, dtype=float).reshape(graph.num_nodes, 12)
     out = graph.copy()
     out.poses = graph.poses @ lie.se3_exp(-d[:, :6])
     out.varpis = graph.varpis + d[:, 6:]
@@ -538,8 +540,8 @@ def solve(graph: FactorGraph, config: SolverConfig):
     accepted only if the fixed-weight objective does not increase; otherwise
     the damping factor escalates by 10x up to the cap, after which the best
     iterate so far is returned with ``converged=False`` and ``stop_reason``
-    "damping_limit", or "singular" if the normal equations stayed unsolvable
-    up to the cap.
+    "damping_limit", or "singular" if the step stayed uncomputable up to the
+    cap (or a whitener does not exist at the input: NaN objective and weights).
     """
     cur = graph.validate()
     lam = config.damping
@@ -547,7 +549,13 @@ def solve(graph: FactorGraph, config: SolverConfig):
     stop, message = "max_iterations", "max iterations reached"
     trace = []
     step_objectives = []
-    terms, w_cur = _reweight(_linearize(cur), config)
+    try:
+        terms, w_cur = _reweight(_linearize(cur), config)
+    except NotPositiveDefiniteError as exc:
+        nan = np.full(len(cur.loop_closures), np.nan)
+        return cur, SolveReport(
+            iterations=0, converged=False, objective=np.nan, objective_trace=[], loop_weights=nan,
+            damping_final=lam, message=str(exc), stop_reason="singular", step_objectives=[])
 
     for _ in range(config.max_iterations):
         j_base = _quadratic(terms)
@@ -560,11 +568,11 @@ def solve(graph: FactorGraph, config: SolverConfig):
         while True:
             try:
                 delta = _solve_normal(*normal, lam)
-            except NotPositiveDefiniteError:
-                delta = None
-            if delta is not None:
                 trial = update_states(cur, delta)
                 trial_terms = _linearize(trial)
+            except NotPositiveDefiniteError:
+                delta = None
+            else:
                 j_trial = _quadratic(terms, trial_terms)
                 if j_trial <= j_base * (1.0 + 1e-12) + 1e-15:
                     accepted = True
@@ -575,21 +583,16 @@ def solve(graph: FactorGraph, config: SolverConfig):
                 break
         if not accepted:
             if delta is None:
-                stop = "singular"
-                message = (
+                stop, message = "singular", (
                     "normal equations singular at maximum damping "
-                    f"({cur.num_nodes} nodes, "
-                    f"{len(cur.loop_closures)} loop closures)"
-                )
+                    f"({cur.num_nodes} nodes, {len(cur.loop_closures)} loop closures)")
             else:
                 stop, message = "damping_limit", "damping limit reached without objective decrease"
             break
         step_objectives.append((float(j_base), float(j_trial)))
         cur = trial
         iterations += 1
-        lam = lam / 10.0
-        if lam < 1e-12:
-            lam = 0.0
+        lam = 0.0 if lam / 10.0 < 1e-12 else lam / 10.0
         terms, w_cur = _reweight(trial_terms, config)
         del trial_terms, normal  # the next step forms its own
         if np.max(np.abs(delta)) < config.step_tolerance:
@@ -598,15 +601,7 @@ def solve(graph: FactorGraph, config: SolverConfig):
 
     j_final = _quadratic(terms)
     trace.append(float(j_final))
-    report = SolveReport(
-        iterations=iterations,
-        converged=stop == "converged",
-        objective=float(j_final),
-        objective_trace=trace,
-        loop_weights=w_cur,
-        damping_final=lam,
-        message=message,
-        stop_reason=stop,
-        step_objectives=step_objectives,
-    )
-    return cur, report
+    return cur, SolveReport(
+        iterations=iterations, converged=stop == "converged", objective=float(j_final),
+        objective_trace=trace, loop_weights=w_cur, damping_final=lam, message=message,
+        stop_reason=stop, step_objectives=step_objectives)

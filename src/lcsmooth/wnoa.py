@@ -1,9 +1,9 @@
 """White-noise-on-acceleration motion prior.
 
 The process noise covariance Q of the constant-velocity error kinematics, from
-its fourth-order series, and its inverse, the process-noise weight, both in
-closed 6 x 6 block form.  State-error vectors are ordered
-(delta_xi, delta_varpi), each block rotation-first.
+its fourth-order series, and the whitener U with U^T U = Q^-1, both in closed
+6 x 6 block form.  State-error vectors are ordered (delta_xi, delta_varpi),
+each block rotation-first.
 """
 
 from __future__ import annotations
@@ -95,41 +95,30 @@ def _inverse_factor(S):
     try:
         return _lower_inverse(np.linalg.cholesky(S))
     except np.linalg.LinAlgError:
-        pass
-    R = np.empty_like(S)
-    for i in np.ndindex(S.shape[:-2]):
-        try:
-            R[i] = _lower_inverse(np.linalg.cholesky(S[i]))
-        except np.linalg.LinAlgError:
-            w, V = np.linalg.eigh(S[i])
-            w = np.maximum(w, 1e-12 * np.abs(w[-1]))
-            R[i] = V.T / np.sqrt(w)[:, None]
-    return R
+        if S.ndim > 2:  # one leading index at a time
+            return np.stack([_inverse_factor(block) for block in S])
+    w, V = np.linalg.eigh(S)
+    w = np.maximum(w, 1e-12 * np.abs(w[-1]))
+    return V.T / np.sqrt(w)[:, None]
 
 
 def process_weight(varpi_bar, psd, dt):
-    """Inverse W of the discretized process noise, by blocks.
+    """Whitener U of the discretized process noise: U^T U = Q^-1, by blocks.
 
     With G = Q_pv Q_vv^-1 and the Schur complement S = Q_pp - G Q_pv^T,
-    W_pp = S^-1, W_pv = -W_pp G and W_vv = Q_vv^-1 + G^T W_pp G.  Q_vv is
+    Q^-1 = [[S^-1, -S^-1 G], [-G^T S^-1, Q_vv^-1 + G^T S^-1 G]].  Q_vv is
     diagonal, and S^-1 = R^T R comes from one batched 6 x 6 Cholesky
-    factorization (``_inverse_factor``), so that W_pp = R^T R and
-    W_vv = Q_vv^-1 + (R G)^T (R G) are Gram products.  The truncated series
-    can lose definiteness far outside the motion-prior regime
-    (|varpi| dt >~ 2); on those edges alone S's spectrum is floored, which
-    keeps W finite and positive definite.  Batched over leading dimensions
-    of varpi_bar/dt.
+    factorization (``_inverse_factor``), so U = [[R, -R G], [0, Q_vv^-1/2]]
+    is block upper triangular.  The truncated series can lose definiteness
+    far outside the motion-prior regime (|varpi| dt >~ 2); on those edges
+    alone S's spectrum is floored, which keeps U finite and nonsingular.
+    Batched over leading dimensions of varpi_bar/dt.
     """
     Q_pp, Q_pv, q_vv = _q_blocks(varpi_bar, psd, dt)
     G = Q_pv / q_vv[..., None, :]
     R = _inverse_factor(Q_pp - G @ np.swapaxes(Q_pv, -1, -2))
-    RG = R @ G
-    Rt = np.swapaxes(R, -1, -2)
-    W_pv = -(Rt @ RG)
-    W = np.empty(Q_pp.shape[:-2] + (12, 12))
-    W[..., :6, :6] = Rt @ R
-    W[..., :6, 6:] = W_pv
-    W[..., 6:, :6] = np.swapaxes(W_pv, -1, -2)
-    W[..., 6:, 6:] = np.swapaxes(RG, -1, -2) @ RG
-    W[..., range(6, 12), range(6, 12)] += 1.0 / q_vv
-    return W
+    U = np.zeros(Q_pp.shape[:-2] + (12, 12))
+    U[..., :6, :6] = R
+    U[..., :6, 6:] = -(R @ G)
+    U[..., range(6, 12), range(6, 12)] = 1.0 / np.sqrt(q_vv)
+    return U

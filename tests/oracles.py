@@ -133,8 +133,9 @@ def assemble(graph: solver.FactorGraph, robust_weights=None):
 
     Block-row ordering: prior, WNOA (k = 1..K), loop closures, relative pose,
     observable states.  Pose-only factor blocks occupy the first six columns
-    of their node's 12-wide block.  ``robust_weights`` scales the
-    loop-closure weight blocks when given.
+    of their node's 12-wide block.  Each weight block is S^T S of the
+    factor's whitener S.  ``robust_weights`` scales the loop-closure weight
+    blocks when given.
     """
     graph.validate()
     terms = solver._linearize(graph)
@@ -148,7 +149,7 @@ def assemble(graph: solver.FactorGraph, robust_weights=None):
         err_parts.append(f.e.ravel())
         for J, nodes in f.slots():
             gamma_parts.append(_block_coo(J, r0, 12 * nodes))
-        w_parts.append(_block_coo(f.W, r0, r0))
+        w_parts.append(_block_coo(np.swapaxes(f.S, -1, -2) @ f.S, r0, r0))
         row += d * m
     gamma = _coo_matrix(gamma_parts, (row, 12 * graph.num_nodes))
     return np.concatenate(err_parts), gamma, _coo_matrix(w_parts, (row, row))

@@ -130,12 +130,13 @@ BAD_CLOSURE_IDS = ["zero_rotation", "rotation_x2", "reflection", "zero_variance"
 
 
 def set_fields(path, row, values):
-    """Overwrite fields of data row ``row`` of the CSV ``path``: {column: text}."""
+    """Overwrite fields of data row ``row`` of the CSV ``path``: {column: text},
+    where text None drops the column and "previous" repeats the row before's."""
     lines = Path(path).read_text().splitlines()
-    fields = lines[row].split(",")
+    fields, before = lines[row].split(","), lines[row - 1].split(",")
     for column, text in values.items():
-        fields[column] = text
-    lines[row] = ",".join(fields)
+        fields[column] = before[column] if text == "previous" else text
+    lines[row] = ",".join(f for f in fields if f is not None)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -979,3 +980,132 @@ def test_outputs_do_not_depend_on_cpu_count(dataset, tmp_path, capsys, monkeypat
         assert captured.err.count("dropped crossing") == 2
     else:
         assert outcomes == ["closure"] * 2 and "eval/disparity.csv" in files
+
+
+# The CLI contract on bad input, one case per changed row of one input file
+# of the two-pass survey sampled at 5 Hz.
+
+FIVE_HZ = {"sim.node_rate": "5.0"}
+
+
+@pytest.fixture(scope="module")
+def survey_5hz(tmp_path_factory):
+    root = tmp_path_factory.mktemp("survey_5hz")
+    cfg = write_cfg(root, FIVE_HZ)
+    assert cli.main(["simulate", "--out", str(root / "d"), "--config", cfg]) == 0
+    assert cli.main(["closeloops", "--dataset", str(root / "d"), "--config", cfg]) == 0
+    return root / "d", cfg
+
+
+# numpy's own messages, which the CLI never passes on
+NUMPY_TEXT = ("Singular matrix", "Matrix is not positive definite", "LinAlgError", "Traceback",
+              "Warning", "usecols", "could not convert", "numpy")
+ROTATION = range(2, 11)
+# case: (stage, input file, data row, change, exit code, what stderr names);
+# a row of None changes the configuration file, {key: value}
+CLI_CONTRACT = {
+    "prior_nan": ("smooth", "prior.csv", 7, {1: "nan"}, 2, "data row 7 holds a non-finite value"),
+    "prior_too_few_columns": ("smooth", "prior.csv", 7, {7: None}, 2,
+                              "data row 7 does not hold 8 numbers"),
+    "prior_repeated_time": ("smooth", "prior.csv", 7, {0: "previous"}, 2,
+                            "data row 7 holds a time not later than the row before it"),
+    "prior_zero_quaternion": ("smooth", "prior.csv", 7, dict.fromkeys(range(4, 8), "0"), 2,
+                              "data row 7 holds a quaternion of norm below 1e-6"),
+    "closure_nan": ("smooth", "loopclosures.csv", 1, {12: "nan"}, 2,
+                    "data row 1 holds a non-finite value"),
+    "closure_too_few_columns": ("smooth", "loopclosures.csv", 1, {19: None}, 2,
+                                "data row 1 does not hold 20 numbers"),
+    "closure_zero_rotation": ("smooth", "loopclosures.csv", 1, dict.fromkeys(ROTATION, "0"), 2,
+                              f"data row 1 {NOT_A_ROTATION}"),
+    "closure_scaled_rotation": ("smooth", "loopclosures.csv", 1,
+                                dict(zip(ROTATION, "2 0 0 0 2 0 0 0 2".split())), 2,
+                                f"data row 1 {NOT_A_ROTATION}"),
+    "closure_reflected_rotation": ("smooth", "loopclosures.csv", 1,
+                                   dict(zip(ROTATION, "1 0 0 0 1 0 0 0 -1".split())), 2,
+                                   f"data row 1 {NOT_A_ROTATION}"),
+    "closure_zero_variance": ("smooth", "loopclosures.csv", 1, {14: "0"}, 2,
+                              f"data row 1 {NOT_POSITIVE}"),
+    "closure_negative_variance": ("smooth", "loopclosures.csv", 1, {19: "-1e-4"}, 2,
+                                  f"data row 1 {NOT_POSITIVE}"),
+    # the robust cost is the designed answer to a closure 1e12 m out of range
+    "closure_far_translation": ("smooth", "loopclosures.csv", 1, {11: "1e12"}, 0, None),
+    # a closure this stiff leaves the normal equations singular up to the cap
+    "closure_vanishing_variances": ("smooth", "loopclosures.csv", 1,
+                                    dict.fromkeys(range(14, 20), "1e-300"), 3, None),
+    "closure_time_off_nodes": ("smooth", "loopclosures.csv", 1, {1: "1e6"}, 2,
+                               "data row 1 holds a closure time outside the trajectory's "
+                               "time span"),
+    "config_nan": ("smooth", "config", None, {"solver.step_tolerance": "nan"}, 2,
+                   "configuration key 'solver.step_tolerance' must be finite"),
+    "closeloops_prior_nan": ("closeloops", "prior.csv", 3, {2: "nan"}, 2,
+                             "data row 3 holds a non-finite value"),
+    "closeloops_profiles_nan": ("closeloops", "profiles.csv", 5, {3: "nan"}, 2,
+                                "data row 5 holds a non-finite value"),
+    "closeloops_profiles_too_few_columns": ("closeloops", "profiles.csv", 5, {3: None}, 2,
+                                            "data row 5 does not hold 4 numbers"),
+    "evaluate_truth_repeated_time": ("evaluate", "truth.csv", 9, {0: "previous"}, 2,
+                                     "data row 9 holds a time not later than the row before it"),
+    "evaluate_closure_zero_rotation": ("evaluate", "loopclosures.csv", 2,
+                                       dict.fromkeys(ROTATION, "0"), 2,
+                                       f"data row 2 {NOT_A_ROTATION}"),
+    "evaluate_closure_time_off_nodes": ("evaluate", "loopclosures.csv", 2, {0: "-1e6"}, 2,
+                                        "data row 2 holds a closure time more than half a "
+                                        "sample period from every node"),
+    "evaluate_closure_far_translation": ("evaluate", "loopclosures.csv", 2, {11: "1e12"}, 0,
+                                         None),
+}
+
+
+@pytest.mark.parametrize("case", CLI_CONTRACT)
+def test_cli_contract(survey_5hz, tmp_path, capsys, case):
+    import shutil
+
+    stage, name, row, change, code, named = CLI_CONTRACT[case]
+    d = tmp_path / "d"
+    shutil.copytree(survey_5hz[0], d)
+    cfg = survey_5hz[1]
+    if row is None:
+        cfg = write_cfg(tmp_path, {**FIVE_HZ, **change})
+    else:
+        set_fields(d / name, row, change)
+    outputs = {
+        "closeloops": [d / "loopclosures.csv", d / "closeloops_report.json"],
+        "smooth": [d / "posterior.csv", d / "smooth_report.json"],
+        "evaluate": [tmp_path / "eval"],
+    }[stage]
+    for path in outputs[:2] if stage == "closeloops" else ():
+        path.unlink()
+    argv = [stage, "--dataset", str(d)] if stage != "evaluate" else [
+        "evaluate", "--estimate", str(d / "prior.csv"), "--truth", str(d / "truth.csv"),
+        "--profiles", str(d / "profiles.csv"), "--loopclosures", str(d / "loopclosures.csv"),
+        "--out", str(tmp_path / "eval")]
+    assert cli.main([*argv, "--config", cfg]) == code
+    err = capsys.readouterr().err
+    assert not [text for text in NUMPY_TEXT if text in err]
+    if code in (cli.EXIT_VALIDATION, cli.EXIT_IO):
+        assert named in err and (row is None or f"{d / name}: " in err)
+        assert not [path for path in outputs if path.exists()]
+    else:
+        assert all(path.exists() for path in outputs)
+    if code == cli.EXIT_SOLVER:  # the best iterate, here the input
+        report = json.loads((d / "smooth_report.json").read_text())
+        assert report["failed"] and report["stop_reason"] == "singular"
+        assert report["iterations"] == 0
+        posterior = dataio.read_trajectory(d / "posterior.csv")
+        prior = dataio.read_trajectory(d / "prior.csv")
+        assert np.abs(posterior.poses - prior.poses).max() <= 1e-12
+
+
+def test_far_out_of_range_closure_is_an_outlier(survey_5hz, tmp_path):
+    # a closure 1e12 m out of range: its robust weight goes to 0, and the
+    # other closure keeps its own
+    import shutil
+
+    d = tmp_path / "d"
+    shutil.copytree(survey_5hz[0], d)
+    set_fields(d / "loopclosures.csv", 1, {11: "1e12"})
+    assert cli.main(["smooth", "--dataset", str(d), "--config", survey_5hz[1]]) == cli.EXIT_OK
+    report = json.loads((d / "smooth_report.json").read_text())
+    assert report["converged"] and report["stop_reason"] == "converged"
+    weights = report["loop_weights"]
+    assert weights[0] < 0.01 and min(weights[1:]) > 0.5

@@ -33,6 +33,19 @@ def off_so3(rng, pose, size):
     return out
 
 
+def error_twist(rng, near_pi):
+    """A pose error: its rotation angle uniform in [0, pi), or within 1e-3
+    rad of pi if ``near_pi``, about a random axis; its translation normal."""
+    axis = rng.normal(size=3)
+    angle = np.pi - rng.uniform(0.0, 1e-3) if near_pi else rng.uniform(0.0, np.pi)
+    return np.r_[angle * axis / np.linalg.norm(axis), rng.normal(size=3)]
+
+
+def gram(S):
+    """S^T S, the weight of the whitener S."""
+    return np.swapaxes(S, -1, -2) @ S
+
+
 def graph_of(states, psd, loops=(), prior_cov=CFG.prior_cov(), dt=0.1):
     """A graph at the given (pose, varpi) states, its prior on node 0 at them."""
     poses, varpis = stack_samples(states)
@@ -83,9 +96,22 @@ class TestPriorFactor:
     def test_weight_is_folded_prior_information(self, psd, rng):
         state = moderate_state(rng)
         cov = np.diag(rng.uniform(0.01, 0.1, 12))
-        W = solver._linearize(graph_of([state], psd, prior_cov=cov))["prior"].W
+        S = solver._linearize(graph_of([state], psd, prior_cov=cov))["prior"].S
         # at zero error the fold matrices are identities up to sign
-        assert np.abs(W[0] - np.linalg.inv(cov)).max() < 1e-9
+        assert np.abs(gram(S[0]) - np.linalg.inv(cov)).max() < 1e-9
+
+    def test_whitener_folds_prior_noise(self, psd, rng):
+        # S^T S = (M cov M^T)^-1, M = -diag(J_r^-1(e), I) at the pose error
+        # e; at random errors, then within 1e-3 rad of pi
+        for near_pi in [False] * 20 + [True] * 20:
+            pose, varpi = moderate_state(rng)
+            g = graph_of([(pose, varpi)], psd, prior_cov=np.diag(rng.uniform(0.01, 0.1, 12)))
+            g.prior_poses[0] = pose @ lie.se3_exp(error_twist(rng, near_pi))
+            prior = solver._linearize(g)["prior"]
+            M = -np.eye(12)
+            M[:6, :6] = -lie.left_jacobian_inv(-prior.e[0, :6])
+            W = np.linalg.inv(M @ g.prior_cov @ M.T)
+            assert np.abs(gram(prior.S[0]) - W).max() <= 1e-12 * np.abs(W).max()
 
     def test_rejects_non_spd_cov(self, psd):
         with pytest.raises(ValueError, match="prior covariance is not positive definite"):
@@ -189,16 +215,19 @@ class TestLoopClosureFactor:
         assert relative_pose_fd_error(rng, 0.1) <= 1e-6
 
     def test_weight_folds_measurement_noise(self, psd, rng):
-        # R_l = M R M^T with M = -Jr_inv at the current error
-        s1 = moderate_state(rng)
-        s2 = moderate_state(rng, base=s1[0])
-        meas = factors.LoopClosureMeasurement(
-            0, 1, lie.se3_inv(s1[0]) @ s2[0] @ lie.se3_exp(rng.normal(size=6) * 0.1),
-            LC_COV,
-        )
-        loop = solver._linearize(graph_of([s1, s2], psd, [meas]))["loop"]
-        M = -lie.left_jacobian_inv(-loop.e[0])
-        assert np.abs(np.linalg.inv(loop.W[0]) - M @ LC_COV @ M.T).max() < 1e-12
+        # S^T S = (M R M^T)^-1 with M = -Jr_inv at the current error, and S
+        # whitens M R M^T; at random errors, then within 1e-3 rad of pi
+        for near_pi in [False] * 20 + [True] * 20:
+            s1 = moderate_state(rng)
+            s2 = moderate_state(rng, base=s1[0])
+            xi = lie.se3_inv(s1[0]) @ s2[0] @ lie.se3_exp(error_twist(rng, near_pi))
+            meas = factors.LoopClosureMeasurement(0, 1, xi, LC_COV)
+            loop = solver._linearize(graph_of([s1, s2], psd, [meas]))["loop"]
+            M = -lie.left_jacobian_inv(-loop.e[0])
+            cov = M @ LC_COV @ M.T
+            W = np.linalg.inv(cov)
+            assert np.abs(gram(loop.S[0]) - W).max() <= 1e-12 * np.abs(W).max()
+            assert np.abs(loop.S[0] @ cov @ loop.S[0].T - np.eye(6)).max() <= 1e-12
 
     def test_right_jacobian_inverse_from_pose_block(self, rng):
         # J_l^-1(e) Ad(exp e) = J_r^-1(e) = -J_a Ad(Xi), the noise fold's
@@ -314,7 +343,7 @@ class TestWeightProperties:
             g.prior_cov = np.eye(12) * 0.1
             terms = solver._linearize(g)
             for name in ("prior", "wnoa", "loop"):
-                W = terms[name].W[0]
+                W = gram(terms[name].S[0])
                 w = np.linalg.eigvalsh(W)
                 assert w.min() > 0
                 assert np.abs(W - W.T).max() < 1e-6 * w.max()

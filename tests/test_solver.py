@@ -86,10 +86,11 @@ class TestAssemble:
         add(result, [0], np.linalg.inv(M0 @ g.prior_cov @ M0.T))
         for k in range(1, n):
             dt = g.times[k] - g.times[k - 1]
+            U = wnoa.process_weight(V[k - 1], PSD, dt)
             add(
                 factors.wnoa(P[k - 1 : k], V[k - 1 : k], P[k : k + 1], V[k : k + 1], dt),
                 [k - 1, k],
-                wnoa.process_weight(V[k - 1], PSD, dt),
+                U.T @ U,
             )
         for m in g.loop_closures:
             i, j = m.idx_l1, m.idx_l2
@@ -295,18 +296,20 @@ def nudged_flipped_line():
 
 
 def overstiff_closure_line():
-    """``nudged_flipped_line`` with closure 0 turned by 3 rad and moved 2 m
-    at covariance 1e-24 I, for a solve without the robust cost.
+    """``nudged_flipped_line`` with closure 0 moved 2 km along x at
+    covariance 1e-18 I, for a solve without the robust cost.
 
-    The closure's weight swamps the chain: below a damping of 1e8 the
-    closure-node system is not numerically positive definite, and at the
-    cap the step raises the objective, so no damping decreases it.
+    The closure asks the 5 m line to stretch by 2 km, and its weight swamps
+    the chain's: at every damping up to the cap, 1e8, far below the
+    closure's weight, the step stays close to the Gauss-Newton step, and
+    after two accepted steps that step raises the objective, so no damping
+    decreases it.
     """
     times, poses, closures = nudged_flipped_line()
     c = closures[0]
-    off = lie.se3_exp(np.array([0.0, 0.0, 3.0, 2.0, 0.0, 0.0]))
+    off = lie.make_pose(np.eye(3), [2000.0, 0.0, 0.0])
     closures[0] = factors.LoopClosureMeasurement(
-        c.idx_l1, c.idx_l2, c.xi_meas @ off, 1e-24 * np.eye(6)
+        c.idx_l1, c.idx_l2, c.xi_meas @ off, 1e-18 * np.eye(6)
     )
     return times, poses, closures
 
@@ -357,11 +360,13 @@ class TestLinearizeOnce:
         _, report = solver.solve(g, cfg)
         # every trial accepted: trial k is the iterate of step k + 1
         assert len(trials) == report.iterations >= 3
-        for ((terms, _), _), (_, trial) in zip(steps[1:], trials):
+        for ((terms, n), _), (_, trial) in zip(steps[1:], trials):
             fresh, _ = solver._reweight(solver._linearize(trial), cfg)
+            # the step replaced its terms' Jacobians with their whitened forms
+            solver._normal_equations(fresh, n)
             assert terms.keys() == fresh.keys()
             for name, f in fresh.items():
-                for field in ("e", "J_a", "J_b", "idx", "W"):
+                for field in ("e", "J_a", "J_b", "idx", "S"):
                     assert np.array_equal(getattr(terms[name], field), getattr(f, field))
         _, w = solver._reweight(solver._linearize(trials[-1][1]), cfg)
         assert np.array_equal(report.loop_weights, w)
@@ -430,6 +435,35 @@ class TestSolverFailure:
         with pytest.raises(RuntimeError, match="fault"):
             solver.solve(small_graph(rng, perturb=0.02), CFG.solver_config())
 
+    def test_singular_fold_raises(self):
+        with pytest.raises(solver.NotPositiveDefiniteError) as info:
+            solver._whitener(np.zeros((1, 6, 6)), LC_COV[None])
+        assert info.value.matrix == "measurement fold"
+
+    @pytest.mark.parametrize("at_input", [True, False], ids=["input", "trials"])
+    def test_singular_fold_ends_singular(self, rng, monkeypatch, at_input):
+        # a loop-closure fold made singular, at the input or at every trial:
+        # the solve ends as "singular" with the input as its best iterate
+        g = small_graph(rng, n=8, loops=((0, 7),), perturb=0.02)
+        calls, whitener = [], solver._whitener
+
+        def singular_loop_fold(M, cov):
+            if M.ndim == 3:
+                calls.append(M)
+                if at_input or len(calls) > 1:
+                    M = np.zeros_like(M)
+            return whitener(M, cov)
+
+        monkeypatch.setattr(solver, "_whitener", singular_loop_fold)
+        post, report = solver.solve(g, solver.SolverConfig())
+        assert report.stop_reason == "singular" and report.iterations == 0
+        assert np.array_equal(post.poses, g.poses)
+        if at_input:
+            assert len(calls) == 1 and np.isnan(report.objective)
+            assert report.message == "measurement fold singular"
+        else:
+            assert len(calls) > 2 and report.damping_final > solver.MAX_DAMPING
+
     def test_solve_escalates_damping_to_failure(self, rng):
         g = unanchored_graph(rng, ((2, 9),))
         cfg = solver.SolverConfig()
@@ -484,9 +518,9 @@ class TestStepMemory:
             else:  # no damping this small makes the unanchored system solvable
                 assert first == again and isinstance(first, str)
 
-    # Traced peak of one solve per node.  The solve below measured 9,482
+    # Traced peak of one solve per node.  The solve below measured 9,117
     # bytes per node (one solve of the 5,919-node standard survey measures
-    # 9,490); a step that copies its system, or keeps the Jacobians alive
+    # 9,113); a step that copies its system, or keeps the Jacobians alive
     # beside a trial linearization, measured 18,159.
     PEAK_BYTES_PER_NODE = 11_000
 
@@ -524,8 +558,17 @@ class TestRobustWeight:
 
     def test_range_and_monotonicity(self, rng):
         errs = rng.normal(size=(200, 6)) * 3.0
+        errs[:100, :3] *= 1e-3
         w = solver.robust_weight(errs, np.deg2rad(1.0), 1.0)
-        assert np.all(w > 0.0) and np.all(w <= 1.0)
+        assert np.all(w >= 0.0) and np.all(w <= 1.0)
+        assert np.any(w > 0.0) and np.any(w == 0.0)
+        eps_sq = (np.sum(errs[:, :3] ** 2, axis=1) / np.deg2rad(1.0) ** 2
+                  + np.sum(errs[:, 3:] ** 2, axis=1))
+        assert np.all(np.diff(w[np.argsort(eps_sq)]) <= 0.0)
+
+    def test_far_outlier_weight_underflows_to_zero(self):
+        # a closure 1e12 m out of range takes no part in the step
+        assert solver.robust_weight(np.array([0, 0, 0, 1e12, 0, 0]), 0.017, 1.0) == 0.0
 
 
 class TestStepAndUpdate:
@@ -598,7 +641,9 @@ class TestSolve:
         times, poses, closures = overstiff_closure_line()
         g = solver.build_graph(times, poses, closures, PSD, R_REL, R_OBS, PRIOR_COV)
         post, report = solver.solve(g, solver.SolverConfig(robust_cost=False))
-        assert np.array_equal(post.poses, g.poses)
+        assert report.iterations >= 1
+        e, _, weight = assemble(post, robust_weights=report.loop_weights)
+        assert report.objective == pytest.approx(0.5 * e @ (weight @ e), rel=1e-12)
         assert not report.converged
         assert report.stop_reason == "damping_limit"
         assert report.message == "damping limit reached without objective decrease"
@@ -623,6 +668,18 @@ class TestSolve:
         post, report = solver.solve(g, solver.SolverConfig())
         assert report.loop_weights[1] < 1e-4
         assert report.loop_weights[0] > 0.9
+
+    def test_far_out_of_range_closure_rejected(self):
+        # a closure 1e12 m out of range is an outlier: its robust weight
+        # underflows to 0, and it leaves the step
+        times, poses, closures = flipped_closure_line(orthonormal=True)
+        closures[1].xi_meas[0, 3] = 1e12
+        g = solver.build_graph(times, poses, closures, PSD, R_REL, R_OBS, PRIOR_COV)
+        post, report = solver.solve(g, solver.SolverConfig())
+        assert report.converged
+        assert report.loop_weights[1] == 0.0
+        assert report.loop_weights[0] > 0.5
+        assert np.abs(post.poses - poses).max() <= 1e-9
 
     @pytest.mark.parametrize("orthonormal", [True, False], ids=["exact", "off_so3"])
     def test_flipped_closure_rejected(self, orthonormal):

@@ -146,10 +146,16 @@ class TestDiscretizeQ:
             assert np.array_equal(Qs[i], q_expansion(vs[i], psd, dts[i]))
 
 
+def weight(varpi_bar, psd, dt):
+    """U^T U of the process-noise whitener U: the weight Q^-1."""
+    U = wnoa.process_weight(varpi_bar, psd, dt)
+    return np.swapaxes(U, -1, -2) @ U
+
+
 class TestProcessWeight:
     def test_is_inverse_in_benign_regime(self, psd, rng):
         v = rng.normal(size=6) * 0.5
-        W = wnoa.process_weight(v, psd, 0.1)
+        W = weight(v, psd, 0.1)
         Q = q_expansion(v, psd, 0.1)
         assert np.abs(W @ Q - np.eye(12)).max() < 1e-6
 
@@ -157,7 +163,7 @@ class TestProcessWeight:
     def test_closed_form_at_zero_velocity(self, psd, dt):
         # the series is exact at varpi = 0, where Q^-1 has the closed form
         # [[12/dt^3, 6/dt^2], [6/dt^2, 4/dt]] (x) Q_c^-1
-        W = wnoa.process_weight(np.zeros(6), psd, dt)
+        W = weight(np.zeros(6), psd, dt)
         expected = np.kron(
             [[12.0 / dt**3, 6.0 / dt**2], [6.0 / dt**2, 4.0 / dt]],
             np.linalg.inv(psd.matrix()),
@@ -168,21 +174,49 @@ class TestProcessWeight:
         for _ in range(50):
             v = rng.normal(size=6) * 0.5
             dt = rng.uniform(0.01, 0.2)
-            W = wnoa.process_weight(v, psd, dt)
+            W = weight(v, psd, dt)
             assert np.abs(W @ q_expansion(v, psd, dt) - np.eye(12)).max() <= 1e-12
+
+    def test_whitens_q_expansion(self, psd, rng):
+        # U Q U^T = I: U is block upper triangular, with the diagonal
+        # Q_vv^-1/2 in its velocity rows
+        for _ in range(50):
+            v = rng.normal(size=6) * 0.5
+            dt = rng.uniform(0.01, 0.2)
+            U = wnoa.process_weight(v, psd, dt)
+            assert np.abs(U @ q_expansion(v, psd, dt) @ U.T - np.eye(12)).max() <= 1e-12
+            assert np.array_equal(U[6:, :6], np.zeros((6, 6)))
+            assert np.array_equal(U[6:, 6:], np.diag(np.diag(U[6:, 6:])))
 
     def test_batched_matches_per_edge(self, psd, rng):
         vs = rng.normal(size=(20, 6)) * 0.5
         dts = rng.uniform(0.05, 0.2, size=20)
         # one edge outside the regime takes the spectrum floor; the others
-        # must keep their Cholesky weights
+        # must keep their Cholesky whiteners
         vs[7], dts[7] = [0, 0, 3.0, 5.0, 0, 0], 1.0
-        Ws = wnoa.process_weight(vs, psd, dts)
+        Us = wnoa.process_weight(vs, psd, dts)
         for i in range(20):
-            assert np.array_equal(Ws[i], wnoa.process_weight(vs[i], psd, dts[i]))
+            assert np.array_equal(Us[i], wnoa.process_weight(vs[i], psd, dts[i]))
 
     def test_finite_outside_regime(self, psd):
-        W = wnoa.process_weight(np.array([0, 0, 3.0, 5.0, 0, 0]), psd, 1.0)
-        assert np.all(np.isfinite(W))
-        assert np.abs(W - W.T).max() <= 1e-14 * np.abs(W).max()
+        U = wnoa.process_weight(np.array([0, 0, 3.0, 5.0, 0, 0]), psd, 1.0)
+        assert np.all(np.isfinite(U))
+        W = U.T @ U
         assert np.linalg.eigvalsh(W).min() > 0.0
+
+    def test_whitens_floored_q_outside_regime(self, psd):
+        # outside the regime the Schur complement S = Q_pp - G Q_pv^T is
+        # indefinite; U takes the inverse square root of S with its spectrum
+        # floored at 1e-12 of the largest eigenvalue, in place of R
+        v, dt = np.array([0, 0, 3.0, 5.0, 0, 0]), 1.0
+        Q_pp, Q_pv, q_vv = wnoa._q_blocks(v, psd, dt)
+        G = Q_pv / q_vv
+        w, V = np.linalg.eigh(Q_pp - G @ Q_pv.T)
+        assert w[0] < 0.0
+        R = V.T / np.sqrt(np.maximum(w, 1e-12 * abs(w[-1])))[:, None]
+        expected = np.zeros((12, 12))
+        expected[:6, :6] = R
+        expected[:6, 6:] = -R @ G
+        expected[6:, 6:] = np.diag(q_vv**-0.5)
+        U = wnoa.process_weight(v, psd, dt)
+        assert np.abs(U - expected).max() <= 1e-12 * np.abs(expected).max()
